@@ -395,13 +395,6 @@ class JacobiAlgebra:
             out = out + self.bracket(x, g).scale(c)
         return out
 
-    def weight_of_bracket(self, br: BracketResult) -> Weight:
-        """Common weight of the generator terms; only valid for weight-homogeneous results."""
-        ws = {self.weight(g) for g in br.terms}
-        if len(ws) != 1:
-            raise RuntimeError("bracket result is not weight-homogeneous")
-        return ws.pop()
-
 
 def generators(n: int) -> List[Generator]:
     """The ordered basis of g_n: 2n Heisenberg, n(n+1) K+/K-, n^2 K0 elements."""

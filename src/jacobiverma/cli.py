@@ -236,7 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         "singular", help="search singular vectors of a given weight", parents=[common]
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weight", required=True)
+    p.add_argument(
+        "--weight",
+        required=True,
+        help="target weight, e.g. 2d1, d1-d2 or 4,4; write --weight=-1,0 when the "
+        "first coordinate is negative",
+    )
     p.add_argument("--branch-budget", type=int, default=64)
     p.set_defaults(func=_cmd_singular)
 

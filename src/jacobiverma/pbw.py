@@ -61,10 +61,6 @@ class PbwMonomial:
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exps)
 
-    def times(self, other: "PbwMonomial") -> "PbwMonomial":
-        """Exponent-wise product; only a PBW monomial when no reordering is needed."""
-        return PbwMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
 
 def monomial_weight(alg: JacobiAlgebra, m: PbwMonomial) -> Weight:
     w = Weight.zero(alg.n)
@@ -72,10 +68,6 @@ def monomial_weight(alg: JacobiAlgebra, m: PbwMonomial) -> Weight:
         if e:
             w = w + alg.weight(alg.generators[idx]).scale(e)
     return w
-
-
-def _is_ordered(word: Sequence[int]) -> bool:
-    return all(word[k] <= word[k + 1] for k in range(len(word) - 1))
 
 
 class UElement:
@@ -197,7 +189,3 @@ def multiply(alg: JacobiAlgebra, a: UElement, b: UElement) -> UElement:
         for m2, c2 in b.terms.items():
             out = out + normal_order(alg, m1.word() + m2.word(), c1 * c2)
     return out
-
-
-def element_weights(alg: JacobiAlgebra, u: UElement) -> set:
-    return {monomial_weight(alg, m) for m in u.terms}

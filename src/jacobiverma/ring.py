@@ -404,12 +404,6 @@ def _coeffs_in(p: PolyQ, x: int) -> dict:
         out[e] = coeff + PolyQ(p.nvars, {tuple(rest): c})
     return {e: c for e, c in out.items() if not c.is_zero}
 
-def _from_coeffs(nvars: int, x: int, coeffs: dict) -> PolyQ:
-    out = PolyQ.zero(nvars)
-    for e, c in coeffs.items():
-        out = out + c * PolyQ.var(nvars, x) ** e
-    return out
-
 
 def content_in(p: PolyQ, x: int) -> PolyQ:
     """gcd of the Q[rest]-coefficients of p viewed in the variable x."""

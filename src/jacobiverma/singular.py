@@ -6,9 +6,10 @@ The pipeline for a target weight w:
 2. apply each lowering generator to the general combination and read off one
    homogeneous linear condition per surviving basis monomial, giving a matrix
    over Q[L1..Ln];
-3. run fraction-free (Bareiss) elimination with case splitting: a
-   non-constant pivot spawns one child per vanishing-locus factor, while the
-   parent continues with the pivot asserted nonzero;
+3. eliminate in two phases with case splitting: plain Gauss over Q while a
+   constant pivot remains, then fraction-free (Bareiss) steps on the residual
+   rows; a non-constant pivot spawns one child per vanishing-locus factor,
+   while the parent continues with the pivot asserted nonzero;
 4. each explored constraint set with a nontrivial kernel becomes a branch; the
    kernel is back-substituted over rational functions and normalized so the
    last nonzero coordinate (in the ansatz monomial order) is 1;
@@ -31,6 +32,7 @@ from .pbw import PbwMonomial
 from .ring import (
     PolyQ,
     RatFuncQ,
+    RingError,
     content_in,
     poly_sort_key,
     rational_roots,
@@ -352,7 +354,17 @@ def _eliminate(
     ncols: int,
     nvars: int,
 ) -> Tuple[List[Tuple[List[PolyQ], int]], Set[int], List[PolyQ]]:
-    """Bareiss fraction-free elimination with degree-preferring pivot choice.
+    """Two-phase elimination with degree-preferring pivot choice.
+
+    Phase 1 is plain Gauss over Q: while some unused column holds a nonzero
+    constant entry, the least (column, row index) such entry is the pivot, its
+    row is scaled to make it 1, and only the rows with a nonzero entry in the
+    pivot column are updated, on the columns where the pivot row is nonzero.
+    Phase 2 runs Bareiss fraction-free steps on the residual, starting from
+    divisor 1 and always taking an entry of least total degree.  Phase 1
+    rows are Bareiss rows up to nonzero rational factors, so the pivot
+    choice, the kernel and the squarefree monic pivot factors do not depend
+    on where the phases meet.
 
     Returns (retired pivot rows with their columns, used columns, the
     non-constant pivot polynomials in order of use).
@@ -360,6 +372,37 @@ def _eliminate(
     active = [list(row) for row in matrix if any(not e.is_zero for e in row)]
     pivots: List[Tuple[List[PolyQ], int]] = []
     used: Set[int] = set()
+    while True:
+        best = None
+        for c in range(ncols):
+            if c in used:
+                continue
+            for ri, row in enumerate(active):
+                if not row[c].is_zero and row[c].is_constant:
+                    best = (c, ri)
+                    break
+            if best is not None:
+                break
+        if best is None:
+            break
+        c, ri = best
+        prow = active.pop(ri)
+        inv = 1 / prow[c].constant_value()
+        support = [j for j in range(ncols) if not prow[j].is_zero]
+        for j in support:
+            prow[j] = prow[j] * inv
+        new_active = []
+        for row in active:
+            f = row[c]
+            if not f.is_zero:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
+                if all(e.is_zero for e in row):
+                    continue
+            new_active.append(row)
+        active = new_active
+        pivots.append((prow, c))
+        used.add(c)
     nonconstant: List[PolyQ] = []
     prev = PolyQ.one(nvars)
     while True:
@@ -519,7 +562,7 @@ def _prune_branches(branches: List[SolutionBranch]) -> List[SolutionBranch]:
                     _normalize_kernel_vector([x.subs(dict(b.constraints.solved_form)) for x in vec])
                     for vec in a.kernel
                 ]
-            except Exception:
+            except RingError:
                 continue
             if _kernel_signature(specialized) == _kernel_signature(b.kernel):
                 subsumed = True

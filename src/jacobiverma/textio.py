@@ -463,13 +463,6 @@ def _parse_vector_coeff(toks: _Tokens, nvars: int) -> PolyQ:
     return coeff
 
 
-def _coeff_text(c: PolyQ, latex: bool = False) -> Tuple[str, bool]:
-    """Text for a coefficient and whether it needs parentheses before a monomial."""
-    text = c.to_latex() if latex else c.to_text()
-    simple = len(c.terms) == 1
-    return text, not simple
-
-
 def render_vector(
     alg: JacobiAlgebra, v: VermaVector, short: Optional[bool] = None, latex: bool = False
 ) -> str:

@@ -101,9 +101,6 @@ class VermaVector:
             return VermaVector(self.nvars)
         return VermaVector(self.nvars, {m: v * c for m, v in self.terms.items()})
 
-    def map_coeffs(self, f) -> "VermaVector":
-        return VermaVector(self.nvars, {m: f(c) for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, VermaVector)
@@ -254,10 +251,6 @@ class ConstraintSet:
                 unique.append(p)
         solved = _affine_solve(nvars, unique)
         return cls(nvars, tuple(unique), solved)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.equations
 
     def substitute(self, p: PolyQ) -> PolyQ:
         """Reduce a polynomial modulo the solved form (identity if unsolved)."""

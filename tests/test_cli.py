@@ -270,12 +270,13 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "1"
 
     def test_installed_script(self):
-        proc = subprocess.run(
-            ["jv", "singular", "--n", "2", "--weight", "2d2", "--format", "json"],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0 and "No such file" in (proc.stderr or ""):
+        try:
+            proc = subprocess.run(
+                ["jv", "singular", "--n", "2", "--weight", "2d2", "--format", "json"],
+                capture_output=True,
+                text=True,
+            )
+        except FileNotFoundError:
             pytest.skip("console script not on PATH")
         payload = json.loads(proc.stdout)
         assert payload["branches"][0]["constraints"] == ["L2 - 1/4"]

@@ -8,11 +8,16 @@ the certified rank."""
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from jacobiverma.algebra import JacobiAlgebra, Weight
-from jacobiverma.ring import PolyQ
+from jacobiverma.ring import PolyQ, RatFuncQ
 from jacobiverma.singular import (
     SystemRow,
     AnsatzSystem,
+    _eliminate,
+    _kernel_from_pivots,
     _reduce_poly,
     _split_factors,
     assemble_system,
@@ -97,6 +102,50 @@ class TestReducePoly:
         p = L(1) ** 2 * L(2) ** 2 + L(1)
         reduced = _reduce_poly(p, cs)
         assert _reduce_poly(reduced, cs) == reduced
+
+
+_coeff = st.integers(-3, 3)
+_constant = _coeff.map(const)
+_affine = st.tuples(_coeff, _coeff, _coeff).map(lambda t: const(t[0]) + t[1] * L(1) + t[2] * L(2))
+_quadratic = st.tuples(_coeff, _coeff).map(lambda t: t[0] * L(1) * L(2) + const(t[1]))
+# mostly constant entries, as in assembled systems
+_entry = st.one_of(_constant, _constant, _constant, _affine, _quadratic)
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(_entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+
+
+class TestEliminate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _matrices(),
+        st.lists(st.fractions(-5, 5, max_denominator=4), min_size=2, max_size=2),
+    )
+    def test_kernel_annihilates_and_has_generic_dimension(self, matrix, point):
+        ncols = len(matrix[0])
+        pivots, used, nonconstant = _eliminate(matrix, ncols, 2)
+        kernel = _kernel_from_pivots(pivots, used, ncols, 2)
+        for vec in kernel:
+            for row in matrix:
+                total = RatFuncQ.zero(2)
+                for e, x in zip(row, vec):
+                    total = total + RatFuncQ(e) * x
+                assert total.is_zero
+        assume(all(p.eval_all(point) != 0 for p in nonconstant))
+        numeric = [[e.eval_all(point) for e in row] for row in matrix]
+        assert len(kernel) == len(fraction_kernel(numeric, ncols))
+
+    def test_row_without_pivot_column_entry_is_untouched(self):
+        zero = const(0)
+        matrix = [[const(2), const(1), L(2)], [zero, L(1), L(1) * L(2)]]
+        pivots, used, nonconstant = _eliminate(matrix, 3, 2)
+        assert pivots[0] == ([const(1), const(Fraction(1, 2)), Fraction(1, 2) * L(2)], 0)
+        assert pivots[1] == ([zero, L(1), L(1) * L(2)], 1)
+        assert used == {0, 1}
+        assert nonconstant == [L(1)]
 
 
 class TestSyntheticSolve:
