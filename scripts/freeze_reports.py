@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Freeze ``jv singular --format json`` reports as golden files.
+"""Freeze ``jv`` outputs as golden files.
 
-Each case's report is written to ``tests/golden/reports/<name>.json`` as the
-exact bytes the command prints on stdout, so later versions of the solver can
-be diffed against it byte for byte (``tests/test_golden_reports.py``).
+Each ``jv singular --format json`` report is written to
+``tests/golden/reports/<name>.json``, and each ``jv normal-order``/``jv act``
+output to ``tests/golden/cli/<name>.<format>``, as the exact bytes the command
+prints on stdout, so later versions can be diffed against them byte for byte
+(``tests/test_golden_reports.py``).  The arguments of every CLI file are
+recorded in ``tests/golden/cli/argv.json``.
 
 Usage: PYTHONPATH=src python scripts/freeze_reports.py
 """
 
+import json
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -15,7 +19,9 @@ from pathlib import Path
 
 from jacobiverma.cli import main as jv_main
 
-REPORTS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "reports"
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+REPORTS = GOLDEN / "reports"
+CLI = GOLDEN / "cli"
 
 # The seven worked g_2 cases, two heavier g_2 weights and one g_3 weight.
 CASES = {
@@ -31,21 +37,48 @@ CASES = {
     "g3_2,0,0": (3, "2,0,0"),
 }
 
+# g_2 and g_3 words and one action whose outputs have negative and fractional
+# coefficients; each is frozen in every output format.
+CLI_CASES = {
+    "g2_word1": ["normal-order", "c- d+ b+2 a+2"],
+    "g2_word2": ["normal-order", "d- d+ c+"],
+    "g2_word3": ["normal-order", "h1 d- c+ b+1"],
+    "g2_word4": ["normal-order", "d- a+1 a-2"],
+    "g3_word1": ["normal-order", "--n", "3", "K-[1,3] K+[1,2] a+[3] K0[3,1]"],
+    "g3_word2": ["normal-order", "--n", "3", "K0[3,2] K-[1,3] K+[1,2] K0[2,1]"],
+    "g2_act1": ["act", "d-", "(2 L1 - 3/2) a+1 a+2 - 1/3 c+"],
+}
+FORMATS = ("text", "latex", "json")
 
-def report_bytes(n: int, weight: str) -> bytes:
+
+def stdout_bytes(argv) -> bytes:
     out = StringIO()
     with redirect_stdout(out):
-        code = jv_main(["singular", "--n", str(n), f"--weight={weight}", "--format", "json"])
+        code = jv_main(list(argv))
     if code != 0:
-        raise RuntimeError(f"jv singular --n {n} --weight={weight} exited with {code}")
+        raise RuntimeError(f"jv {' '.join(argv)} exited with {code}")
     return out.getvalue().encode("ascii")
+
+
+def report_bytes(n: int, weight: str) -> bytes:
+    return stdout_bytes(["singular", "--n", str(n), f"--weight={weight}", "--format", "json"])
 
 
 def main() -> int:
     REPORTS.mkdir(parents=True, exist_ok=True)
     for name, (n, weight) in CASES.items():
         (REPORTS / f"{name}.json").write_bytes(report_bytes(n, weight))
-        print(f"wrote {name}.json")
+        print(f"wrote reports/{name}.json")
+    CLI.mkdir(parents=True, exist_ok=True)
+    argvs = {}
+    for name, argv in CLI_CASES.items():
+        for fmt in FORMATS:
+            argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for fname, argv in argvs.items():
+        (CLI / fname).write_bytes(stdout_bytes(argv))
+        print(f"wrote cli/{fname}")
+    lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(argvs.items())]
+    (CLI / "argv.json").write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="ascii")
     return 0
 
 

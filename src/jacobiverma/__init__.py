@@ -12,7 +12,7 @@ from .algebra import (
     mirror,
 )
 from .pbw import PbwMonomial, UElement, monomial_weight, multiply, normal_order
-from .ring import PolyQ, Rat, RatFuncQ, poly_gcd, rational_roots, squarefree_part
+from .ring import PolyQ, RatFuncQ, poly_gcd, rational_roots, squarefree_part
 from .singular import (
     AnsatzSystem,
     BranchBudgetExceededError,
@@ -48,7 +48,6 @@ __all__ = [
     "JacobiAlgebra",
     "PbwMonomial",
     "PolyQ",
-    "Rat",
     "RatFuncQ",
     "SingularityReport",
     "SolutionBranch",

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
 from .algebra import InvalidDimensionError, JacobiAlgebra
+from .ring import frac_text
 from .singular import BranchBudgetExceededError, find_singular_vectors
 from .textio import (
     ParseError,
@@ -46,7 +48,7 @@ from .textio import (
     uelement_to_json,
     vector_to_json,
 )
-from .verma import ConstraintSet, InconsistentConstraintsError, is_singular
+from .verma import ConstraintSet, InconsistentConstraintsError, act, is_singular
 from .pbw import normal_order
 
 EXIT_OK = 0
@@ -56,8 +58,6 @@ EXIT_BUDGET = 3
 
 def _infer_n(*strings: str) -> int:
     """Smallest dimension compatible with the indices mentioned in the input."""
-    import re
-
     n = 1
     for s in strings:
         for m in re.finditer(r"\[(\d+)(?:,(\d+))?\]", s):
@@ -83,19 +83,15 @@ def _cmd_bracket(args) -> int:
     br = alg.bracket(x, y)
     if args.format == "json":
         terms = [
-            {"generator": render_generator(g, n), "coeff": _frac(br.terms[g])}
+            {"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])}
             for g in sorted(br.terms, key=lambda g: alg.index[g])
         ]
-        print(_json_dump({"scalar": _frac(br.scalar), "terms": terms}))
+        print(_json_dump({"scalar": frac_text(br.scalar), "terms": terms}))
     elif args.format == "latex":
         print(render_bracket(alg, br, short=args.short_names, latex=True))
     else:
         print(render_bracket(alg, br))
     return EXIT_OK
-
-
-def _frac(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _cmd_normal_order(args) -> int:
@@ -117,8 +113,6 @@ def _cmd_act(args) -> int:
     alg = JacobiAlgebra(n)
     x = parse_generator(args.x, n)
     v = parse_vector(args.vector, alg)
-    from .verma import act
-
     result = act(alg, x, v)
     if args.format == "json":
         print(_json_dump(vector_to_json(alg, result)))

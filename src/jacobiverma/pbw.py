@@ -9,8 +9,9 @@ or hands off to strictly shorter words (the bracket remainder), so the
 rewriting terminates; by the PBW theorem the normal form is independent of
 the strategy.
 
-Coefficients are rational functions so the same arithmetic is shared with
-the parametric solver, although plain words only ever produce polynomials.
+Coefficients are rationals (``fractions.Fraction``): the structure constants
+are rational, so no other number can arise.  Dependence on the weight enters
+only when the module evaluates Cartan factors (``verma``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Generator, JacobiAlgebra, Weight
-from .ring import PolyQ, RatFuncQ
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,16 @@ def monomial_weight(alg: JacobiAlgebra, m: PbwMonomial) -> Weight:
 
 
 class UElement:
-    """Finite combination of PBW monomials with RatFuncQ coefficients."""
+    """Finite combination of PBW monomials with nonzero rational coefficients."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[Dict[PbwMonomial, RatFuncQ]] = None):
+    def __init__(self, nvars: int, terms: Optional[Dict[PbwMonomial, Fraction]] = None):
         self.nvars = nvars
-        self.terms: Dict[PbwMonomial, RatFuncQ] = {}
+        self.terms: Dict[PbwMonomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                if not c.is_zero:
+                if c != 0:
                     self.terms[m] = c
 
     @classmethod
@@ -89,12 +89,12 @@ class UElement:
 
     @classmethod
     def unit(cls, alg: JacobiAlgebra) -> "UElement":
-        return cls(alg.n, {PbwMonomial.unit(alg): RatFuncQ.one(alg.n)})
+        return cls(alg.n, {PbwMonomial.unit(alg): Fraction(1)})
 
     @classmethod
     def of_generator(cls, alg: JacobiAlgebra, g: Generator) -> "UElement":
         m = PbwMonomial.from_generators(alg, [g])
-        return cls(alg.n, {m: RatFuncQ.one(alg.n)})
+        return cls(alg.n, {m: Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -103,8 +103,8 @@ class UElement:
     def __add__(self, other: "UElement") -> "UElement":
         res = dict(self.terms)
         for m, c in other.terms.items():
-            v = res.get(m, RatFuncQ.zero(self.nvars)) + c
-            if v.is_zero:
+            v = res.get(m, 0) + c
+            if v == 0:
                 res.pop(m, None)
             else:
                 res[m] = v
@@ -116,11 +116,7 @@ class UElement:
     def __sub__(self, other: "UElement") -> "UElement":
         return self + (-other)
 
-    def scale(self, c: Union[int, Fraction, PolyQ, RatFuncQ]) -> "UElement":
-        if not isinstance(c, RatFuncQ):
-            c = RatFuncQ(c) if isinstance(c, PolyQ) else RatFuncQ.from_scalar(self.nvars, c)
-        if c.is_zero:
-            return UElement(self.nvars)
+    def scale(self, c: Union[int, Fraction]) -> "UElement":
         return UElement(self.nvars, {m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -133,31 +129,23 @@ class UElement:
     def __repr__(self):
         if self.is_zero:
             return "UElement(0)"
-        return "UElement(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
+        return "UElement(" + ", ".join(f"{m.exps}: {c}" for m, c in self.terms.items()) + ")"
 
 
-def normal_order(
-    alg: JacobiAlgebra,
-    word: Sequence[Union[int, Generator]],
-    prefactor: Optional[RatFuncQ] = None,
-) -> UElement:
-    """PBW normal form of a word of generators with an optional coefficient.
+def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> UElement:
+    """PBW normal form of a word of generators.
 
     Rewrites the leftmost inverted adjacent pair at each step.  The result is
-    supported on ordered monomials only and is linear in the prefactor.
+    supported on ordered monomials only.
     """
     idx_word = tuple(alg.index[g] if isinstance(g, Generator) else int(g) for g in word)
     for idx in idx_word:
         if not 0 <= idx < len(alg.generators):
             raise ValueError(f"generator index {idx} out of range")
-    if prefactor is None:
-        prefactor = RatFuncQ.one(alg.n)
-    result: Dict[PbwMonomial, RatFuncQ] = {}
-    agenda: List[Tuple[Tuple[int, ...], RatFuncQ]] = [(idx_word, prefactor)]
+    result: Dict[PbwMonomial, Fraction] = {}
+    agenda: List[Tuple[Tuple[int, ...], Fraction]] = [(idx_word, Fraction(1))]
     while agenda:
         w, coeff = agenda.pop()
-        if coeff.is_zero:
-            continue
         swap_at = -1
         for k in range(len(w) - 1):
             if w[k] > w[k + 1]:
@@ -165,8 +153,8 @@ def normal_order(
                 break
         if swap_at < 0:
             m = PbwMonomial.from_word(alg, w)
-            v = result.get(m, RatFuncQ.zero(alg.n)) + coeff
-            if v.is_zero:
+            v = result.get(m, 0) + coeff
+            if v == 0:
                 result.pop(m, None)
             else:
                 result[m] = v
@@ -187,5 +175,5 @@ def multiply(alg: JacobiAlgebra, a: UElement, b: UElement) -> UElement:
     out = UElement.zero(alg)
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            out = out + normal_order(alg, m1.word() + m2.word(), c1 * c2)
+            out = out + normal_order(alg, m1.word() + m2.word()).scale(c1 * c2)
     return out

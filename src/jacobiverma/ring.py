@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Optional, Union
 
-Rat = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -216,7 +214,7 @@ class PolyQ:
     # -- substitution ------------------------------------------------------
 
     def subs(self, assignment: Mapping[int, Union[Scalar, "PolyQ"]]) -> "PolyQ":
-        """Simultaneously substitute values (Rat or PolyQ) for variable indices."""
+        """Simultaneously substitute values (rationals or PolyQ) for variable indices."""
         values = {}
         for i, v in assignment.items():
             if not 0 <= i < self.nvars:
@@ -273,14 +271,6 @@ class PolyQ:
         out.nvars = self.nvars
         out.terms = {e: c / lc for e, c in self.terms.items()}
         return out
-
-    def content_free(self) -> "PolyQ":
-        """Canonical scalar normalization: monic under graded-lex.
-
-        This removes all rational content and fixes the sign, e.g.
-        ``-4*L2 + 1`` becomes ``L2 - 1/4``.
-        """
-        return self.monic()
 
     def rational_content(self) -> Fraction:
         """gcd of the coefficients, signed like the leading coefficient."""
@@ -579,19 +569,10 @@ class RatFuncQ:
                 g = poly_gcd(num, den)
                 if not g.is_constant:
                     num, den = num // g, den // g
-            elif not den.is_constant and num.is_constant:
-                pass
             _, lc = den.leading()
             if lc != 1:
                 num = num * PolyQ.const(num.nvars, Fraction(1) / lc)
                 den = den.monic()
-        if num.is_zero:
-            den = PolyQ.one(num.nvars)
-        elif den.is_constant:
-            c = den.constant_value()
-            if c != 1:
-                num = num * PolyQ.const(num.nvars, Fraction(1) / c)
-                den = PolyQ.one(num.nvars)
         self.num = num
         self.den = den
 

@@ -34,6 +34,7 @@ from .ring import (
     RatFuncQ,
     RingError,
     content_in,
+    poly_gcd,
     poly_sort_key,
     rational_roots,
     squarefree_part,
@@ -188,10 +189,6 @@ class AnsatzSystem:
     nvars: int
     monomials: List[PbwMonomial]
     rows: List[SystemRow]
-
-    @property
-    def matrix(self) -> List[Tuple[PolyQ, ...]]:
-        return [r.entries for r in self.rows]
 
     def evaluate_at(self, point: Sequence[Fraction]) -> List[List[Fraction]]:
         return [[e.eval_all(point) for e in row.entries] for row in self.rows]
@@ -610,8 +607,6 @@ class WeightReport:
 
 
 def _clear_denominators(nvars: int, vec: List[RatFuncQ]) -> List[PolyQ]:
-    from .ring import poly_gcd
-
     lcm = PolyQ.one(nvars)
     for x in vec:
         d = x.den

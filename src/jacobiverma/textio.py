@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .algebra import (
     A_MINUS,
     A_PLUS,
+    BracketResult,
     Generator,
     JacobiAlgebra,
     K_MINUS,
@@ -37,7 +38,8 @@ from .algebra import (
     Weight,
 )
 from .pbw import PbwMonomial, UElement
-from .ring import PolyQ, RatFuncQ, frac_text
+from .ring import PolyQ, frac_latex, frac_text
+from .singular import display_factor_order
 from .verma import ConstraintSet, VermaVector, apply_word_to_v0
 
 
@@ -247,8 +249,6 @@ def render_monomial(
     alg: JacobiAlgebra, m: PbwMonomial, short: Optional[bool] = None, latex: bool = False
 ) -> str:
     """Factors in display order (K+, a+, raising K0, Cartan, mirrored blocks)."""
-    from .singular import display_factor_order
-
     if m.is_unit:
         return "1"
     parts = []
@@ -407,15 +407,11 @@ def parse_vector(s: str, alg: JacobiAlgebra) -> VermaVector:
         if word:
             total = total + apply_word_to_v0(alg, word, term_coeff)
         else:
-            total = total + VermaVector(alg.n, {_unit(alg): term_coeff})
+            total = total + VermaVector(alg.n, {PbwMonomial.unit(alg): term_coeff})
         first = False
     if first:
         raise ParseError(f"empty vector expression {s!r}")
     return total
-
-
-def _unit(alg: JacobiAlgebra) -> PbwMonomial:
-    return PbwMonomial.unit(alg)
 
 
 def _parse_vector_coeff(toks: _Tokens, nvars: int) -> PolyQ:
@@ -464,8 +460,13 @@ def _parse_vector_coeff(toks: _Tokens, nvars: int) -> PolyQ:
 
 
 def render_vector(
-    alg: JacobiAlgebra, v: VermaVector, short: Optional[bool] = None, latex: bool = False
+    alg: JacobiAlgebra,
+    v: Union[VermaVector, UElement],
+    short: Optional[bool] = None,
+    latex: bool = False,
 ) -> str:
+    """A module vector (PolyQ coefficients) or an enveloping-algebra element
+    (Fraction coefficients) as a signed sum of terms."""
     if v.is_zero:
         return "0"
     items = sorted(
@@ -481,25 +482,23 @@ def render_vector(
 
 
 def _display_exps(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
-    from .singular import display_factor_order
-
     return tuple(m.exps[i] for i in display_factor_order(alg))
 
 
-def _format_term(mono: str, coeff, is_unit: bool, latex: bool, first: bool) -> str:
+def _format_term(
+    mono: str, coeff: Union[Fraction, PolyQ], is_unit: bool, latex: bool, first: bool
+) -> str:
     """One rendered summand with its sign prefix: coefficient then monomial."""
-    if isinstance(coeff, RatFuncQ) and coeff.is_polynomial():
-        coeff = coeff.as_poly()
-    negative = False
     if isinstance(coeff, PolyQ):
-        if len(coeff.terms) == 1 and next(iter(coeff.terms.values())) < 0:
+        negative = len(coeff.terms) == 1 and next(iter(coeff.terms.values())) < 0
+        if negative:
             coeff = -coeff
-            negative = True
         body = coeff.to_latex() if latex else coeff.to_text()
         need_parens = len(coeff.terms) > 1
     else:
-        body = coeff.to_latex() if latex else coeff.to_text()
-        need_parens = True
+        negative = coeff < 0
+        body = (frac_latex if latex else frac_text)(abs(coeff))
+        need_parens = False
     if is_unit:
         out = f"({body})" if need_parens else body
     elif body == "1":
@@ -513,27 +512,10 @@ def _format_term(mono: str, coeff, is_unit: bool, latex: bool, first: bool) -> s
     return ("- " if negative else "+ ") + out
 
 
-def render_uelement(
-    alg: JacobiAlgebra, u: UElement, short: Optional[bool] = None, latex: bool = False
-) -> str:
-    if u.is_zero:
-        return "0"
-    items = sorted(
-        u.terms.items(),
-        key=lambda t: _display_exps(alg, t[0]),
-        reverse=True,
-    )
-    parts: List[str] = []
-    for m, c in items:
-        mono = render_monomial(alg, m, short=short, latex=latex)
-        parts.append(_format_term(mono, c, m.is_unit, latex, first=not parts))
-    return " ".join(parts)
+render_uelement = render_vector
 
 
 def render_bracket(alg: JacobiAlgebra, br, short: Optional[bool] = None, latex: bool = False) -> str:
-    from .algebra import BracketResult
-    from .ring import frac_latex
-
     assert isinstance(br, BracketResult)
     if br.is_zero:
         return "0"
@@ -589,24 +571,23 @@ def render_solved_form(cs: ConstraintSet, latex: bool = False) -> List[str]:
 # -- JSON views ---------------------------------------------------------------
 
 
-def vector_to_json(alg: JacobiAlgebra, v: VermaVector, short: Optional[bool] = None) -> list:
+def vector_to_json(
+    alg: JacobiAlgebra, v: Union[VermaVector, UElement], short: Optional[bool] = None
+) -> list:
+    """Terms of a module vector or an enveloping-algebra element, in display order."""
     items = sorted(
         v.terms.items(), key=lambda t: _display_exps(alg, t[0]), reverse=True
     )
     return [
-        {"monomial": render_monomial(alg, m, short=short), "coeff": c.to_text()}
+        {
+            "monomial": render_monomial(alg, m, short=short),
+            "coeff": c.to_text() if isinstance(c, PolyQ) else frac_text(c),
+        }
         for m, c in items
     ]
 
 
-def uelement_to_json(alg: JacobiAlgebra, u: UElement, short: Optional[bool] = None) -> list:
-    items = sorted(
-        u.terms.items(), key=lambda t: _display_exps(alg, t[0]), reverse=True
-    )
-    return [
-        {"monomial": render_monomial(alg, m, short=short), "coeff": c.to_text()}
-        for m, c in items
-    ]
+uelement_to_json = vector_to_json
 
 
 def constraints_to_json(cs: ConstraintSet) -> dict:

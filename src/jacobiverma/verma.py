@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial, UElement, monomial_weight, normal_order
-from .ring import PolyQ, poly_sort_key
+from .ring import PolyQ, poly_sort_key, squarefree_part
 
 
 VECTOR_JSON_SCHEMA = {
@@ -124,11 +124,7 @@ def _evaluate_on_v0(alg: JacobiAlgebra, u: UElement) -> VermaVector:
         exps = m.exps
         if any(exps[k] for k in range(npos + n, total)):
             continue
-        poly = c.as_poly()
-        for k in range(n):
-            e = exps[npos + k]
-            if e:
-                poly = poly * PolyQ.var(n, k) ** e
+        poly = PolyQ(n, {exps[npos:npos + n]: c})
         pos_exps = exps[:npos] + (0,) * (total - npos)
         key = PbwMonomial(pos_exps)
         v = out.get(key, PolyQ.zero(n)) + poly
@@ -207,7 +203,6 @@ class ConstraintSet:
         mixed affine/nonlinear sets and keeps the stored nonlinear equations
         reduced modulo the affine part.
         """
-        from .ring import squarefree_part
 
         def canon(p: PolyQ) -> Optional[PolyQ]:
             if p.is_zero:

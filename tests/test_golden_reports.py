@@ -1,9 +1,12 @@
-"""Byte-for-byte comparison with frozen ``jv singular --format json`` reports.
+"""Byte-for-byte comparison with frozen ``jv`` outputs.
 
 Criterion 10 compares two runs of the same code; these files compare across
 code versions.  Each file under ``golden/reports/`` holds the exact stdout of
-one run, written by ``scripts/freeze_reports.py``; the weight to rerun is read
-back from the report itself."""
+one ``jv singular --format json`` run, and the weight to rerun is read back
+from the report itself.  Each file under ``golden/cli/`` holds the exact
+stdout of one ``jv normal-order`` or ``jv act`` run, whose arguments are
+listed in ``golden/cli/argv.json``.  ``scripts/freeze_reports.py`` writes
+both."""
 
 import json
 from contextlib import redirect_stdout
@@ -14,22 +17,31 @@ import pytest
 
 from jacobiverma.cli import main as jv_main
 
-REPORTS = Path(__file__).parent / "golden" / "reports"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+REPORTS = GOLDEN_DIR / "reports"
+CLI = GOLDEN_DIR / "cli"
 GOLDEN = sorted(REPORTS.glob("*.json"))
+CLI_ARGV = json.loads((CLI / "argv.json").read_text(encoding="ascii"))
+
+CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
+    pytest.param(CLI / name, argv, id="cli/" + name) for name, argv in sorted(CLI_ARGV.items())
+]
 
 
 def test_corpus_present():
     assert len(GOLDEN) == 10
+    assert len(CLI_ARGV) == 21
+    assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
 
 
-@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
-def test_report_matches_golden(path):
+@pytest.mark.parametrize("path, argv", CASES)
+def test_report_matches_golden(path, argv):
     expected = path.read_bytes()
-    weight = json.loads(expected)["weight"]
+    if argv is None:
+        weight = json.loads(expected)["weight"]
+        argv = ["singular", "--n", str(len(weight)), "--weight=" + ",".join(weight), "--format", "json"]
     out = StringIO()
     with redirect_stdout(out):
-        code = jv_main(
-            ["singular", "--n", str(len(weight)), "--weight=" + ",".join(weight), "--format", "json"]
-        )
+        code = jv_main(argv)
     assert code == 0
     assert out.getvalue().encode("ascii") == expected

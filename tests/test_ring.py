@@ -109,7 +109,7 @@ class TestArithmetic:
 class TestGcd:
     def test_gcd_linear_factor(self):
         g = poly_gcd(L(1) ** 2 - L(2) ** 2, L(1) - L(2))
-        assert g == (L(1) - L(2)).content_free()
+        assert g == (L(1) - L(2)).monic()
 
     def test_gcd_divides(self):
         a = (L(1) - L(2)) * (L(1) + const(1)) ** 2
@@ -117,7 +117,7 @@ class TestGcd:
         g = poly_gcd(a, b)
         assert a.try_divide(g) is not None
         assert b.try_divide(g) is not None
-        assert g == (L(1) - L(2)).content_free()
+        assert g == (L(1) - L(2)).monic()
 
     def test_gcd_of_zeros_rejected(self):
         with pytest.raises(RingError):
@@ -140,16 +140,16 @@ class TestGcd:
 
     def test_content_free_monic_convention(self):
         p = -4 * L(2) + const(1)
-        assert p.content_free() == L(2) - const(Fraction(1, 4))
+        assert p.monic() == L(2) - const(Fraction(1, 4))
 
     def test_squarefree_part(self):
         p = (L(1) - L(2)) ** 2
-        assert squarefree_part(p) == (L(1) - L(2)).content_free()
+        assert squarefree_part(p) == (L(1) - L(2)).monic()
 
     def test_squarefree_mixed(self):
         p = (L(1) - const(1)) ** 2 * (L(2) + L(1))
         sf = squarefree_part(p)
-        expect = ((L(1) - const(1)) * (L(2) + L(1))).content_free()
+        expect = ((L(1) - const(1)) * (L(2) + L(1))).monic()
         assert sf == expect
 
     def test_rational_roots(self):
@@ -171,7 +171,7 @@ class TestRatFunc:
 
     def test_den_monic(self):
         r = RatFuncQ(PolyQ.one(2), 2 * L(2) - 2 * L(1) - const(1))
-        assert r.den == (L(2) - L(1) - const(Fraction(1, 2))).content_free()
+        assert r.den == (L(2) - L(1) - const(Fraction(1, 2))).monic()
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(RingError):
