@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 REPORTS = GOLDEN / "reports"
 CLI = GOLDEN / "cli"
 
-# The seven worked g_2 cases, two heavier g_2 weights and one g_3 weight.
+# The seven worked g_2 cases, two heavier g_2 weights and three g_3 weights.
 CASES = {
     "g2_2d1": (2, "2d1"),
     "g2_2d2": (2, "2d2"),
@@ -35,6 +35,8 @@ CASES = {
     "g2_4,4": (2, "4,4"),
     "g2_5,3": (2, "5,3"),
     "g3_2,0,0": (3, "2,0,0"),
+    "g3_2,1,1": (3, "2,1,1"),
+    "g3_2,2,0": (3, "2,2,0"),
 }
 
 # g_2 and g_3 words and one action whose outputs have negative and fractional

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 A_PLUS = "a+"
@@ -339,6 +340,7 @@ class JacobiAlgebra:
         self._weights: List[Weight] = []
         for g in self.generators:
             self._weights.append(self._weight_from_table(g))
+        self.lowering_generators: List[Generator] = self._lie_generators_of_negative()
 
     # -- membership --------------------------------------------------------
 
@@ -387,6 +389,20 @@ class JacobiAlgebra:
             eigen = br.terms.get(g, Fraction(0))
             coords.append(2 * eigen)
         return Weight(tuple(coords))
+
+    def _lie_generators_of_negative(self) -> List[Generator]:
+        """The negatives outside [n-, n-], in ``negative`` order.
+
+        Every root space of n- is spanned by one basis element, so [n-, n-] is
+        spanned by the basis elements that occur in some bracket of two
+        negatives.  The others lift a basis of n-/[n-, n-], and since n- is
+        nilpotent they generate n- as a Lie algebra: a^-_n, K^-_{nn} and the
+        K^0_{i+1,i}.  A vector killed by each of them is killed by all of n-.
+        """
+        derived = set()
+        for x, y in combinations(self.negative, 2):
+            derived.update(bracket(x, y).terms)
+        return [g for g in self.negative if g not in derived]
 
     def bracket_linear(self, x: Generator, br: BracketResult) -> BracketResult:
         """[x, -] extended linearly over a BracketResult (scalars bracket to zero)."""

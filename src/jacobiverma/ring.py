@@ -29,6 +29,20 @@ def _monomial_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
 
 
+def _mul_terms(t1: dict, t2: dict) -> dict:
+    """Product of two term maps, zero coefficients dropped."""
+    res: dict = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = res.get(e, Fraction(0)) + c1 * c2
+            if v == 0:
+                res.pop(e, None)
+            else:
+                res[e] = v
+    return res
+
+
 class PolyQ:
     """Sparse multivariate polynomial over Q with a fixed number of variables."""
 
@@ -167,18 +181,9 @@ class PolyQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = res.get(e, Fraction(0)) + c1 * c2
-                if v == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = v
         out = PolyQ.__new__(PolyQ)
         out.nvars = self.nvars
-        out.terms = res
+        out.terms = _mul_terms(self.terms, other.terms)
         return out
 
     __rmul__ = __mul__
@@ -220,17 +225,25 @@ class PolyQ:
             if not 0 <= i < self.nvars:
                 raise RingError(f"variable index {i} out of range")
             values[i] = v if isinstance(v, PolyQ) else PolyQ.const(self.nvars, v)
-        out = PolyQ.zero(self.nvars)
+        powers: dict = {}
+        res: dict = {}
         for exps, c in self.terms.items():
-            term = PolyQ.const(self.nvars, c)
+            term = {tuple(0 if i in values else e for i, e in enumerate(exps)): c}
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in values:
-                    term = term * values[i] ** e
+                if e and i in values:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = (values[i] ** e).terms
+                    term = _mul_terms(term, pw)
+            for e, v in term.items():
+                v += res.get(e, 0)
+                if v:
+                    res[e] = v
                 else:
-                    term = term * PolyQ.var(self.nvars, i) ** e
-            out = out + term
+                    res.pop(e, None)
+        out = PolyQ.__new__(PolyQ)
+        out.nvars = self.nvars
+        out.terms = res
         return out
 
     def eval_all(self, point: Iterable[Scalar]) -> Fraction:

@@ -3,9 +3,11 @@
 The pipeline for a target weight w:
 
 1. enumerate every raising-only PBW monomial of weight w (the ansatz);
-2. apply each lowering generator to the general combination and read off one
-   homogeneous linear condition per surviving basis monomial, giving a matrix
-   over Q[L1..Ln];
+2. apply each Lie generator of n- (``JacobiAlgebra.lowering_generators``:
+   a-_n, K-_nn and the K0_{i+1,i}) to the general combination and read off
+   one homogeneous linear condition per surviving basis monomial, giving a
+   matrix over Q[L1..Ln].  That suffices: if x and y kill a vector, so does
+   [x, y], so the generators kill it exactly when all of n- does;
 3. eliminate in two phases with case splitting: plain Gauss over Q while a
    constant pivot remains, then fraction-free (Bareiss) steps on the residual
    rows; a non-constant pivot spawns one child per vanishing-locus factor,
@@ -14,7 +16,7 @@ The pipeline for a target weight w:
    kernel is back-substituted over rational functions and normalized so the
    last nonzero coordinate (in the ansatz monomial order) is 1;
 5. every branch with an affine solved form is re-checked against all lowering
-   generators before it is reported.
+   generators (every basis element of n-) before it is reported.
 
 Branches are deduplicated by constraint set and pruned when they are mere
 specializations of another branch with the same kernel.
@@ -176,7 +178,8 @@ def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
 
 @dataclass(frozen=True)
 class SystemRow:
-    """One linear condition: the coefficient of ``result`` in act(x, sum nu_k m_k v0)."""
+    """One linear condition: the coefficient of ``result`` in act(x, sum nu_k m_k v0),
+    where x is one of the Lie generators of n-."""
 
     x: Generator
     result: PbwMonomial
@@ -195,10 +198,16 @@ class AnsatzSystem:
 
 
 def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
-    """Matrix of lowest-weight conditions for the weight-w ansatz; zero rows pruned."""
+    """Matrix of lowest-weight conditions for the weight-w ansatz; zero rows pruned.
+
+    Rows come from the Lie generators of n- only, generator by generator and
+    within one generator by result monomial in ansatz order.  At every L the
+    matrix has the same kernel as the one built from all of n-, with fewer
+    rows.
+    """
     monomials = enumerate_ansatz(alg, w)
     rows: List[SystemRow] = []
-    for x in alg.negative:
+    for x in alg.lowering_generators:
         images = [act(alg, x, VermaVector.monomial(alg, m)) for m in monomials]
         support: Set[PbwMonomial] = set()
         for img in images:

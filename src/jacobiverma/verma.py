@@ -223,9 +223,7 @@ class ConstraintSet:
             changed = False
             remaining: List[PolyQ] = []
             for q in nonlinear:
-                for var, expr in solved or ():
-                    q = q.subs({var: expr})
-                q = canon(q)
+                q = canon(q.subs(dict(solved or ())))
                 if q is None:
                     changed = True
                 elif q.total_degree() <= 1:
@@ -248,12 +246,13 @@ class ConstraintSet:
         return cls(nvars, tuple(unique), solved)
 
     def substitute(self, p: PolyQ) -> PolyQ:
-        """Reduce a polynomial modulo the solved form (identity if unsolved)."""
+        """Reduce a polynomial modulo the solved form (identity if unsolved).
+
+        No solved expression mentions a solved variable, so one simultaneous
+        substitution does it."""
         if not self.solved_form:
             return p
-        for var, expr in self.solved_form:
-            p = p.subs({var: expr})
-        return p
+        return p.subs(dict(self.solved_form))
 
     def satisfied_at(self, point: Sequence) -> bool:
         return all(eq.eval_all(point) == 0 for eq in self.equations)

@@ -9,7 +9,9 @@ Nothing here shares an algorithm with the package code it checks:
 * ``insert_normal_order`` normal-orders words by right-to-left insertion
   (insertion sort with bracket remainders), a different strategy from the
   package's leftmost-swap agenda.
-* ``oracle_act`` evaluates the module action through the insertion reducer.
+* ``oracle_act`` evaluates the module action through the insertion reducer;
+  ``all_negative_rows`` builds from it the condition matrix of every basis
+  element of n-, not only of the Lie generators the solver uses.
 * ``fraction_kernel`` computes exact kernels of rational matrices by plain
   row-reduced Gaussian elimination.
 """
@@ -203,6 +205,21 @@ def oracle_act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
             else:
                 out[key] = new
     return VermaVector(n, out)
+
+
+def all_negative_rows(alg: JacobiAlgebra, monomials: Sequence[PbwMonomial]) -> List[List[PolyQ]]:
+    """Condition rows of the ansatz under every element of ``alg.negative``:
+    one row per (x, result monomial), entry k the coefficient in x m_k v0."""
+    rows: List[List[PolyQ]] = []
+    for x in alg.negative:
+        images = [oracle_act(alg, x, VermaVector.monomial(alg, m)) for m in monomials]
+        for b in sorted({b for img in images for b in img.terms}, key=lambda m: m.exps):
+            rows.append([img.terms.get(b, PolyQ.zero(alg.n)) for img in images])
+    return rows
+
+
+def evaluate_rows(rows: List[List[PolyQ]], point: Sequence[Fraction]) -> List[List[Fraction]]:
+    return [[e.eval_all(point) for e in row] for row in rows]
 
 
 # -- exact numeric kernel -------------------------------------------------------

@@ -23,7 +23,7 @@ from jacobiverma.algebra import (
 )
 from jacobiverma.textio import render_generator
 
-from oracles import realize, realize_bracket_result
+from oracles import fraction_kernel_transpose_rank, in_span, realize, realize_bracket_result
 
 GOLDEN = Path(__file__).parent / "golden" / "bracket_table_n2.json"
 
@@ -161,6 +161,44 @@ class TestBracketGolden:
 
 def _frac(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+class TestLoweringGenerators:
+    @pytest.mark.parametrize(
+        "n, names",
+        [
+            (1, ["a-[1]", "K-[1,1]"]),
+            (2, ["a-[2]", "K-[2,2]", "K0[2,1]"]),
+            (3, ["a-[3]", "K-[3,3]", "K0[2,1]", "K0[3,2]"]),
+        ],
+    )
+    def test_exact_lists(self, n, names):
+        assert [str(g) for g in JacobiAlgebra(n).lowering_generators] == names
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bracket_closure_spans_negative(self, n):
+        alg = JacobiAlgebra(n)
+        gens = alg.lowering_generators
+        assert len(gens) == n + 1
+
+        def coords(br):
+            assert br.scalar == 0
+            return [br.terms.get(g, Fraction(0)) for g in alg.negative]
+
+        # iterated brackets [g1, [g2, ... [gk-1, gk]]]; each layer keeps only
+        # vectors outside the span so far, and n- is nilpotent, so this ends
+        span = [BracketResult(terms={g: 1}) for g in gens]
+        layer = list(span)
+        while layer:
+            layer = [alg.bracket_linear(g, b) for g in gens for b in layer]
+            fresh = []
+            for b in layer:
+                if not in_span(coords(b), [coords(c) for c in span + fresh]):
+                    fresh.append(b)
+            span += fresh
+            layer = fresh
+        rows = [coords(b) for b in span]
+        assert len(fraction_kernel_transpose_rank(rows, len(alg.negative))) == len(alg.negative)
 
 
 class TestWeights:

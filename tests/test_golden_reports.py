@@ -29,7 +29,7 @@ CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
 
 
 def test_corpus_present():
-    assert len(GOLDEN) == 10
+    assert len(GOLDEN) == 12
     assert len(CLI_ARGV) == 21
     assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
 

@@ -90,6 +90,38 @@ class TestArithmetic:
         q = p.subs({1: const(Fraction(3, 2)) - L(1)})
         assert q == (const(Fraction(3, 2)) - L(1)) ** 2
 
+    @given(
+        polys(nvars=3),
+        st.lists(st.one_of(fractions_st, polys(nvars=3, max_deg=2, max_terms=3)), min_size=3, max_size=3),
+        st.sets(st.integers(0, 2)),
+        points(nvars=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_subs_is_evaluation_at_composed_point(self, p, values, subset, pt):
+        assignment = {i: values[i] for i in subset}
+        composed = [
+            (v.eval_all(pt) if isinstance(v, PolyQ) else v) if i in assignment else pt[i]
+            for i, v in enumerate(values)
+        ]
+        assert p.subs(assignment).eval_all(pt) == p.eval_all(composed)
+
+    @given(
+        polys(nvars=3),
+        st.lists(polys(nvars=3, max_deg=2, max_terms=3), min_size=3, max_size=3),
+        st.sets(st.integers(0, 2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_simultaneous_subs_matches_sequential(self, p, values, subset):
+        # with every value free of the substituted variables, as in a solved form
+        assignment = {
+            i: PolyQ(3, {e: c for e, c in values[i].terms.items() if not any(e[j] for j in subset)})
+            for i in subset
+        }
+        sequential = p
+        for i, v in assignment.items():
+            sequential = sequential.subs({i: v})
+        assert p.subs(assignment) == sequential
+
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):

@@ -21,9 +21,9 @@ from jacobiverma.singular import (
     solve_parametric,
 )
 from jacobiverma.textio import render_monomial, report_to_json
-from jacobiverma.verma import is_singular
+from jacobiverma.verma import VermaVector, act, is_singular
 
-from oracles import fraction_kernel, same_span
+from oracles import all_negative_rows, evaluate_rows, fraction_kernel, same_span
 
 ALG = JacobiAlgebra(2)
 
@@ -132,20 +132,11 @@ class TestAssemble:
         # spot checks against the hand-computed system
         sys_ = assemble_system(ALG, Weight.of(2, 0))
         assert names(sys_.monomials)[0] == "b+1"
+        assert all(r.x in ALG.lowering_generators for r in sys_.rows)
         s = L(2) - L(1)
         by_label = {
             (r.x, render_monomial(ALG, r.result)): r.entries for r in sys_.rows
         }
-        # b-1 on the ansatz gives the scalar condition
-        row = by_label[(G(K_MINUS, 1, 1), "1")]
-        assert row == (
-            2 * L(1),
-            s * const(Fraction(1, 2)),
-            const(0),
-            const(1),
-            const(0),
-            const(0),
-        )
         # d- produces the weight d1+d2 monomials; the c+ condition:
         row = by_label[(G(K_ZERO, 2, 1), "c+")]
         assert row == (
@@ -156,9 +147,35 @@ class TestAssemble:
             const(0),
             const(0),
         )
+
+        def conditions(x, label):
+            # coefficient of the labelled monomial in act(x, m v0), per ansatz m
+            images = [act(ALG, x, VermaVector.monomial(ALG, m)) for m in sys_.monomials]
+            return tuple(
+                {render_monomial(ALG, b): c for b, c in img.terms.items()}.get(label, const(0))
+                for img in images
+            )
+
+        # b-1 and a-1 are brackets of the generators and give no rows, but the
+        # action still yields their hand-computed conditions.
+        # b-1 on the ansatz gives the scalar condition:
+        assert conditions(G(K_MINUS, 1, 1), "1") == (
+            2 * L(1),
+            s * const(Fraction(1, 2)),
+            const(0),
+            const(1),
+            const(0),
+            const(0),
+        )
         # a-1 hitting a+1:
-        row = by_label[(G(A_MINUS, 1), "a+1")]
-        assert row == (const(1), const(0), const(0), const(2), const(0), const(0))
+        assert conditions(G(A_MINUS, 1), "a+1") == (
+            const(1),
+            const(0),
+            const(0),
+            const(2),
+            const(0),
+            const(0),
+        )
 
     def test_empty_ansatz_gives_empty_system(self):
         sys_ = assemble_system(ALG, Weight.of(-1, 0))
@@ -271,7 +288,21 @@ class TestFindSingularVectors:
                     assert len(report.by_generator) == 6
 
 
+def branch_point(rng, nvars, constraints):
+    """A random rational point on the locus of an affine solved form."""
+    solved = dict(constraints.solved_form)
+    pt = [Fraction(rng.randint(-15, 15), rng.randint(1, 6)) for _ in range(nvars)]
+    for v in solved:
+        pt[v] = Fraction(0)
+    for v, expr in solved.items():
+        pt[v] = expr.eval_all(pt)
+    return pt
+
+
 class TestCompletenessOracle:
+    # The numeric matrix acts with every element of n-, so these tests do not
+    # rely on the Lie-generator shortcut in assemble_system.
+
     def test_random_point_agreement_desk_scale(self):
         # every weight with |coords| <= 3: a random weight point admits a
         # nontrivial numeric kernel iff it satisfies some emitted branch
@@ -286,12 +317,13 @@ class TestCompletenessOracle:
                 if ncols == 0:
                     continue
                 branches = solve_parametric(sys_)
+                full = all_negative_rows(ALG, sys_.monomials)
                 for _ in range(25):
                     pt = [
                         Fraction(rng.randint(-20, 20), rng.randint(1, 8))
                         for _ in range(2)
                     ]
-                    ker = fraction_kernel(sys_.evaluate_at(pt), ncols)
+                    ker = fraction_kernel(evaluate_rows(full, pt), ncols)
                     sat = any(br.constraints.satisfied_at(pt) for br in branches)
                     assert bool(ker) == sat, (c1, c2, pt)
 
@@ -302,19 +334,44 @@ class TestCompletenessOracle:
             sys_ = assemble_system(ALG, w)
             ncols = len(sys_.monomials)
             branches = solve_parametric(sys_)
+            full = all_negative_rows(ALG, sys_.monomials)
             for br in branches:
-                solved = dict(br.constraints.solved_form)
                 for _ in range(10):
-                    pt = [None, None]
-                    for v in range(2):
-                        if v not in solved:
-                            pt[v] = Fraction(rng.randint(-15, 15), rng.randint(1, 6))
-                    for v, expr in solved.items():
-                        pt[v] = expr.eval_all([x if x is not None else Fraction(0) for x in pt])
-                    ker = fraction_kernel(sys_.evaluate_at(pt), ncols)
+                    pt = branch_point(rng, 2, br.constraints)
+                    ker = fraction_kernel(evaluate_rows(full, pt), ncols)
                     assert ker
                     sym = [[x.eval_all(pt) for x in vec] for vec in br.kernel]
                     assert same_span(sym, ker, ncols)
+
+
+GENERATOR_ROW_CASES = [
+    (ALG, Weight.of(c1, c2))
+    for c1 in range(-3, 4)
+    for c2 in range(-3, 4)
+    if (c1, c2) != (0, 0)
+] + [(JacobiAlgebra(3), Weight.of(*c)) for c in [(1, 1, 0), (2, 0, 0)]]
+
+
+class TestGeneratorRows:
+    @pytest.mark.parametrize(
+        "alg, w", GENERATOR_ROW_CASES, ids=[str(w) for _, w in GENERATOR_ROW_CASES]
+    )
+    def test_same_kernel_as_all_negatives(self, alg, w):
+        # the rows of the Lie generators of n- cut out the same kernel as the
+        # rows of every element of n-, at random points and on every branch
+        rng = random.Random(str(w))
+        sys_ = assemble_system(alg, w)
+        ncols = len(sys_.monomials)
+        full = all_negative_rows(alg, sys_.monomials)
+        points = [
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(alg.n)]
+            for _ in range(10)
+        ]
+        for br in solve_parametric(sys_):
+            points += [branch_point(rng, alg.n, br.constraints) for _ in range(3)]
+        for pt in points:
+            ker = fraction_kernel(sys_.evaluate_at(pt), ncols)
+            assert same_span(ker, fraction_kernel(evaluate_rows(full, pt), ncols), ncols), pt
 
 
 class TestDeterminism:

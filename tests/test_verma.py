@@ -202,6 +202,26 @@ class TestConstraintSet:
         assert cs.solved_form is not None
         assert cs.substitute(L(2)) == const(Fraction(3, 4))
 
+    def test_substitute_matches_sequential_solved_form(self):
+        rng = random.Random(2718)
+        for _ in range(30):
+            eqs = [
+                sum((PolyQ.var(3, v) * Fraction(rng.randint(-3, 3)) for v in range(3)), PolyQ.zero(3))
+                + PolyQ.const(3, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 2))
+            ]
+            try:
+                cs = ConstraintSet.from_equations(3, eqs)
+            except InconsistentConstraintsError:
+                continue
+            p = (PolyQ.var(3, 0) + PolyQ.var(3, 1) * PolyQ.var(3, 2) - PolyQ.const(3, 2)) ** 2
+            sequential = p
+            for var, expr in cs.solved_form:
+                sequential = sequential.subs({var: expr})
+            assert cs.substitute(p) == sequential
+            for eq in cs.equations:
+                assert cs.substitute(eq).is_zero
+
     def test_inconsistent(self):
         with pytest.raises(InconsistentConstraintsError):
             ConstraintSet.from_equations(2, [L(1) - const(1), L(1) - const(2)])
