@@ -3,7 +3,8 @@
 
 Each ``jv singular --format json`` report is written to
 ``tests/golden/reports/<name>.json``, and each ``jv normal-order``/``jv act``
-output to ``tests/golden/cli/<name>.<format>``, as the exact bytes the command
+output, and ``jv singular`` in the formats that render vectors, to
+``tests/golden/cli/<name>.<format>``, as the exact bytes the command
 prints on stdout, so later versions can be diffed against them byte for byte
 (``tests/test_golden_reports.py``).  The arguments of every CLI file are
 recorded in ``tests/golden/cli/argv.json``.
@@ -23,7 +24,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 REPORTS = GOLDEN / "reports"
 CLI = GOLDEN / "cli"
 
-# The seven worked g_2 cases, two heavier g_2 weights and three g_3 weights.
+# The seven worked g_2 cases, four heavier g_2 weights and four g_3 weights.
 CASES = {
     "g2_2d1": (2, "2d1"),
     "g2_2d2": (2, "2d2"),
@@ -34,9 +35,12 @@ CASES = {
     "g2_3d2": (2, "3d2"),
     "g2_4,4": (2, "4,4"),
     "g2_5,3": (2, "5,3"),
+    "g2_7,1": (2, "7,1"),
+    "g2_8,0": (2, "8,0"),
     "g3_2,0,0": (3, "2,0,0"),
     "g3_2,1,1": (3, "2,1,1"),
     "g3_2,2,0": (3, "2,2,0"),
+    "g3_3,1,0": (3, "3,1,0"),
 }
 
 # g_2 and g_3 words and one action whose outputs have negative and fractional
@@ -51,6 +55,13 @@ CLI_CASES = {
     "g2_act1": ["act", "d-", "(2 L1 - 3/2) a+1 a+2 - 1/3 c+"],
 }
 FORMATS = ("text", "latex", "json")
+
+# Reports in the formats that render the singular vectors themselves; the
+# JSON form of the same report is under ``reports/``.
+VECTOR_CASES = {
+    "g2_singular_5,3": ["singular", "--n", "2", "--weight", "5,3"],
+}
+VECTOR_FORMATS = ("text", "latex")
 
 
 def stdout_bytes(argv) -> bytes:
@@ -75,6 +86,9 @@ def main() -> int:
     argvs = {}
     for name, argv in CLI_CASES.items():
         for fmt in FORMATS:
+            argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in VECTOR_CASES.items():
+        for fmt in VECTOR_FORMATS:
             argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
     for fname, argv in argvs.items():
         (CLI / fname).write_bytes(stdout_bytes(argv))

@@ -219,12 +219,16 @@ class PolyQ:
     # -- substitution ------------------------------------------------------
 
     def subs(self, assignment: Mapping[int, Union[Scalar, "PolyQ"]]) -> "PolyQ":
-        """Simultaneously substitute values (rationals or PolyQ) for variable indices."""
+        """Simultaneously substitute values (rationals or PolyQ) for variable indices.
+
+        A polynomial free of every substituted variable is returned as is."""
         values = {}
         for i, v in assignment.items():
             if not 0 <= i < self.nvars:
                 raise RingError(f"variable index {i} out of range")
             values[i] = v if isinstance(v, PolyQ) else PolyQ.const(self.nvars, v)
+        if not any(exps[i] for exps in self.terms for i in values):
+            return self
         powers: dict = {}
         res: dict = {}
         for exps, c in self.terms.items():

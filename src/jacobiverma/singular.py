@@ -1,22 +1,31 @@
-"""Singular-vector search: ansatz by weight, condition assembly, parametric solve.
+"""Singular-vector search: ansatz by weight, sp(n) assembly, parametric solve, lift.
 
-The pipeline for a target weight w:
+The shifted generators K' = K minus the oscillator realization of K
+(K'+_ij = K+_ij - 1/2 a+_i a+_j, K'0_ij = K0_ij - 1/2 a+_i a-_j - 1/4 delta_ij,
+and likewise for K-) span a copy of sp(n) that commutes with the Heisenberg
+part, and v0 is a lowest-weight vector for it with Cartan values L_i - 1/4.
+A vector killed by every a-_i therefore lies in U(sp(n)') v0, so the singular
+vectors of g_n are the sp(n) singular vectors m(K') v0.  The pipeline for a
+target weight w:
 
 1. enumerate every raising-only PBW monomial of weight w (the ansatz);
-2. apply each Lie generator of n- (``JacobiAlgebra.lowering_generators``:
-   a-_n, K-_nn and the K0_{i+1,i}) to the general combination and read off
-   one homogeneous linear condition per surviving basis monomial, giving a
-   matrix over Q[L1..Ln].  That suffices: if x and y kill a vector, so does
-   [x, y], so the generators kill it exactly when all of n- does;
+2. assemble the conditions in sp(n): the columns are the ansatz monomials
+   with no a+ factor, and each Lie generator of sp(n)'s lowering part
+   (K-_nn and the K0_{i+1,i}) applied to the general combination gives one
+   homogeneous linear condition per surviving basis monomial, with every
+   Cartan value taken at L_i - 1/4; a matrix over Q[L1..Ln].  That suffices:
+   if x and y kill a vector, so does [x, y];
 3. eliminate in two phases with case splitting: plain Gauss over Q while a
    constant pivot remains, then fraction-free (Bareiss) steps on the residual
    rows; a non-constant pivot spawns one child per vanishing-locus factor,
    while the parent continues with the pivot asserted nonzero;
 4. each explored constraint set with a nontrivial kernel becomes a branch; the
-   kernel is back-substituted over rational functions and normalized so the
-   last nonzero coordinate (in the ansatz monomial order) is 1;
-5. every branch with an affine solved form is re-checked against all lowering
-   generators (every basis element of n-) before it is reported.
+   kernel is back-substituted over rational functions;
+5. each kernel vector is lifted through m -> m(K') v0 into the coordinates of
+   the full ansatz and normalized so the last nonzero coordinate (in the
+   ansatz monomial order) is 1;
+6. every branch with an affine solved form is re-checked against every basis
+   element of n- before it is reported.
 
 Branches are deduplicated by constraint set and pruned when they are mere
 specializations of another branch with the same kernel.
@@ -25,11 +34,11 @@ specializations of another branch with the same kernel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .algebra import Generator, JacobiAlgebra, Weight
+from .algebra import A_MINUS, A_PLUS, K_PLUS, Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial
 from .ring import (
     PolyQ,
@@ -131,35 +140,37 @@ def display_factor_order(alg: JacobiAlgebra) -> List[int]:
 def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
     """All raising-only monomials of weight w, in the canonical ansatz order.
 
-    The search is a bounded DFS over exponent vectors: the linear functional
+    Every raising generator has an integral weight, so a weight with a
+    non-integral coordinate has none.  Otherwise the search is a bounded DFS
+    over exponent vectors, in integers: the linear functional
     sum_k (n-k) * coord_k is strictly positive on every raising generator, so
     its value on w caps the multiplicity of each generator.
     """
     n = alg.n
-    gens = list(range(alg.num_positive))
-    weights = [alg.weight(alg.generators[i]).coords for i in gens]
-    mults = [Fraction(n - k) for k in range(n)]
+    if len(w.coords) != n:
+        raise ValueError(f"weight has {len(w.coords)} coordinates, expected {n}")
+    if any(c.denominator != 1 for c in w.coords):
+        return []
+    npos = alg.num_positive
+    weights = [tuple(int(c) for c in alg.weight(g).coords) for g in alg.positive]
 
-    def phi(coords) -> Fraction:
-        return sum(m * c for m, c in zip(mults, coords))
+    def phi(coords) -> int:
+        return sum((n - k) * c for k, c in enumerate(coords))
 
     phis = [phi(wc) for wc in weights]
-    target = list(w.coords)
-    if len(target) != n:
-        raise ValueError(f"weight has {len(target)} coordinates, expected {n}")
+    target = [int(c) for c in w.coords]
     found: List[PbwMonomial] = []
-    exps = [0] * alg.num_positive
+    exps = [0] * npos
+    tail = (0,) * (len(alg.generators) - npos)
 
-    def dfs(k: int, remaining: List[Fraction], rem_phi: Fraction):
+    def dfs(k: int, remaining: List[int], rem_phi: int):
         if rem_phi < 0:
             return
-        if k == len(gens):
-            if all(c == 0 for c in remaining):
-                full = tuple(exps) + (0,) * (len(alg.generators) - alg.num_positive)
-                found.append(PbwMonomial(full))
+        if k == npos:
+            if not any(remaining):
+                found.append(PbwMonomial(tuple(exps) + tail))
             return
-        bound = int(rem_phi / phis[k])
-        for e in range(bound + 1):
+        for e in range(rem_phi // phis[k] + 1):
             exps[k] = e
             dfs(
                 k + 1,
@@ -188,26 +199,33 @@ class SystemRow:
 
 @dataclass
 class AnsatzSystem:
+    """Conditions on the columns ``monomials``; ``ansatz`` is the full ansatz
+    the solution is lifted into."""
+
     weight: Weight
     nvars: int
     monomials: List[PbwMonomial]
     rows: List[SystemRow]
-
-    def evaluate_at(self, point: Sequence[Fraction]) -> List[List[Fraction]]:
-        return [[e.eval_all(point) for e in row.entries] for row in self.rows]
+    ansatz: List[PbwMonomial] = field(default_factory=list)
 
 
 def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
-    """Matrix of lowest-weight conditions for the weight-w ansatz; zero rows pruned.
+    """Matrix of lowest-weight conditions in sp(n) for the weight-w ansatz.
 
-    Rows come from the Lie generators of n- only, generator by generator and
-    within one generator by result monomial in ansatz order.  At every L the
-    matrix has the same kernel as the one built from all of n-, with fewer
-    rows.
+    The columns are the ansatz monomials with no a+ factor, in ansatz order.
+    Rows come from the Lie generators of n- other than a-_n, generator by
+    generator and within one generator by result monomial in ansatz order;
+    zero rows are pruned.  Every entry is taken at the shifted Cartan values
+    L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg part.
     """
-    monomials = enumerate_ansatz(alg, w)
+    ansatz = enumerate_ansatz(alg, w)
+    aplus, _, _ = _positive_layout(alg)
+    monomials = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
+    shift = {i: PolyQ.var(alg.n, i) - PolyQ.const(alg.n, Fraction(1, 4)) for i in range(alg.n)}
     rows: List[SystemRow] = []
     for x in alg.lowering_generators:
+        if x.family == A_MINUS:
+            continue
         images = [act(alg, x, VermaVector.monomial(alg, m)) for m in monomials]
         support: Set[PbwMonomial] = set()
         for img in images:
@@ -215,8 +233,8 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
         for b in sorted(support, key=lambda m: ansatz_sort_key(alg, m), reverse=True):
             entries = tuple(img.terms.get(b, PolyQ.zero(alg.n)) for img in images)
             if any(not e.is_zero for e in entries):
-                rows.append(SystemRow(x, b, entries))
-    return AnsatzSystem(w, alg.n, monomials, rows)
+                rows.append(SystemRow(x, b, tuple(e.subs(shift) for e in entries)))
+    return AnsatzSystem(w, alg.n, monomials, rows, ansatz)
 
 
 # -- parametric solve --------------------------------------------------------
@@ -634,25 +652,67 @@ def kernel_vector_to_verma(
     return VermaVector(alg.n, {m: p for m, p in zip(monomials, polys) if not p.is_zero})
 
 
+def _lift_factor(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
+    """K' v for a raising sp generator K = x, where K'+_ij = K+_ij - 1/2 a+_i a+_j
+    and K'0_ij = K0_ij - 1/2 a+_i a-_j (i < j)."""
+    inner = Generator(A_PLUS, x.j) if x.family == K_PLUS else Generator(A_MINUS, x.j)
+    oscillator = act(alg, Generator(A_PLUS, x.i), act(alg, inner, v))
+    return act(alg, x, v) - oscillator.scale(Fraction(1, 2))
+
+
+def _lift_kernel_vector(
+    alg: JacobiAlgebra,
+    system: AnsatzSystem,
+    vec: List[RatFuncQ],
+    constraints: ConstraintSet,
+    lifted: Dict[Tuple[int, ...], VermaVector],
+) -> List[RatFuncQ]:
+    """Full-ansatz coordinates of sum_k vec_k m_k(K') v0, normalized.
+
+    ``lifted`` maps words to their vectors, so that the lifts of monomials
+    with a common suffix share its work.
+    """
+
+    def lift(word: Tuple[int, ...]) -> VermaVector:
+        v = lifted.get(word)
+        if v is None:
+            if word:
+                v = _lift_factor(alg, alg.generators[word[0]], lift(word[1:]))
+            else:
+                v = VermaVector.v0(alg)
+            lifted[word] = v
+        return v
+
+    zero = PolyQ.zero(alg.n)
+    full: Dict[PbwMonomial, PolyQ] = {}
+    for m, p in zip(system.monomials, _clear_denominators(alg.n, vec)):
+        if p.is_zero:
+            continue
+        for b, c in lift(m.word()).terms.items():
+            full[b] = full.get(b, zero) + c * p
+    coords = [_reduce_poly(full.get(m, zero), constraints) for m in system.ansatz]
+    return _normalize_kernel_vector([RatFuncQ(p) for p in coords])
+
+
 def find_singular_vectors(
     alg: JacobiAlgebra, w: Weight, branch_budget: int = 64
 ) -> WeightReport:
-    """enumerate -> assemble -> solve -> verify for one target weight."""
+    """enumerate -> assemble -> solve -> lift -> verify for one target weight."""
     if w.is_zero:
         alg_mon = PbwMonomial.unit(alg)
         return WeightReport(w, [alg_mon], [], trivial=True)
     system = assemble_system(alg, w)
-    if not system.monomials:
-        return WeightReport(w, [], [], trivial=False)
     solution = solve_parametric(system, branch_budget)
+    lifted: Dict[Tuple[int, ...], VermaVector] = {}
     reports: List[BranchReport] = []
     for br in solution:
-        vectors = [kernel_vector_to_verma(alg, system.monomials, vec) for vec in br.kernel]
+        kernel = [
+            _lift_kernel_vector(alg, system, vec, br.constraints, lifted) for vec in br.kernel
+        ]
+        vectors = [kernel_vector_to_verma(alg, system.ansatz, vec) for vec in kernel]
         if br.constraints.solved_form is None and br.constraints.equations:
-            reports.append(
-                BranchReport(br.constraints, br.kernel, br.genericity, vectors, False, True)
-            )
+            reports.append(BranchReport(br.constraints, kernel, br.genericity, vectors, False, True))
             continue
         ok = all(is_singular(alg, v, br.constraints).singular for v in vectors)
-        reports.append(BranchReport(br.constraints, br.kernel, br.genericity, vectors, ok))
-    return WeightReport(w, system.monomials, reports)
+        reports.append(BranchReport(br.constraints, kernel, br.genericity, vectors, ok))
+    return WeightReport(w, system.ansatz, reports)

@@ -10,8 +10,10 @@ Nothing here shares an algorithm with the package code it checks:
   (insertion sort with bracket remainders), a different strategy from the
   package's leftmost-swap agenda.
 * ``oracle_act`` evaluates the module action through the insertion reducer;
-  ``all_negative_rows`` builds from it the condition matrix of every basis
-  element of n-, not only of the Lie generators the solver uses.
+  ``all_negative_rows`` builds from it the condition matrix of the full
+  ansatz under every basis element of n-, not only under the sp(n)
+  generators the solver uses, and ``oracle_lift`` the vectors m(K') v0 with
+  K' = K minus its oscillator realization.
 * ``fraction_kernel`` computes exact kernels of rational matrices by plain
   row-reduced Gaussian elimination.
 """
@@ -205,6 +207,25 @@ def oracle_act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
             else:
                 out[key] = new
     return VermaVector(n, out)
+
+
+def oracle_lift(alg: JacobiAlgebra, m: PbwMonomial) -> VermaVector:
+    """m(K') v0 for a monomial m in the raising generators of sp(n), where each
+    factor K acts as K minus its oscillator realization ``realize(n, K)``."""
+    n = alg.n
+    v = VermaVector.v0(alg)
+    for idx in reversed(m.word()):
+        g = alg.generators[idx]
+        out = oracle_act(alg, g, v)
+        for (creation, annihilation), c in realize(n, g).terms.items():
+            u = v
+            for family, exps in ((A_MINUS, annihilation), (A_PLUS, creation)):
+                for i, e in enumerate(exps):
+                    for _ in range(e):
+                        u = oracle_act(alg, Generator(family, i + 1), u)
+            out = out - u.scale(c)
+        v = out
+    return v
 
 
 def all_negative_rows(alg: JacobiAlgebra, monomials: Sequence[PbwMonomial]) -> List[List[PolyQ]]:

@@ -90,6 +90,13 @@ class TestArithmetic:
         q = p.subs({1: const(Fraction(3, 2)) - L(1)})
         assert q == (const(Fraction(3, 2)) - L(1)) ** 2
 
+    def test_subs_of_absent_variables_is_identity(self):
+        p = L(1) ** 2 - const(Fraction(1, 3))
+        assert p.subs({1: L(1) + const(2)}) is p
+        assert const(5).subs({0: Fraction(1, 4), 1: L(1)}) == const(5)
+        with pytest.raises(RingError):
+            p.subs({2: Fraction(1)})
+
     @given(
         polys(nvars=3),
         st.lists(st.one_of(fractions_st, polys(nvars=3, max_deg=2, max_terms=3)), min_size=3, max_size=3),

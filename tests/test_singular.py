@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,9 +13,11 @@ from jacobiverma.algebra import (
     K_ZERO,
     Weight,
 )
+from jacobiverma.pbw import PbwMonomial
 from jacobiverma.ring import PolyQ, RatFuncQ
 from jacobiverma.singular import (
     BranchBudgetExceededError,
+    ansatz_sort_key,
     assemble_system,
     enumerate_ansatz,
     find_singular_vectors,
@@ -23,7 +26,7 @@ from jacobiverma.singular import (
 from jacobiverma.textio import render_monomial, report_to_json
 from jacobiverma.verma import VermaVector, act, is_singular
 
-from oracles import all_negative_rows, evaluate_rows, fraction_kernel, same_span
+from oracles import all_negative_rows, evaluate_rows, fraction_kernel, oracle_lift, same_span
 
 ALG = JacobiAlgebra(2)
 
@@ -104,42 +107,110 @@ class TestEnumerate:
             assert monomial_weight(alg3, m) == Weight.of(0, 0, 2)
 
 
+def brute_force_ansatz(alg, w):
+    """Every exponent vector over the raising generators with each exponent at
+    most phi(w) = sum_k (n-k) w_k, kept when its weight is w.  phi is at least
+    1 on every raising generator, so no monomial of weight w is missed."""
+    n = alg.n
+    weights = [[int(2 * c) for c in alg.weight(g).coords] for g in alg.positive]
+    phi = [sum((n - k) * c for k, c in enumerate(wc)) for wc in weights]
+    assert min(phi) >= 2  # doubled coordinates
+    target = [2 * c for c in w.coords]
+    bound = max(int(sum((n - k) * c for k, c in enumerate(w.coords))), -1)
+    tail = (0,) * (len(alg.generators) - alg.num_positive)
+    found = set()
+    for exps in itertools.product(range(bound + 1), repeat=alg.num_positive):
+        got = [sum(e * wc[k] for e, wc in zip(exps, weights)) for k in range(n)]
+        if got == target:
+            found.add(PbwMonomial(exps + tail))
+    return found
+
+
+BRUTE_FORCE_CASES = [
+    (ALG, c)
+    for c in [(2, 0), (1, 1), (0, 3), (3, -1), (2, 2), (0, 0), (-1, 0),
+              (Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))]
+] + [(JacobiAlgebra(3), c) for c in [(1, -1, 0), (0, 0, 1), (0, Fraction(1, 2), Fraction(1, 2))]]
+
+
+@pytest.mark.parametrize(
+    "alg, coords", BRUTE_FORCE_CASES, ids=[",".join(map(str, c)) for _, c in BRUTE_FORCE_CASES]
+)
+def test_enumeration_matches_brute_force(alg, coords):
+    w = Weight.of(*coords)
+    mons = enumerate_ansatz(alg, w)
+    assert len(set(mons)) == len(mons)
+    assert set(mons) == brute_force_ansatz(alg, w)
+    assert mons == sorted(mons, key=lambda m: ansatz_sort_key(alg, m), reverse=True)
+
+
+def conditions(ansatz, x, label):
+    """Coefficient of the labelled monomial in act(x, m v0), per ansatz m."""
+    images = [act(ALG, x, VermaVector.monomial(ALG, m)) for m in ansatz]
+    return tuple(
+        {render_monomial(ALG, b): c for b, c in img.terms.items()}.get(label, const(0))
+        for img in images
+    )
+
+
 class TestAssemble:
-    def test_weight_d2_forces_zero(self):
+    # Columns are the sp(n) monomials (no a+ factor); rows come from K-_22
+    # and K0_21 with every Cartan value taken at L_i - 1/4.  The g_2 action
+    # on the full ansatz still yields the unshifted conditions of the other
+    # lowering generators.
+
+    def test_weight_d2_has_no_sp_columns(self):
         sys_ = assemble_system(ALG, Weight.of(0, 1))
-        assert names(sys_.monomials) == ["a+2"]
-        assert len(sys_.rows) == 1
-        row = sys_.rows[0]
-        assert row.x == G(A_MINUS, 2)
-        assert row.entries == (PolyQ.one(2),)
+        assert names(sys_.ansatz) == ["a+2"]
+        assert sys_.monomials == []
+        assert sys_.rows == []
+        assert conditions(sys_.ansatz, G(A_MINUS, 2), "1") == (PolyQ.one(2),)
 
     def test_weight_d1_minus_d2_single_condition(self):
+        # K0_21 d+ v0 = [K0_21, K0_12] v0 = (h2 - h1)/2 v0: the shift cancels
         sys_ = assemble_system(ALG, Weight.of(1, -1))
+        assert names(sys_.monomials) == names(sys_.ansatz) == ["d+"]
         assert len(sys_.rows) == 1
         row = sys_.rows[0]
         assert row.x == G(K_ZERO, 2, 1)
         assert row.result.is_unit
         assert row.entries == ((L(2) - L(1)) * const(Fraction(1, 2)),)
 
-    def test_weight_2d2_two_conditions(self):
+    def test_weight_2d2_one_shifted_condition(self):
+        # K-_22 b+2 v0 = [K-_22, K+_22] v0 = 2 h2 v0, taken at L2 - 1/4
         sys_ = assemble_system(ALG, Weight.of(0, 2))
-        assert [(r.x, tuple(r.entries)) for r in sys_.rows] == [
-            (G(A_MINUS, 2), (const(1), const(2))),
-            (G(K_MINUS, 2, 2), (2 * L(2), const(1))),
+        assert names(sys_.ansatz) == ["b+2", "(a+2)^2"]
+        assert names(sys_.monomials) == ["b+2"]
+        assert [(r.x, names([r.result]), r.entries) for r in sys_.rows] == [
+            (G(K_MINUS, 2, 2), ["1"], (2 * L(2) - const(Fraction(1, 2)),)),
         ]
+        assert conditions(sys_.ansatz, G(A_MINUS, 2), "a+2") == (const(1), const(2))
+        assert conditions(sys_.ansatz, G(K_MINUS, 2, 2), "1") == (2 * L(2), const(1))
 
-    def test_weight_2d1_selected_rows(self):
-        # spot checks against the hand-computed system
+    def test_weight_2d1_rows(self):
+        # hand-computed: K-_22 c+ d+ v0 = (d+)^2 v0 and
+        # K-_22 b+2 (d+)^2 v0 = 2 h2 (d+)^2 v0 = 2 (L2 - 1) (d+)^2 v0;
+        # K0_21 b+1 v0 = c+ v0, K0_21 c+ d+ v0 = (L2 - L1)/2 c+ v0 + 1/2 b+2 d+ v0,
+        # K0_21 b+2 (d+)^2 v0 = (L2 - L1 - 1/2) b+2 d+ v0
         sys_ = assemble_system(ALG, Weight.of(2, 0))
-        assert names(sys_.monomials)[0] == "b+1"
+        assert names(sys_.monomials) == ["b+1", "c+ d+", "b+2 (d+)^2"]
         assert all(r.x in ALG.lowering_generators for r in sys_.rows)
         s = L(2) - L(1)
-        by_label = {
-            (r.x, render_monomial(ALG, r.result)): r.entries for r in sys_.rows
-        }
+        shifted_l2 = L(2) - const(Fraction(1, 4))
+        half = const(Fraction(1, 2))
+        assert [(r.x, names([r.result])[0], r.entries) for r in sys_.rows] == [
+            (G(K_MINUS, 2, 2), "(d+)^2", (const(0), const(1), 2 * shifted_l2 - const(2))),
+            (G(K_ZERO, 2, 1), "c+", (const(1), s * half, const(0))),
+            (G(K_ZERO, 2, 1), "b+2 d+", (const(0), half, s - half)),
+        ]
+
+    def test_weight_2d1_action_conditions(self):
+        sys_ = assemble_system(ALG, Weight.of(2, 0))
+        assert names(sys_.ansatz)[0] == "b+1"
+        s = L(2) - L(1)
+
         # d- produces the weight d1+d2 monomials; the c+ condition:
-        row = by_label[(G(K_ZERO, 2, 1), "c+")]
-        assert row == (
+        assert conditions(sys_.ansatz, G(K_ZERO, 2, 1), "c+") == (
             const(1),
             s * const(Fraction(1, 2)),
             const(0),
@@ -147,19 +218,8 @@ class TestAssemble:
             const(0),
             const(0),
         )
-
-        def conditions(x, label):
-            # coefficient of the labelled monomial in act(x, m v0), per ansatz m
-            images = [act(ALG, x, VermaVector.monomial(ALG, m)) for m in sys_.monomials]
-            return tuple(
-                {render_monomial(ALG, b): c for b, c in img.terms.items()}.get(label, const(0))
-                for img in images
-            )
-
-        # b-1 and a-1 are brackets of the generators and give no rows, but the
-        # action still yields their hand-computed conditions.
         # b-1 on the ansatz gives the scalar condition:
-        assert conditions(G(K_MINUS, 1, 1), "1") == (
+        assert conditions(sys_.ansatz, G(K_MINUS, 1, 1), "1") == (
             2 * L(1),
             s * const(Fraction(1, 2)),
             const(0),
@@ -168,7 +228,7 @@ class TestAssemble:
             const(0),
         )
         # a-1 hitting a+1:
-        assert conditions(G(A_MINUS, 1), "a+1") == (
+        assert conditions(sys_.ansatz, G(A_MINUS, 1), "a+1") == (
             const(1),
             const(0),
             const(0),
@@ -177,8 +237,15 @@ class TestAssemble:
             const(0),
         )
 
+    def test_columns_are_the_ansatz_without_a_plus(self):
+        for coords in [(2, 0), (1, 1), (0, 2), (4, 4), (3, -1)]:
+            sys_ = assemble_system(ALG, Weight.of(*coords))
+            assert sys_.ansatz == enumerate_ansatz(ALG, Weight.of(*coords))
+            assert sys_.monomials == [m for m in sys_.ansatz if not any(m.exps[:2])]
+
     def test_empty_ansatz_gives_empty_system(self):
         sys_ = assemble_system(ALG, Weight.of(-1, 0))
+        assert sys_.ansatz == []
         assert sys_.monomials == []
         assert sys_.rows == []
 
@@ -198,9 +265,13 @@ def one_branch(coords, budget=64):
 
 class TestSolve:
     def test_weight_2d2(self):
+        # the sp kernel is b+2 alone; the report lifts it to b+2 - 1/2 (a+2)^2
         _, br = one_branch((0, 2))
         assert br.constraints.equations == (L(2) - const(Fraction(1, 4)),)
-        assert br.kernel == [[RatFuncQ(const(-2)), RatFuncQ(const(1))]]
+        assert br.kernel == [[RatFuncQ(const(1))]]
+        (rb,) = find_singular_vectors(ALG, Weight.of(0, 2)).branches
+        assert rb.constraints == br.constraints
+        assert rb.kernel == [[RatFuncQ(const(-2)), RatFuncQ(const(1))]]
 
     def test_weight_d1_minus_d2(self):
         _, br = one_branch((1, -1))
@@ -299,49 +370,55 @@ def branch_point(rng, nvars, constraints):
     return pt
 
 
+def lifted_vectors(branches, pt):
+    """The reported full-ansatz vectors of the branches that hold at pt."""
+    return [
+        [x.eval_all(pt) for x in vec]
+        for br in branches
+        if br.constraints.satisfied_at(pt)
+        for vec in br.kernel
+    ]
+
+
 class TestCompletenessOracle:
-    # The numeric matrix acts with every element of n-, so these tests do not
-    # rely on the Lie-generator shortcut in assemble_system.
+    # The numeric matrix acts with every element of n- on the full ansatz, so
+    # these tests rely neither on the sp(n) system nor on its lift.
 
     def test_random_point_agreement_desk_scale(self):
         # every weight with |coords| <= 3: a random weight point admits a
-        # nontrivial numeric kernel iff it satisfies some emitted branch
+        # nontrivial numeric kernel iff it satisfies some reported branch
         rng = random.Random(20250810)
         for c1 in range(-3, 4):
             for c2 in range(-3, 4):
                 w = Weight.of(c1, c2)
                 if w.is_zero:
                     continue
-                sys_ = assemble_system(ALG, w)
-                ncols = len(sys_.monomials)
+                rep = find_singular_vectors(ALG, w)
+                ncols = len(rep.monomials)
                 if ncols == 0:
                     continue
-                branches = solve_parametric(sys_)
-                full = all_negative_rows(ALG, sys_.monomials)
+                full = all_negative_rows(ALG, rep.monomials)
                 for _ in range(25):
                     pt = [
                         Fraction(rng.randint(-20, 20), rng.randint(1, 8))
                         for _ in range(2)
                     ]
                     ker = fraction_kernel(evaluate_rows(full, pt), ncols)
-                    sat = any(br.constraints.satisfied_at(pt) for br in branches)
+                    sat = any(br.constraints.satisfied_at(pt) for br in rep.branches)
                     assert bool(ker) == sat, (c1, c2, pt)
 
     def test_on_branch_points_match_symbolic_kernel(self):
         rng = random.Random(424242)
         for coords in [(2, 0), (0, 2), (1, 1), (1, -1)]:
-            w = Weight.of(*coords)
-            sys_ = assemble_system(ALG, w)
-            ncols = len(sys_.monomials)
-            branches = solve_parametric(sys_)
-            full = all_negative_rows(ALG, sys_.monomials)
-            for br in branches:
+            rep = find_singular_vectors(ALG, Weight.of(*coords))
+            ncols = len(rep.monomials)
+            full = all_negative_rows(ALG, rep.monomials)
+            for br in rep.branches:
                 for _ in range(10):
                     pt = branch_point(rng, 2, br.constraints)
                     ker = fraction_kernel(evaluate_rows(full, pt), ncols)
                     assert ker
-                    sym = [[x.eval_all(pt) for x in vec] for vec in br.kernel]
-                    assert same_span(sym, ker, ncols)
+                    assert same_span(lifted_vectors(rep.branches, pt), ker, ncols)
 
 
 GENERATOR_ROW_CASES = [
@@ -357,12 +434,14 @@ class TestGeneratorRows:
         "alg, w", GENERATOR_ROW_CASES, ids=[str(w) for _, w in GENERATOR_ROW_CASES]
     )
     def test_same_kernel_as_all_negatives(self, alg, w):
-        # the rows of the Lie generators of n- cut out the same kernel as the
-        # rows of every element of n-, at random points and on every branch
+        # the sp(n) rows' kernel, lifted through m -> m(K') v0, is the kernel
+        # of every element of n- on the full ansatz, at random points and on
+        # every branch
         rng = random.Random(str(w))
         sys_ = assemble_system(alg, w)
-        ncols = len(sys_.monomials)
-        full = all_negative_rows(alg, sys_.monomials)
+        ncols = len(sys_.ansatz)
+        full = all_negative_rows(alg, sys_.ansatz)
+        lifts = [oracle_lift(alg, m) for m in sys_.monomials]
         points = [
             [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(alg.n)]
             for _ in range(10)
@@ -370,8 +449,19 @@ class TestGeneratorRows:
         for br in solve_parametric(sys_):
             points += [branch_point(rng, alg.n, br.constraints) for _ in range(3)]
         for pt in points:
-            ker = fraction_kernel(sys_.evaluate_at(pt), ncols)
-            assert same_span(ker, fraction_kernel(evaluate_rows(full, pt), ncols), ncols), pt
+            sp_ker = fraction_kernel(evaluate_rows([r.entries for r in sys_.rows], pt), len(lifts))
+            lifted = [
+                [
+                    sum(
+                        (c * lift.terms[m].eval_all(pt) for c, lift in zip(vec, lifts) if m in lift.terms),
+                        Fraction(0),
+                    )
+                    for m in sys_.ansatz
+                ]
+                for vec in sp_ker
+            ]
+            ker = fraction_kernel(evaluate_rows(full, pt), ncols)
+            assert same_span(lifted, ker, ncols), pt
 
 
 class TestDeterminism:
