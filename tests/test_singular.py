@@ -159,7 +159,8 @@ class TestAssemble:
     # on the full ansatz still yields the unshifted conditions of the other
     # lowering generators.
 
-    def test_weight_d2_has_no_sp_columns(self):
+    def test_weight_d2_forces_zero(self):
+        # a-2 a+2 v0 = v0 forces the only coefficient to zero; no sp column
         sys_ = assemble_system(ALG, Weight.of(0, 1))
         assert names(sys_.ansatz) == ["a+2"]
         assert sys_.monomials == []
@@ -176,8 +177,10 @@ class TestAssemble:
         assert row.result.is_unit
         assert row.entries == ((L(2) - L(1)) * const(Fraction(1, 2)),)
 
-    def test_weight_2d2_one_shifted_condition(self):
-        # K-_22 b+2 v0 = [K-_22, K+_22] v0 = 2 h2 v0, taken at L2 - 1/4
+    def test_weight_2d2_two_conditions(self):
+        # a-2 and K-_22 on the full ansatz give the two unshifted conditions;
+        # the one sp row is K-_22 b+2 v0 = [K-_22, K+_22] v0 = 2 h2 v0, taken
+        # at L2 - 1/4
         sys_ = assemble_system(ALG, Weight.of(0, 2))
         assert names(sys_.ansatz) == ["b+2", "(a+2)^2"]
         assert names(sys_.monomials) == ["b+2"]
@@ -204,7 +207,7 @@ class TestAssemble:
             (G(K_ZERO, 2, 1), "b+2 d+", (const(0), half, s - half)),
         ]
 
-    def test_weight_2d1_action_conditions(self):
+    def test_weight_2d1_selected_rows(self):
         sys_ = assemble_system(ALG, Weight.of(2, 0))
         assert names(sys_.ansatz)[0] == "b+1"
         s = L(2) - L(1)
