@@ -404,6 +404,12 @@ class JacobiAlgebra:
             derived.update(bracket(x, y).terms)
         return [g for g in self.negative if g not in derived]
 
+    @property
+    def sp_lowering_generators(self) -> List[Generator]:
+        """``lowering_generators`` without a^-_n: K^-_{nn} and the K^0_{i+1,i},
+        which generate the lowering part of sp(n)."""
+        return [g for g in self.lowering_generators if g.family != A_MINUS]
+
     def bracket_linear(self, x: Generator, br: BracketResult) -> BracketResult:
         """[x, -] extended linearly over a BracketResult (scalars bracket to zero)."""
         out = BracketResult()

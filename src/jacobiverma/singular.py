@@ -34,7 +34,7 @@ specializations of another branch with the same kernel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -199,14 +199,14 @@ class SystemRow:
 
 @dataclass
 class AnsatzSystem:
-    """Conditions on the columns ``monomials``; ``ansatz`` is the full ansatz
-    the solution is lifted into."""
+    """Conditions on the sp(n) monomials ``columns``; ``ansatz`` is the full
+    ansatz the solution is lifted into."""
 
     weight: Weight
     nvars: int
-    monomials: List[PbwMonomial]
+    columns: List[PbwMonomial]
     rows: List[SystemRow]
-    ansatz: List[PbwMonomial] = field(default_factory=list)
+    ansatz: List[PbwMonomial]
 
 
 def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
@@ -220,13 +220,11 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     """
     ansatz = enumerate_ansatz(alg, w)
     aplus, _, _ = _positive_layout(alg)
-    monomials = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
+    columns = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
     shift = {i: PolyQ.var(alg.n, i) - PolyQ.const(alg.n, Fraction(1, 4)) for i in range(alg.n)}
     rows: List[SystemRow] = []
-    for x in alg.lowering_generators:
-        if x.family == A_MINUS:
-            continue
-        images = [act(alg, x, VermaVector.monomial(alg, m)) for m in monomials]
+    for x in alg.sp_lowering_generators:
+        images = [act(alg, x, VermaVector.monomial(alg, m)) for m in columns]
         support: Set[PbwMonomial] = set()
         for img in images:
             support.update(img.terms)
@@ -234,7 +232,7 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
             entries = tuple(img.terms.get(b, PolyQ.zero(alg.n)) for img in images)
             if any(not e.is_zero for e in entries):
                 rows.append(SystemRow(x, b, tuple(e.subs(shift) for e in entries)))
-    return AnsatzSystem(w, alg.n, monomials, rows, ansatz)
+    return AnsatzSystem(w, alg.n, columns, rows, ansatz)
 
 
 # -- parametric solve --------------------------------------------------------
@@ -514,7 +512,7 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
     prunes cases that are plain specializations of an emitted branch.
     """
     nvars = system.nvars
-    ncols = len(system.monomials)
+    ncols = len(system.columns)
     if ncols == 0:
         return []
     base_matrix = [list(r.entries) for r in system.rows]
@@ -685,7 +683,7 @@ def _lift_kernel_vector(
 
     zero = PolyQ.zero(alg.n)
     full: Dict[PbwMonomial, PolyQ] = {}
-    for m, p in zip(system.monomials, _clear_denominators(alg.n, vec)):
+    for m, p in zip(system.columns, _clear_denominators(alg.n, vec)):
         if p.is_zero:
             continue
         for b, c in lift(m.word()).terms.items():

@@ -175,6 +175,17 @@ class TestLoweringGenerators:
     def test_exact_lists(self, n, names):
         assert [str(g) for g in JacobiAlgebra(n).lowering_generators] == names
 
+    @pytest.mark.parametrize(
+        "n, names",
+        [
+            (1, ["K-[1,1]"]),
+            (2, ["K-[2,2]", "K0[2,1]"]),
+            (3, ["K-[3,3]", "K0[2,1]", "K0[3,2]"]),
+        ],
+    )
+    def test_sp_lists(self, n, names):
+        assert [str(g) for g in JacobiAlgebra(n).sp_lowering_generators] == names
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bracket_closure_spans_negative(self, n):
         alg = JacobiAlgebra(n)

@@ -163,14 +163,14 @@ class TestAssemble:
         # a-2 a+2 v0 = v0 forces the only coefficient to zero; no sp column
         sys_ = assemble_system(ALG, Weight.of(0, 1))
         assert names(sys_.ansatz) == ["a+2"]
-        assert sys_.monomials == []
+        assert sys_.columns == []
         assert sys_.rows == []
         assert conditions(sys_.ansatz, G(A_MINUS, 2), "1") == (PolyQ.one(2),)
 
     def test_weight_d1_minus_d2_single_condition(self):
         # K0_21 d+ v0 = [K0_21, K0_12] v0 = (h2 - h1)/2 v0: the shift cancels
         sys_ = assemble_system(ALG, Weight.of(1, -1))
-        assert names(sys_.monomials) == names(sys_.ansatz) == ["d+"]
+        assert names(sys_.columns) == names(sys_.ansatz) == ["d+"]
         assert len(sys_.rows) == 1
         row = sys_.rows[0]
         assert row.x == G(K_ZERO, 2, 1)
@@ -183,7 +183,7 @@ class TestAssemble:
         # at L2 - 1/4
         sys_ = assemble_system(ALG, Weight.of(0, 2))
         assert names(sys_.ansatz) == ["b+2", "(a+2)^2"]
-        assert names(sys_.monomials) == ["b+2"]
+        assert names(sys_.columns) == ["b+2"]
         assert [(r.x, names([r.result]), r.entries) for r in sys_.rows] == [
             (G(K_MINUS, 2, 2), ["1"], (2 * L(2) - const(Fraction(1, 2)),)),
         ]
@@ -196,7 +196,7 @@ class TestAssemble:
         # K0_21 b+1 v0 = c+ v0, K0_21 c+ d+ v0 = (L2 - L1)/2 c+ v0 + 1/2 b+2 d+ v0,
         # K0_21 b+2 (d+)^2 v0 = (L2 - L1 - 1/2) b+2 d+ v0
         sys_ = assemble_system(ALG, Weight.of(2, 0))
-        assert names(sys_.monomials) == ["b+1", "c+ d+", "b+2 (d+)^2"]
+        assert names(sys_.columns) == ["b+1", "c+ d+", "b+2 (d+)^2"]
         assert all(r.x in ALG.lowering_generators for r in sys_.rows)
         s = L(2) - L(1)
         shifted_l2 = L(2) - const(Fraction(1, 4))
@@ -244,12 +244,12 @@ class TestAssemble:
         for coords in [(2, 0), (1, 1), (0, 2), (4, 4), (3, -1)]:
             sys_ = assemble_system(ALG, Weight.of(*coords))
             assert sys_.ansatz == enumerate_ansatz(ALG, Weight.of(*coords))
-            assert sys_.monomials == [m for m in sys_.ansatz if not any(m.exps[:2])]
+            assert sys_.columns == [m for m in sys_.ansatz if not any(m.exps[:2])]
 
     def test_empty_ansatz_gives_empty_system(self):
         sys_ = assemble_system(ALG, Weight.of(-1, 0))
         assert sys_.ansatz == []
-        assert sys_.monomials == []
+        assert sys_.columns == []
         assert sys_.rows == []
 
     def test_no_zero_rows(self):
@@ -373,16 +373,6 @@ def branch_point(rng, nvars, constraints):
     return pt
 
 
-def lifted_vectors(branches, pt):
-    """The reported full-ansatz vectors of the branches that hold at pt."""
-    return [
-        [x.eval_all(pt) for x in vec]
-        for br in branches
-        if br.constraints.satisfied_at(pt)
-        for vec in br.kernel
-    ]
-
-
 class TestCompletenessOracle:
     # The numeric matrix acts with every element of n- on the full ansatz, so
     # these tests rely neither on the sp(n) system nor on its lift.
@@ -421,7 +411,8 @@ class TestCompletenessOracle:
                     pt = branch_point(rng, 2, br.constraints)
                     ker = fraction_kernel(evaluate_rows(full, pt), ncols)
                     assert ker
-                    assert same_span(lifted_vectors(rep.branches, pt), ker, ncols)
+                    sym = [[x.eval_all(pt) for x in vec] for vec in br.kernel]
+                    assert same_span(sym, ker, ncols)
 
 
 GENERATOR_ROW_CASES = [
@@ -444,7 +435,7 @@ class TestGeneratorRows:
         sys_ = assemble_system(alg, w)
         ncols = len(sys_.ansatz)
         full = all_negative_rows(alg, sys_.ansatz)
-        lifts = [oracle_lift(alg, m) for m in sys_.monomials]
+        lifts = [oracle_lift(alg, m) for m in sys_.columns]
         points = [
             [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(alg.n)]
             for _ in range(10)

@@ -152,7 +152,7 @@ class TestSyntheticSolve:
         sys_rows = [
             SystemRow(None, None, tuple(rows[k])) for k in range(len(rows))
         ]
-        return AnsatzSystem(Weight.of(*([0] * nvars)), nvars, list(range(ncols)), sys_rows)
+        return AnsatzSystem(Weight.of(*([0] * nvars)), nvars, list(range(ncols)), sys_rows, [])
 
     def test_quadratic_pivot_splits_into_both_roots(self):
         # single condition ((L2-1)(L2-2)) nu = 0: two affine branches
@@ -210,7 +210,7 @@ class TestRandomSystems:
                 for r in rows
                 if any(not e.is_zero for e in r)
             ]
-            system = AnsatzSystem(Weight.of(0, 0), 2, list(range(ncols)), sys_rows)
+            system = AnsatzSystem(Weight.of(0, 0), 2, list(range(ncols)), sys_rows, [])
             branches = solve_parametric(system, branch_budget=256)
             pts = [
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
