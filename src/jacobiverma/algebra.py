@@ -189,6 +189,11 @@ class BracketResult:
         )
 
 
+# Integer form of a bracket, for fraction-free normal ordering: each triple
+# (replacement word, numerator, denominator) is one term of [x, y].
+IntegerBracket = Tuple[Tuple[Tuple[int, ...], int, int], ...]
+
+
 def _delta(a: int, b: int) -> Fraction:
     return Fraction(1) if a == b else Fraction(0)
 
@@ -337,6 +342,7 @@ class JacobiAlgebra:
         self.cartan = self.generators[self.num_positive : self.num_positive + n]
         self.negative = self.generators[self.num_positive + n :]
         self._table: Dict[Tuple[int, int], BracketResult] = {}
+        self._integer_table: Dict[Tuple[int, int], IntegerBracket] = {}
         self._weights: List[Weight] = []
         for g in self.generators:
             self._weights.append(self._weight_from_table(g))
@@ -367,6 +373,20 @@ class JacobiAlgebra:
         if cached is None:
             cached = bracket(self.generators[ix], self.generators[iy])
             self._table[key] = cached
+        return cached
+
+    def integer_bracket(self, ix: int, iy: int) -> IntegerBracket:
+        """``bracket_by_index(ix, iy)`` as (replacement, numerator, denominator)
+        triples: the scalar part replaces the pair x y by the empty word, a
+        generator term by that generator's index alone."""
+        key = (ix, iy)
+        cached = self._integer_table.get(key)
+        if cached is None:
+            br = self.bracket_by_index(ix, iy)
+            parts = [((), br.scalar)] if br.scalar != 0 else []
+            parts += [((self.index[g],), c) for g, c in br.terms.items()]
+            cached = tuple((word, c.numerator, c.denominator) for word, c in parts)
+            self._integer_table[key] = cached
         return cached
 
     def classify(self, g: Generator) -> GenClass:

@@ -48,7 +48,7 @@ from .textio import (
     uelement_to_json,
     vector_to_json,
 )
-from .verma import ConstraintSet, InconsistentConstraintsError, act, is_singular
+from .verma import ConstraintSet, InconsistentConstraintsError, act, is_singular, vector_weight
 from .pbw import normal_order
 
 EXIT_OK = 0
@@ -163,6 +163,7 @@ def _cmd_verify(args) -> int:
     n = args.n or _infer_n(args.vector, args.constraints or "")
     alg = JacobiAlgebra(n)
     v = parse_vector(args.vector, alg)
+    vector_weight(alg, v)  # a zero or mixed-weight vector is an input error
     eqs = parse_constraints(args.constraints, n) if args.constraints else []
     try:
         cs = ConstraintSet.from_equations(n, eqs)

@@ -9,15 +9,20 @@ or hands off to strictly shorter words (the bracket remainder), so the
 rewriting terminates; by the PBW theorem the normal form is independent of
 the strategy.
 
-Coefficients are rationals (``fractions.Fraction``): the structure constants
-are rational, so no other number can arise.  Dependence on the weight enters
-only when the module evaluates Cartan factors (``verma``).
+The structure constants are rational, with small denominators, so no other
+number can arise.  While rewriting, each word carries an integer numerator
+and denominator (``JacobiAlgebra.integer_bracket``); the words that reach
+normal form are summed per denominator, and each monomial of the result gets
+one ``fractions.Fraction`` at the end.  ``UElement`` coefficients are nonzero
+``Fraction``s.  Dependence on the weight enters only when the module
+evaluates Cartan factors (``verma``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Generator, JacobiAlgebra, Weight
@@ -136,37 +141,44 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
     """PBW normal form of a word of generators.
 
     Rewrites the leftmost inverted adjacent pair at each step.  The result is
-    supported on ordered monomials only.
+    supported on ordered monomials only.  Agenda entries carry an integer
+    numerator and denominator, and the position where the search for an
+    inversion resumes: after a rewrite at k the first k letters are still in
+    order, so the next inversion is at k - 1 or later.
     """
     idx_word = tuple(alg.index[g] if isinstance(g, Generator) else int(g) for g in word)
     for idx in idx_word:
         if not 0 <= idx < len(alg.generators):
             raise ValueError(f"generator index {idx} out of range")
-    result: Dict[PbwMonomial, Fraction] = {}
-    agenda: List[Tuple[Tuple[int, ...], Fraction]] = [(idx_word, Fraction(1))]
+    bracket = alg.integer_bracket
+    leaves: Dict[Tuple[Tuple[int, ...], int], int] = {}
+    agenda: List[Tuple[Tuple[int, ...], int, int, int]] = [(idx_word, 1, 1, 0)]
     while agenda:
-        w, coeff = agenda.pop()
-        swap_at = -1
-        for k in range(len(w) - 1):
-            if w[k] > w[k + 1]:
-                swap_at = k
-                break
-        if swap_at < 0:
-            m = PbwMonomial.from_word(alg, w)
-            v = result.get(m, 0) + coeff
-            if v == 0:
-                result.pop(m, None)
-            else:
-                result[m] = v
+        w, num, den, k = agenda.pop()
+        last = len(w) - 1
+        while k < last and w[k] <= w[k + 1]:
+            k += 1
+        if k >= last:
+            key = (w, den)
+            leaves[key] = leaves.get(key, 0) + num
             continue
-        k = swap_at
         x, y = w[k], w[k + 1]
-        agenda.append((w[:k] + (y, x) + w[k + 2:], coeff))
-        br = alg.bracket_by_index(x, y)
-        if br.scalar != 0:
-            agenda.append((w[:k] + w[k + 2:], coeff * br.scalar))
-        for g, c in br.terms.items():
-            agenda.append((w[:k] + (alg.index[g],) + w[k + 2:], coeff * c))
+        head, tail = w[:k], w[k + 2:]
+        resume = k - 1 if k else 0
+        agenda.append((head + (y, x) + tail, num, den, resume))
+        for replacement, p, q in bracket(x, y):
+            agenda.append((head + replacement + tail, num * p, den * q, resume))
+    sums: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    for (w, den), num in leaves.items():
+        prev = sums.get(w)
+        if prev is None:
+            sums[w] = (num, den)
+        else:
+            common = lcm(prev[1], den)
+            sums[w] = (prev[0] * (common // prev[1]) + num * (common // den), common)
+    result = {
+        PbwMonomial.from_word(alg, w): Fraction(num, den) for w, (num, den) in sums.items() if num
+    }
     return UElement(alg.n, result)
 
 

@@ -4,7 +4,8 @@ Vectors are combinations of raising-only PBW monomials applied to the lowest
 weight vector v0, with coefficients polynomial in the formal weight values
 L1..Ln (Li = value of the weight functional on h_i).  Acting with a basis
 generator normal-orders the product, after which trailing lowering factors
-annihilate v0 and Cartan factors h_i evaluate to Li.
+annihilate v0 and Cartan factors h_i evaluate to Li, so that h^e multiplies a
+coefficient by L^e.
 
 The weight stays formal throughout; numeric weights are a matter of
 evaluating the polynomial coefficients afterwards.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
@@ -114,42 +116,66 @@ class VermaVector:
         return "VermaVector(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
 
 
-def _evaluate_on_v0(alg: JacobiAlgebra, u: UElement) -> VermaVector:
-    """Project a normal-ordered element to the module: kill lowering tails,
-    evaluate Cartan factors at L, keep the raising prefix."""
-    npos, n = alg.num_positive, alg.n
-    total = len(alg.generators)
-    out: Dict[PbwMonomial, PolyQ] = {}
+# Module vector under construction: raising part of a monomial's exponents
+# -> L-exponent -> coefficient.
+_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]]
+
+
+def _evaluate_on_v0(alg: JacobiAlgebra, u: UElement, coeff: Dict[Tuple[int, ...], Fraction],
+                    acc: _Accumulator) -> None:
+    """Add (u v0) times the polynomial with terms ``coeff`` into ``acc``: kill
+    lowering tails, evaluate Cartan factors at L, keep the raising prefix.
+
+    A Cartan factor h^e shifts the exponent of every term of ``coeff`` by e.
+    """
+    npos = alg.num_positive
+    low = npos + alg.n
     for m, c in u.terms.items():
         exps = m.exps
-        if any(exps[k] for k in range(npos + n, total)):
+        if any(exps[low:]):
             continue
-        poly = PolyQ(n, {exps[npos:npos + n]: c})
-        pos_exps = exps[:npos] + (0,) * (total - npos)
-        key = PbwMonomial(pos_exps)
-        v = out.get(key, PolyQ.zero(n)) + poly
-        if v.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return VermaVector(n, out)
+        cartan = exps[npos:low]
+        shift = any(cartan)
+        slot = acc.setdefault(exps[:npos], {})
+        for e, a in coeff.items():
+            if shift:
+                e = tuple(map(add, e, cartan))
+            slot[e] = slot.get(e, 0) + c * a
+
+
+def _to_vector(alg: JacobiAlgebra, acc: _Accumulator) -> VermaVector:
+    lowering = (0,) * (len(alg.generators) - alg.num_positive)
+    terms: Dict[PbwMonomial, PolyQ] = {}
+    for raising, slot in acc.items():
+        poly = PolyQ.__new__(PolyQ)  # slot holds Fractions already; drop the zeros only
+        poly.nvars = alg.n
+        poly.terms = {e: c for e, c in slot.items() if c}
+        terms[PbwMonomial(raising + lowering)] = poly
+    return VermaVector(alg.n, terms)
 
 
 def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
-    """Action of a basis generator on a module vector."""
-    alg.bracket(x, x)  # membership check
-    out = VermaVector(alg.n)
-    ix = alg.index[x]
+    """Action of a basis generator on a module vector.
+
+    One ``normal_order`` call per term of v.  Every call adds into one map
+    from raising monomial to L-exponent to coefficient, in which a Cartan
+    factor h^e of a normal-ordered term shifts the exponents of the input
+    coefficient by e; the vector is built once, at the end.
+    """
+    ix = alg.index[alg._check(x)]
+    acc: _Accumulator = {}
     for m, coeff in v.terms.items():
-        u = normal_order(alg, (ix,) + m.word())
-        out = out + _evaluate_on_v0(alg, u).scale(coeff)
-    return out
+        _evaluate_on_v0(alg, normal_order(alg, (ix,) + m.word()), coeff.terms, acc)
+    return _to_vector(alg, acc)
 
 
 def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] = None) -> VermaVector:
     """The vector (product of the word's generators) v0, any input order."""
-    v = _evaluate_on_v0(alg, normal_order(alg, word))
-    return v if coeff is None else v.scale(coeff)
+    if coeff is None:
+        coeff = PolyQ.one(alg.n)
+    acc: _Accumulator = {}
+    _evaluate_on_v0(alg, normal_order(alg, word), coeff.terms, acc)
+    return _to_vector(alg, acc)
 
 
 def act_of_bracket(alg: JacobiAlgebra, br: BracketResult, v: VermaVector) -> VermaVector:

@@ -159,6 +159,24 @@ class TestBracketGolden:
         )
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integer_bracket_matches_table(self, n):
+        # the integer form normal_order reads reproduces every bracket
+        alg = JacobiAlgebra(n)
+        for ix, iy in itertools.product(range(len(alg.generators)), repeat=2):
+            parts = alg.integer_bracket(ix, iy)
+            assert len({word for word, _, _ in parts}) == len(parts)
+            scalar, terms = Fraction(0), {}
+            for word, p, q in parts:
+                assert type(p) is int and type(q) is int and p != 0 and q > 0
+                if word == ():
+                    scalar = Fraction(p, q)
+                else:
+                    (g,) = word
+                    terms[alg.generators[g]] = Fraction(p, q)
+            assert BracketResult(scalar, terms) == alg.bracket_by_index(ix, iy), (ix, iy)
+
+
 def _frac(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 

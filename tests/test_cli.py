@@ -242,6 +242,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_verify_zero_vector_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero vector has no weight\n"
+
+    def test_verify_mixed_weight_vector_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "a+1 + K+[1,1]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: vector mixes weights")
+
     def test_invalid_n_is_2(self, capsys):
         code, _, err = run_cli(capsys, "singular", "--n", "0", "--weight", "0,0")
         assert code == 2

@@ -41,7 +41,7 @@ def uelt(pairs):
 
 def as_rational_dict(u):
     for c in u.terms.values():
-        assert type(c) is Fraction
+        assert type(c) is Fraction and c != 0
     return {m.exps: c for m, c in u.terms.items()}
 
 
@@ -82,6 +82,14 @@ class TestNormalOrderOracle:
             k = rng.randint(4, 6)
             word = tuple(rng.randrange(len(ALG.generators)) for _ in range(k))
             assert as_rational_dict(normal_order(ALG, word)) == insert_normal_order(ALG, word)
+
+    @pytest.mark.parametrize("n, count", [(1, 80), (3, 30)])
+    def test_random_words_of_length_seven_and_eight(self, n, count):
+        alg = JacobiAlgebra(n)
+        rng = random.Random(7000 + n)
+        for _ in range(count):
+            word = tuple(rng.randrange(len(alg.generators)) for _ in range(rng.randint(7, 8)))
+            assert as_rational_dict(normal_order(alg, word)) == insert_normal_order(alg, word), word
 
 
 class TestTermination:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -26,6 +27,7 @@ from jacobiverma.singular import (
 from jacobiverma.textio import render_monomial, report_to_json
 from jacobiverma.verma import VermaVector, act, is_singular
 
+from kac_kazhdan import check_kac_kazhdan
 from oracles import all_negative_rows, evaluate_rows, fraction_kernel, oracle_lift, same_span
 
 ALG = JacobiAlgebra(2)
@@ -373,6 +375,18 @@ def branch_point(rng, nvars, constraints):
     return pt
 
 
+@functools.lru_cache(maxsize=None)
+def desk_reports():
+    """((c1, c2), report) for every nonzero g_2 weight with |coords| <= 3,
+    computed once per session."""
+    return tuple(
+        ((c1, c2), find_singular_vectors(ALG, Weight.of(c1, c2)))
+        for c1 in range(-3, 4)
+        for c2 in range(-3, 4)
+        if (c1, c2) != (0, 0)
+    )
+
+
 class TestCompletenessOracle:
     # The numeric matrix acts with every element of n- on the full ansatz, so
     # these tests rely neither on the sp(n) system nor on its lift.
@@ -381,24 +395,26 @@ class TestCompletenessOracle:
         # every weight with |coords| <= 3: a random weight point admits a
         # nontrivial numeric kernel iff it satisfies some reported branch
         rng = random.Random(20250810)
-        for c1 in range(-3, 4):
-            for c2 in range(-3, 4):
-                w = Weight.of(c1, c2)
-                if w.is_zero:
-                    continue
-                rep = find_singular_vectors(ALG, w)
-                ncols = len(rep.monomials)
-                if ncols == 0:
-                    continue
-                full = all_negative_rows(ALG, rep.monomials)
-                for _ in range(25):
-                    pt = [
-                        Fraction(rng.randint(-20, 20), rng.randint(1, 8))
-                        for _ in range(2)
-                    ]
-                    ker = fraction_kernel(evaluate_rows(full, pt), ncols)
-                    sat = any(br.constraints.satisfied_at(pt) for br in rep.branches)
-                    assert bool(ker) == sat, (c1, c2, pt)
+        for (c1, c2), rep in desk_reports():
+            ncols = len(rep.monomials)
+            if ncols == 0:
+                continue
+            full = all_negative_rows(ALG, rep.monomials)
+            for _ in range(25):
+                pt = [
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 8))
+                    for _ in range(2)
+                ]
+                ker = fraction_kernel(evaluate_rows(full, pt), ncols)
+                sat = any(br.constraints.satisfied_at(pt) for br in rep.branches)
+                assert bool(ker) == sat, (c1, c2, pt)
+
+    def test_desk_scale_reports_obey_kac_kazhdan(self):
+        for coords, rep in desk_reports():
+            try:
+                check_kac_kazhdan(report_to_json(ALG, rep))
+            except AssertionError as exc:
+                raise AssertionError(f"weight {coords}: {exc}") from exc
 
     def test_on_branch_points_match_symbolic_kernel(self):
         rng = random.Random(424242)

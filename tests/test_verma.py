@@ -141,7 +141,54 @@ class TestActAgainstOracle:
         for _ in range(50):
             v = random_vector(rng)
             x = rng.choice(ALG.generators)
-            assert act(ALG, x, v) == oracle_act(ALG, x, v)
+            got = act(ALG, x, v)
+            assert_clean(got)
+            assert got == oracle_act(ALG, x, v)
+
+
+    def test_every_generator_at_n3_on_multiterm_coefficients(self):
+        # g_3 vectors whose coefficients are polynomials of several terms in
+        # L, so that Cartan factors shift every term of a coefficient
+        alg = JacobiAlgebra(3)
+        rng = random.Random(3030)
+        for _ in range(10):
+            v = random_vector_n3(alg, rng)
+            for x in alg.generators:
+                got = act(alg, x, v)
+                assert_clean(got)
+                assert got == oracle_act(alg, x, v), (x, v)
+
+
+def random_vector_n3(alg, rng):
+    """A g_3 vector of one weight, 2 to 3 ansatz monomials of degree <= 3,
+    each with a coefficient of 2 to 3 terms of degree <= 2 in L."""
+    from jacobiverma.pbw import monomial_weight
+    from jacobiverma.singular import enumerate_ansatz
+
+    while True:
+        exps = [0] * len(alg.generators)
+        for _ in range(rng.randint(1, 3)):
+            exps[rng.randrange(alg.num_positive)] += 1
+        mons = enumerate_ansatz(alg, monomial_weight(alg, PbwMonomial(tuple(exps))))
+        if len(mons) >= 2:
+            break
+    terms = {}
+    for m in rng.sample(mons, min(len(mons), rng.randint(2, 3))):
+        coeff = PolyQ.zero(3)
+        while len(coeff.terms) < 2:
+            e = tuple(rng.randint(0, 2) for _ in range(3))
+            if sum(e) <= 2:
+                coeff = coeff + PolyQ(3, {e: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))})
+        terms[m] = coeff
+    return VermaVector(3, terms)
+
+
+def assert_clean(v):
+    """No zero term, and every coefficient of every term a nonzero Fraction."""
+    for m, c in v.terms.items():
+        assert not c.is_zero, m
+        for a in c.terms.values():
+            assert type(a) is Fraction and a != 0, (m, c)
 
 
 class TestRepresentationProperty:
