@@ -10,7 +10,11 @@ prints one JSON object per line.  Times are in seconds, totals of the spans
 of each stage:
 
 * ``assemble``: ``assemble_system``, enumeration included;
-* ``solve``: ``solve_parametric``;
+* ``solve``: ``solve_parametric``, which contains the next two stages;
+* ``eliminate``: ``_eliminate``, the two-phase elimination of every case
+  the solver explores;
+* ``kernel``: ``_kernel_from_pivots``, the fraction-free back-substitution
+  of every case with a kernel;
 * ``lift``: lifting the sp(n) kernel vectors into g_N;
 * ``verify``: ``is_singular`` on every reported vector;
 * ``act`` and ``normal_order``: every call of the action layer, whichever
@@ -32,6 +36,8 @@ STAGES = {
     "total": "singular.find_singular_vectors",
     "assemble": "singular.assemble_system",
     "solve": "singular.solve_parametric",
+    "eliminate": "singular.eliminate",
+    "kernel": "singular.kernel",
     "lift": "singular.lift",
     "verify": "verma.is_singular",
     "act": "verma.act",
@@ -45,6 +51,8 @@ def stage_times(prog, n: int, weight: str) -> dict:
     tracer = Tracer()
     install_tracing(tracer, prog)
     tracer.wrap(prog.singular, "_lift_kernel_vector", "singular.lift")
+    tracer.wrap(prog.singular, "_eliminate", "singular.eliminate")
+    tracer.wrap(prog.singular, "_kernel_from_pivots", "singular.kernel")
     try:
         prog.cli.find_singular_vectors(alg, w)
     finally:

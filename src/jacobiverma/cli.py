@@ -15,7 +15,8 @@ Global flags: ``--format text|latex|json`` (default text), ``--short-names``
 cannot be inferred from the input.
 
 Exit status: 0 on success (including "no singular vector", which is a valid
-answer), 2 on parse errors, 3 when the solver branch budget is exhausted.
+answer), 2 on parse errors and invalid input (such as a branch budget below
+1), 3 when the solver branch budget is exhausted.
 """
 
 from __future__ import annotations
@@ -193,6 +194,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target weight, e.g. 2d1, d1-d2 or 4,4; write --weight=-1,0 when the "
         "first coordinate is negative",
     )
-    p.add_argument("--branch-budget", type=int, default=64)
+    p.add_argument("--branch-budget", type=_positive_int, default=64)
     p.set_defaults(func=_cmd_singular)
 
     p = sub.add_parser(

@@ -20,10 +20,13 @@ target weight w:
    rows; a non-constant pivot spawns one child per vanishing-locus factor,
    while the parent continues with the pivot asserted nonzero;
 4. each explored constraint set with a nontrivial kernel becomes a branch; the
-   kernel is back-substituted over rational functions;
+   kernel is back-substituted fraction-free, so each kernel vector is a
+   polynomial vector, kept primitive (coprime coordinates, the last nonzero
+   one monic);
 5. each kernel vector is lifted through m -> m(K') v0 into the coordinates of
-   the full ansatz and normalized so the last nonzero coordinate (in the
-   ansatz monomial order) is 1;
+   the full ansatz and made primitive again.  That polynomial vector is the
+   reported singular vector; the printed kernel divides it by its last
+   nonzero coordinate (in the ansatz monomial order), so that one reads 1;
 6. every branch with an affine solved form is re-checked against every basis
    element of n- before it is reported.
 
@@ -241,10 +244,15 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
 @dataclass
 class SolutionBranch:
     """One consistent case: constraints on L, kernel basis, and the pivot
-    polynomials asserted nonzero along the way."""
+    polynomials asserted nonzero along the way.
+
+    Each kernel vector is the primitive polynomial vector on its line: its
+    coordinates over Q[L] have no common factor and the last nonzero one is
+    monic.
+    """
 
     constraints: ConstraintSet
-    kernel: List[List[RatFuncQ]]
+    kernel: List[List[PolyQ]]
     genericity: List[PolyQ]
 
 
@@ -473,24 +481,73 @@ def _kernel_from_pivots(
     used: Set[int],
     ncols: int,
     nvars: int,
-) -> List[List[RatFuncQ]]:
+) -> List[List[PolyQ]]:
+    """One primitive kernel vector per free column, by fraction-free
+    back-substitution.
+
+    A constant pivot p sets its coordinate to -s/p, where s is the row's sum
+    over the coordinates already set.  A non-constant pivot instead
+    multiplies those coordinates by p and sets its own to -s, so every
+    coordinate stays a polynomial and the vector keeps its direction.
+    """
     free = [c for c in range(ncols) if c not in used]
-    vectors: List[List[RatFuncQ]] = []
+    zero = PolyQ.zero(nvars)
+    vectors: List[List[PolyQ]] = []
     for f in free:
-        v: List[Optional[RatFuncQ]] = [None] * ncols
+        v: List[Optional[PolyQ]] = [None] * ncols
         for c in free:
-            v[c] = RatFuncQ.one(nvars) if c == f else RatFuncQ.zero(nvars)
+            v[c] = PolyQ.one(nvars) if c == f else zero
         for prow, c in reversed(pivots):
-            s = RatFuncQ.zero(nvars)
+            s = zero
             for j in range(ncols):
                 if j == c or prow[j].is_zero:
                     continue
                 if v[j] is None:
                     raise AssertionError("back-substitution order violated")
-                s = s + RatFuncQ(prow[j]) * v[j]
-            v[c] = -s / RatFuncQ(prow[c])
-        vectors.append(_normalize_kernel_vector([x for x in v]))
+                if not v[j].is_zero:
+                    s = s + prow[j] * v[j]
+            p = prow[c]
+            if p.is_constant:
+                v[c] = s * (-1 / p.constant_value())
+            else:
+                v = [x if x is None or x.is_zero else x * p for x in v]
+                v[c] = -s
+        vectors.append(_primitive(v))
     return vectors
+
+
+def _primitive(vec: List[PolyQ]) -> List[PolyQ]:
+    """The vector divided by the gcd of its coordinates and scaled so that
+    its last nonzero coordinate is monic; a zero vector is returned as is.
+
+    This is the one polynomial vector on its line over Q(L) with coprime
+    coordinates and a monic last coordinate, so it equals what
+    ``_clear_denominators`` makes of ``_normalize_kernel_vector(vec)``.  The
+    gcd chain starts at the last coordinate and stops once it is constant.
+    """
+    nonzero = [p for p in vec if not p.is_zero]
+    if not nonzero:
+        return vec
+    g = nonzero[-1]
+    for p in reversed(nonzero[:-1]):
+        if g.is_constant:
+            break
+        g = poly_gcd(g, p)
+    if not g.is_constant:
+        vec = [p // g for p in vec]
+        nonzero = [p for p in vec if not p.is_zero]
+    _, lc = nonzero[-1].leading()
+    if lc == 1:
+        return vec
+    return [PolyQ(p.nvars, {e: c / lc for e, c in p.terms.items()}) for p in vec]
+
+
+def _ratios(vec: List[PolyQ]) -> List[RatFuncQ]:
+    """Coordinates divided by the last nonzero one: the printed kernel."""
+    last = next((p for p in reversed(vec) if not p.is_zero), None)
+    if last is None:
+        return [RatFuncQ(p) for p in vec]
+    return [RatFuncQ(p, last) for p in vec]
 
 
 def _normalize_kernel_vector(v: List[RatFuncQ]) -> List[RatFuncQ]:
@@ -510,7 +567,10 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
     nonzero on the current case and spawning one child case per vanishing
     factor.  Emits a branch for every case with a nontrivial kernel, then
     prunes cases that are plain specializations of an emitted branch.
+    A budget below 1 is a ``ValueError``.
     """
+    if branch_budget < 1:
+        raise ValueError(f"branch budget must be at least 1, got {branch_budget}")
     nvars = system.nvars
     ncols = len(system.columns)
     if ncols == 0:
@@ -581,12 +641,16 @@ def _prune_branches(branches: List[SolutionBranch]) -> List[SolutionBranch]:
                 continue
             try:
                 specialized = [
-                    _normalize_kernel_vector([x.subs(dict(b.constraints.solved_form)) for x in vec])
+                    _normalize_kernel_vector(
+                        [x.subs(dict(b.constraints.solved_form)) for x in _ratios(vec)]
+                    )
                     for vec in a.kernel
                 ]
             except RingError:
                 continue
-            if _kernel_signature(specialized) == _kernel_signature(b.kernel):
+            if _kernel_signature(specialized) == _kernel_signature(
+                [_ratios(vec) for vec in b.kernel]
+            ):
                 subsumed = True
                 break
         if not subsumed:
@@ -650,22 +714,38 @@ def kernel_vector_to_verma(
     return VermaVector(alg.n, {m: p for m, p in zip(monomials, polys) if not p.is_zero})
 
 
+def _raise_aplus(alg: JacobiAlgebra, i: int, v: VermaVector) -> VermaVector:
+    """a+_i v.  The a+ block leads the PBW order and commutes with itself, so
+    a+_i only raises the a+_i exponent of each monomial."""
+    k = alg.index[Generator(A_PLUS, i)]
+    terms: Dict[PbwMonomial, PolyQ] = {}
+    for m, c in v.terms.items():
+        exps = list(m.exps)
+        exps[k] += 1
+        terms[PbwMonomial(tuple(exps))] = c
+    return VermaVector(alg.n, terms)
+
+
 def _lift_factor(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
     """K' v for a raising sp generator K = x, where K'+_ij = K+_ij - 1/2 a+_i a+_j
     and K'0_ij = K0_ij - 1/2 a+_i a-_j (i < j)."""
-    inner = Generator(A_PLUS, x.j) if x.family == K_PLUS else Generator(A_MINUS, x.j)
-    oscillator = act(alg, Generator(A_PLUS, x.i), act(alg, inner, v))
+    if x.family == K_PLUS:
+        inner = _raise_aplus(alg, x.j, v)
+    else:
+        inner = act(alg, Generator(A_MINUS, x.j), v)
+    oscillator = _raise_aplus(alg, x.i, inner)
     return act(alg, x, v) - oscillator.scale(Fraction(1, 2))
 
 
 def _lift_kernel_vector(
     alg: JacobiAlgebra,
     system: AnsatzSystem,
-    vec: List[RatFuncQ],
+    vec: List[PolyQ],
     constraints: ConstraintSet,
     lifted: Dict[Tuple[int, ...], VermaVector],
-) -> List[RatFuncQ]:
-    """Full-ansatz coordinates of sum_k vec_k m_k(K') v0, normalized.
+) -> List[PolyQ]:
+    """Full-ansatz coordinates of sum_k vec_k m_k(K') v0, reduced modulo the
+    constraints.
 
     ``lifted`` maps words to their vectors, so that the lifts of monomials
     with a common suffix share its work.
@@ -683,19 +763,23 @@ def _lift_kernel_vector(
 
     zero = PolyQ.zero(alg.n)
     full: Dict[PbwMonomial, PolyQ] = {}
-    for m, p in zip(system.columns, _clear_denominators(alg.n, vec)):
+    for m, p in zip(system.columns, vec):
         if p.is_zero:
             continue
         for b, c in lift(m.word()).terms.items():
             full[b] = full.get(b, zero) + c * p
-    coords = [_reduce_poly(full.get(m, zero), constraints) for m in system.ansatz]
-    return _normalize_kernel_vector([RatFuncQ(p) for p in coords])
+    return [_reduce_poly(full.get(m, zero), constraints) for m in system.ansatz]
 
 
 def find_singular_vectors(
     alg: JacobiAlgebra, w: Weight, branch_budget: int = 64
 ) -> WeightReport:
-    """enumerate -> assemble -> solve -> lift -> verify for one target weight."""
+    """enumerate -> assemble -> solve -> lift -> verify for one target weight.
+
+    Each lifted vector is made primitive once; the reported vector is that
+    polynomial vector, and the printed kernel is its coordinates divided by
+    the last nonzero one.
+    """
     if w.is_zero:
         alg_mon = PbwMonomial.unit(alg)
         return WeightReport(w, [alg_mon], [], trivial=True)
@@ -704,10 +788,12 @@ def find_singular_vectors(
     lifted: Dict[Tuple[int, ...], VermaVector] = {}
     reports: List[BranchReport] = []
     for br in solution:
-        kernel = [
-            _lift_kernel_vector(alg, system, vec, br.constraints, lifted) for vec in br.kernel
-        ]
-        vectors = [kernel_vector_to_verma(alg, system.ansatz, vec) for vec in kernel]
+        kernel: List[List[RatFuncQ]] = []
+        vectors: List[VermaVector] = []
+        for vec in br.kernel:
+            coords = _primitive(_lift_kernel_vector(alg, system, vec, br.constraints, lifted))
+            kernel.append(_ratios(coords))
+            vectors.append(VermaVector(alg.n, dict(zip(system.ansatz, coords))))
         if br.constraints.solved_form is None and br.constraints.equations:
             reports.append(BranchReport(br.constraints, kernel, br.genericity, vectors, False, True))
             continue

@@ -237,6 +237,16 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_budget_below_one_is_2(self, capsys, budget):
+        code, out, err = run_cli(
+            capsys,
+            "singular", "--n", "2", "--weight", "2d1", "--branch-budget", budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--branch-budget: must be at least 1" in err
+
     def test_unknown_command_is_2(self, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()

@@ -8,6 +8,7 @@ import pytest
 
 from jacobiverma.algebra import (
     A_MINUS,
+    A_PLUS,
     Generator,
     JacobiAlgebra,
     K_MINUS,
@@ -18,6 +19,7 @@ from jacobiverma.pbw import PbwMonomial
 from jacobiverma.ring import PolyQ, RatFuncQ
 from jacobiverma.singular import (
     BranchBudgetExceededError,
+    _raise_aplus,
     ansatz_sort_key,
     assemble_system,
     enumerate_ansatz,
@@ -273,7 +275,7 @@ class TestSolve:
         # the sp kernel is b+2 alone; the report lifts it to b+2 - 1/2 (a+2)^2
         _, br = one_branch((0, 2))
         assert br.constraints.equations == (L(2) - const(Fraction(1, 4)),)
-        assert br.kernel == [[RatFuncQ(const(1))]]
+        assert br.kernel == [[const(1)]]
         (rb,) = find_singular_vectors(ALG, Weight.of(0, 2)).branches
         assert rb.constraints == br.constraints
         assert rb.kernel == [[RatFuncQ(const(-2)), RatFuncQ(const(1))]]
@@ -281,7 +283,7 @@ class TestSolve:
     def test_weight_d1_minus_d2(self):
         _, br = one_branch((1, -1))
         assert br.constraints.equations == (L(2) - L(1),)
-        assert br.kernel == [[RatFuncQ(const(1))]]
+        assert br.kernel == [[const(1)]]
 
     @pytest.mark.parametrize("coords", [(1, 0), (0, 1), (0, 3)])
     def test_no_branches(self, coords):
@@ -294,11 +296,23 @@ class TestSolve:
             solve_parametric(sys_, branch_budget=1)
         assert err.value.unexplored
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected(self, budget):
+        sys_ = assemble_system(ALG, Weight.of(2, 0))
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_parametric(sys_, branch_budget=budget)
+
     def test_kernel_normalization(self):
+        # the sp kernel is a primitive polynomial vector with a monic last
+        # coordinate, here 1
         _, br = one_branch((2, 0))
-        vec = br.kernel[0]
-        last = [x for x in vec if not x.is_zero][-1]
-        assert last == RatFuncQ.one(2)
+        (vec,) = br.kernel
+        assert all(type(x) is PolyQ for x in vec)
+        assert vec == [
+            L(2) ** 2 - 2 * L(2) + const(Fraction(15, 16)),
+            const(Fraction(5, 2)) - 2 * L(2),
+            PolyQ.one(2),
+        ]
 
 
 # frozen kernels: derived by row-reducing the hand-computed condition systems,
@@ -318,6 +332,25 @@ EXPECTED_D1D2 = [
     2 * L(1) - const(Fraction(3, 2)),
     const(1),
 ]
+
+
+class TestRaiseAplus:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_act(self, n):
+        alg = JacobiAlgebra(n)
+        rng = random.Random(1000 + n)
+        for _ in range(15):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * len(alg.generators)
+                for _ in range(rng.randint(0, 4)):
+                    exps[rng.randrange(alg.num_positive)] += 1
+                mono = tuple(rng.randint(0, 2) for _ in range(n))
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                terms[PbwMonomial(tuple(exps))] = PolyQ(n, {mono: c})
+            v = VermaVector(n, terms)
+            for i in range(1, n + 1):
+                assert _raise_aplus(alg, i, v) == act(alg, G(A_PLUS, i), v)
 
 
 class TestFindSingularVectors:

@@ -8,6 +8,7 @@ the certified rank."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +17,11 @@ from jacobiverma.ring import PolyQ, RatFuncQ
 from jacobiverma.singular import (
     SystemRow,
     AnsatzSystem,
+    _clear_denominators,
     _eliminate,
     _kernel_from_pivots,
+    _normalize_kernel_vector,
+    _primitive,
     _reduce_poly,
     _split_factors,
     find_singular_vectors,
@@ -128,10 +132,11 @@ class TestEliminate:
         pivots, used, nonconstant = _eliminate(matrix, ncols, 2)
         kernel = _kernel_from_pivots(pivots, used, ncols, 2)
         for vec in kernel:
+            assert all(type(x) is PolyQ for x in vec)
             for row in matrix:
-                total = RatFuncQ.zero(2)
+                total = PolyQ.zero(2)
                 for e, x in zip(row, vec):
-                    total = total + RatFuncQ(e) * x
+                    total = total + e * x
                 assert total.is_zero
         assume(all(p.eval_all(point) != 0 for p in nonconstant))
         numeric = [[e.eval_all(point) for e in row] for row in matrix]
@@ -145,6 +150,61 @@ class TestEliminate:
         assert pivots[1] == ([zero, L(1), L(1) * L(2)], 1)
         assert used == {0, 1}
         assert nonconstant == [L(1)]
+
+    def test_kernel_through_a_nonconstant_pivot(self):
+        # phase 1 pivots on the 1 in column 1; phase 2 on 2 L1 in column 0.
+        # Back-substitution multiplies by 2 L1, which the primitive
+        # representative divides out again.
+        matrix = [[2 * L(1), L(2) + const(1), const(0)], [const(0), const(1), L(1) * L(2)]]
+        pivots, used, nonconstant = _eliminate(matrix, 3, 2)
+        assert nonconstant == [2 * L(1)]
+        (vec,) = _kernel_from_pivots(pivots, used, 3, 2)
+        assert vec == [Fraction(1, 2) * (L(2) + const(1)) * L(2), -L(1) * L(2), const(1)]
+        rng = random.Random(20261018)
+        for _ in range(20):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+            if pt[0] == 0:
+                continue
+            ker = fraction_kernel(evaluate_rows(matrix, pt), 3)
+            assert same_span([[x.eval_all(pt) for x in vec]], ker, 3)
+
+
+_vector_entry = st.one_of(st.just(const(0)), _entry, _entry)
+
+
+class TestPrimitive:
+    """``_primitive`` agrees with the rational-function route: divide by the
+    last nonzero coordinate, then clear denominators."""
+
+    @staticmethod
+    def _via_fractions(vec):
+        return _clear_denominators(2, _normalize_kernel_vector([RatFuncQ(p) for p in vec]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_vector_entry, min_size=1, max_size=4), st.sampled_from([0, 1, 2, 3]))
+    def test_matches_the_rational_function_route(self, vec, k):
+        # multiplying by a common non-constant factor must not change the result
+        factor = [const(1), L(1) - const(2), -3 * L(2) * L(1) + const(1), const(-5)][k]
+        scaled = [p * factor for p in vec]
+        assert _primitive(scaled) == self._via_fractions(vec) == _primitive(vec)
+
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [const(0), L(1), const(0)],
+            [L(2), const(-3)],
+            [const(2), const(0), -2 * L(1) + const(4), const(0)],
+            [(L(1) + L(2)) * L(1), -(L(1) + L(2)) * const(6)],
+            [L(1) * L(2), const(0), 3 * L(1) ** 2, -6 * L(1) * (L(2) - const(1))],
+            [const(0), const(0)],
+        ],
+    )
+    def test_edge_cases(self, vec):
+        got = _primitive(vec)
+        assert got == self._via_fractions(vec)
+        nonzero = [p for p in got if not p.is_zero]
+        if nonzero:
+            assert nonzero[-1] == nonzero[-1].monic()
 
 
 class TestSyntheticSolve:
@@ -162,7 +222,7 @@ class TestSyntheticSolve:
         eqs = sorted(tuple(p.to_text() for p in b.constraints.equations) for b in branches)
         assert eqs == [("L2 - 1",), ("L2 - 2",)]
         for b in branches:
-            assert b.kernel == [[__import__("jacobiverma.ring", fromlist=["RatFuncQ"]).RatFuncQ.one(2)]]
+            assert b.kernel == [[PolyQ.one(2)]]
 
     def test_two_variable_case_tree(self):
         # diag(L1, L2): kernel on each axis, dimension jump at the origin
