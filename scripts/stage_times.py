@@ -3,12 +3,14 @@
 
 Usage: python3 scripts/stage_times.py N WEIGHT [WEIGHT ...]
 
-For each weight, builds a fresh ``JacobiAlgebra(N)``, runs one
-``find_singular_vectors`` call with the benchmark's layer wrappers
+For each weight, builds a fresh ``JacobiAlgebra(N)`` and runs one
+``find_singular_vectors`` call, both with the benchmark's layer wrappers
 installed (``perfbench/spans.py`` and ``perfbench/workloads.py``), and
 prints one JSON object per line.  Times are in seconds, totals of the spans
 of each stage:
 
+* ``init``: the ``JacobiAlgebra(N)`` construction that every ``jv singular``
+  call makes before the search; ``total`` does not include it;
 * ``assemble``: ``assemble_system``, enumeration included;
 * ``solve``: ``solve_parametric``, which contains the next two stages;
 * ``eliminate``: ``_eliminate``, the two-phase elimination of every case
@@ -33,6 +35,7 @@ from spans import Tracer, summarize  # noqa: E402
 from workloads import install_tracing, load_program  # noqa: E402
 
 STAGES = {
+    "init": "algebra.init",
     "total": "singular.find_singular_vectors",
     "assemble": "singular.assemble_system",
     "solve": "singular.solve_parametric",
@@ -46,7 +49,6 @@ STAGES = {
 
 
 def stage_times(prog, n: int, weight: str) -> dict:
-    alg = prog.algebra.JacobiAlgebra(n)
     w = prog.textio.parse_weight(weight, n)
     tracer = Tracer()
     install_tracing(tracer, prog)
@@ -54,6 +56,7 @@ def stage_times(prog, n: int, weight: str) -> dict:
     tracer.wrap(prog.singular, "_eliminate", "singular.eliminate")
     tracer.wrap(prog.singular, "_kernel_from_pivots", "singular.kernel")
     try:
+        alg = prog.cli.JacobiAlgebra(n)
         prog.cli.find_singular_vectors(alg, w)
     finally:
         tracer.restore()

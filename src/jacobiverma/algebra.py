@@ -9,9 +9,13 @@ Basis families:
 * ``K0``: the mixed sp(n) generators K^0_{ij}; K^0_{ii} = h_i span the
   Cartan subalgebra, K^0_{ij} with i < j are raising, i > j lowering.
 
-All structure constants are generated from the Kronecker-delta formulas for
-the two defining families of relations (Heisenberg x sp crossing, sp x sp),
-never entered per pair, so the implementation is uniform in n.
+All structure constants are integer multiples of 1/2, given by
+Kronecker-delta formulas uniform in n (Heisenberg x Heisenberg, Heisenberg x
+sp crossing, sp x sp).  They are written once, as the integer kernel
+``half_bracket`` on (family, i, j) keys; ``JacobiAlgebra`` tabulates its
+integer form lazily, pair by pair, for normal ordering, and ``bracket``,
+``JacobiAlgebra.bracket`` and ``bracket_by_index`` turn a kernel value into a
+``BracketResult`` of ``Fraction``s.
 
 Weights are recorded in the delta-basis normalized by delta_i(h_j) =
 (1/2) delta_ij; equivalently, the j-th weight coordinate of a generator g is
@@ -26,7 +30,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 A_PLUS = "a+"
 A_MINUS = "a-"
@@ -76,12 +80,6 @@ class Generator:
 
     def max_index(self) -> int:
         return max(self.i, self.j)
-
-
-def _canonical_kpm(family: str, i: int, j: int) -> Generator:
-    if i > j:
-        i, j = j, i
-    return Generator(family, i, j)
 
 
 class GenClass(enum.Enum):
@@ -193,123 +191,105 @@ class BracketResult:
 # (replacement word, numerator, denominator) is one term of [x, y].
 IntegerBracket = Tuple[Tuple[Tuple[int, ...], int, int], ...]
 
+# A basis element as the plain tuple (family, i, j) of its Generator fields.
+Key = Tuple[str, int, int]
+# [x, y] in units of 1/2: (2 * scalar, ((key, 2 * coefficient), ...)).
+HalfBracket = Tuple[int, Tuple[Tuple[Key, int], ...]]
 
-def _delta(a: int, b: int) -> Fraction:
-    return Fraction(1) if a == b else Fraction(0)
+
+def _key(g: Generator) -> Key:
+    return (g.family, g.i, g.j)
 
 
-def _combine(*pairs) -> BracketResult:
-    terms: Dict[Generator, Fraction] = {}
-    for coeff, gen in pairs:
-        if coeff == 0:
-            continue
-        terms[gen] = terms.get(gen, Fraction(0)) + coeff
-        if terms[gen] == 0:
-            del terms[gen]
-    return BracketResult(Fraction(0), terms)
+def _delta(a: int, b: int) -> int:
+    return 1 if a == b else 0
+
+
+def _kpm(family: str, i: int, j: int) -> Key:
+    return (family, i, j) if i <= j else (family, j, i)
+
+
+def _terms(*pairs) -> HalfBracket:
+    """A bracket without scalar part; equal keys are merged, zeros dropped."""
+    terms: Dict[Key, int] = {}
+    for key, c in pairs:
+        if c:
+            total = terms.get(key, 0) + c
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+    return 0, tuple(terms.items())
+
+
+# One orientation of every nonzero family pair, (i, j) of x then (k, l) of y,
+# as twice the Kronecker-delta formula; the reversed pairs follow by
+# antisymmetry, and the six pairs missing in both orientations bracket to 0:
+# a+ a+, a- a-, a+ K+, a- K-, K+ K+, K- K-.
+_HALF_FORMULAS = {
+    # [a-_i, a+_k] = d_ik
+    (A_MINUS, A_PLUS): lambda i, j, k, l: (2 * _delta(i, k), ()),
+    # [a-_i, K+_kl] = 1/2 d_ik a+_l + 1/2 d_il a+_k
+    (A_MINUS, K_PLUS): lambda i, j, k, l: _terms(
+        ((A_PLUS, l, 0), _delta(i, k)), ((A_PLUS, k, 0), _delta(i, l))
+    ),
+    # [K-_ij, a+_k] = 1/2 d_ki a-_j + 1/2 d_kj a-_i
+    (K_MINUS, A_PLUS): lambda i, j, k, l: _terms(
+        ((A_MINUS, j, 0), _delta(k, i)), ((A_MINUS, i, 0), _delta(k, j))
+    ),
+    # [K0_ij, a+_k] = 1/2 d_jk a+_i
+    (K_ZERO, A_PLUS): lambda i, j, k, l: _terms(((A_PLUS, i, 0), _delta(j, k))),
+    # [a-_i, K0_kl] = 1/2 d_ki a-_l
+    (A_MINUS, K_ZERO): lambda i, j, k, l: _terms(((A_MINUS, l, 0), _delta(k, i))),
+    # 2[K-_ij, K0_kl] = K-_il d_kj + K-_jl d_ki
+    (K_MINUS, K_ZERO): lambda i, j, k, l: _terms(
+        (_kpm(K_MINUS, i, l), _delta(k, j)), (_kpm(K_MINUS, j, l), _delta(k, i))
+    ),
+    # 2[K-_ij, K+_kl] = K0_kj d_li + K0_lj d_ki + K0_ki d_lj + K0_li d_kj
+    (K_MINUS, K_PLUS): lambda i, j, k, l: _terms(
+        ((K_ZERO, k, j), _delta(l, i)),
+        ((K_ZERO, l, j), _delta(k, i)),
+        ((K_ZERO, k, i), _delta(l, j)),
+        ((K_ZERO, l, i), _delta(k, j)),
+    ),
+    # 2[K+_ij, K0_kl] = -K+_ik d_jl - K+_jk d_li
+    (K_PLUS, K_ZERO): lambda i, j, k, l: _terms(
+        (_kpm(K_PLUS, i, k), -_delta(j, l)), (_kpm(K_PLUS, j, k), -_delta(l, i))
+    ),
+    # 2[K0_ij, K0_kl] = K0_il d_kj - K0_kj d_li
+    (K_ZERO, K_ZERO): lambda i, j, k, l: _terms(
+        ((K_ZERO, i, l), _delta(k, j)), ((K_ZERO, k, j), -_delta(l, i))
+    ),
+}
+
+
+def half_bracket(x: Key, y: Key) -> HalfBracket:
+    """[x, y] of two basis keys in units of 1/2, with plain ints only.
+
+    The single source of the structure constants: every bracket of the
+    package, ``Fraction`` or integer, is read from here.  K+/K- keys in the
+    result are canonical (i <= j), and a key occurs at most once.
+    """
+    formula = _HALF_FORMULAS.get((x[0], y[0]))
+    if formula is not None:
+        return formula(x[1], x[2], y[1], y[2])
+    formula = _HALF_FORMULAS.get((y[0], x[0]))
+    if formula is None:
+        return 0, ()
+    scalar, terms = formula(y[1], y[2], x[1], x[2])
+    return -scalar, tuple((key, -c) for key, c in terms)
+
+
+def _bracket_result(half: HalfBracket, generator: Callable[[Key], Generator]) -> BracketResult:
+    scalar, terms = half
+    return BracketResult(
+        Fraction(scalar, 2), {generator(key): Fraction(c, 2) for key, c in terms}
+    )
 
 
 def bracket(x: Generator, y: Generator) -> BracketResult:
-    """[x, y] as scalar + linear combination of basis generators.
-
-    Implements the canonical commutation relations, the action of sp(n) on
-    the Heisenberg ideal, and the sp(n) relations; every case is evaluated
-    from the Kronecker-delta form, with K+/K- results re-canonicalized.
-    """
-    fx, fy = x.family, y.family
-
-    # Heisenberg x Heisenberg
-    if fx == A_MINUS and fy == A_PLUS:
-        return BracketResult(_delta(x.i, y.i))
-    if fx == A_PLUS and fy == A_MINUS:
-        return BracketResult(-_delta(x.i, y.i))
-    if fx in (A_PLUS, A_MINUS) and fy in (A_PLUS, A_MINUS):
-        return BracketResult()
-
-    # Heisenberg x sp crossings: [a+, K+] = [a-, K-] = 0
-    if {fx, fy} == {A_PLUS, K_PLUS} or {fx, fy} == {A_MINUS, K_MINUS}:
-        return BracketResult()
-
-    # [a-_i, K+_{kj}] = 1/2 d_ik a+_j + 1/2 d_ij a+_k
-    if fx == A_MINUS and fy == K_PLUS:
-        i, k, j = x.i, y.i, y.j
-        return _combine(
-            (Fraction(1, 2) * _delta(i, k), Generator(A_PLUS, j)),
-            (Fraction(1, 2) * _delta(i, j), Generator(A_PLUS, k)),
-        )
-    if fx == K_PLUS and fy == A_MINUS:
-        return -bracket(y, x)
-
-    # [K-_{kj}, a+_i] = 1/2 d_ik a-_j + 1/2 d_ij a-_k
-    if fx == K_MINUS and fy == A_PLUS:
-        k, j, i = x.i, x.j, y.i
-        return _combine(
-            (Fraction(1, 2) * _delta(i, k), Generator(A_MINUS, j)),
-            (Fraction(1, 2) * _delta(i, j), Generator(A_MINUS, k)),
-        )
-    if fx == A_PLUS and fy == K_MINUS:
-        return -bracket(y, x)
-
-    # [K0_{ij}, a+_k] = 1/2 d_jk a+_i
-    if fx == K_ZERO and fy == A_PLUS:
-        i, j, k = x.i, x.j, y.i
-        return _combine((Fraction(1, 2) * _delta(j, k), Generator(A_PLUS, i)))
-    if fx == A_PLUS and fy == K_ZERO:
-        return -bracket(y, x)
-
-    # [a-_k, K0_{ij}] = 1/2 d_ik a-_j
-    if fx == A_MINUS and fy == K_ZERO:
-        k, i, j = x.i, y.i, y.j
-        return _combine((Fraction(1, 2) * _delta(i, k), Generator(A_MINUS, j)))
-    if fx == K_ZERO and fy == A_MINUS:
-        return -bracket(y, x)
-
-    # sp x sp
-    if fx == fy and fx in (K_PLUS, K_MINUS):
-        return BracketResult()
-
-    # 2[K-_{ij}, K0_{kl}] = K-_{il} d_kj + K-_{jl} d_ki
-    if fx == K_MINUS and fy == K_ZERO:
-        i, j, k, l = x.i, x.j, y.i, y.j
-        return _combine(
-            (Fraction(1, 2) * _delta(k, j), _canonical_kpm(K_MINUS, i, l)),
-            (Fraction(1, 2) * _delta(k, i), _canonical_kpm(K_MINUS, j, l)),
-        )
-    if fx == K_ZERO and fy == K_MINUS:
-        return -bracket(y, x)
-
-    # 2[K-_{ij}, K+_{kl}] = K0_{kj} d_li + K0_{lj} d_ki + K0_{ki} d_lj + K0_{li} d_kj
-    if fx == K_MINUS and fy == K_PLUS:
-        i, j, k, l = x.i, x.j, y.i, y.j
-        return _combine(
-            (Fraction(1, 2) * _delta(l, i), Generator(K_ZERO, k, j)),
-            (Fraction(1, 2) * _delta(k, i), Generator(K_ZERO, l, j)),
-            (Fraction(1, 2) * _delta(l, j), Generator(K_ZERO, k, i)),
-            (Fraction(1, 2) * _delta(k, j), Generator(K_ZERO, l, i)),
-        )
-    if fx == K_PLUS and fy == K_MINUS:
-        return -bracket(y, x)
-
-    # 2[K+_{ij}, K0_{kl}] = -K+_{ik} d_jl - K+_{jk} d_li
-    if fx == K_PLUS and fy == K_ZERO:
-        i, j, k, l = x.i, x.j, y.i, y.j
-        return _combine(
-            (-Fraction(1, 2) * _delta(j, l), _canonical_kpm(K_PLUS, i, k)),
-            (-Fraction(1, 2) * _delta(l, i), _canonical_kpm(K_PLUS, j, k)),
-        )
-    if fx == K_ZERO and fy == K_PLUS:
-        return -bracket(y, x)
-
-    # 2[K0_{ji}, K0_{kl}] = K0_{jl} d_ki - K0_{ki} d_lj  (left generator K0_{pq}: p=j, q=i)
-    if fx == K_ZERO and fy == K_ZERO:
-        j, i = x.i, x.j
-        k, l = y.i, y.j
-        return _combine(
-            (Fraction(1, 2) * _delta(k, i), Generator(K_ZERO, j, l)),
-            (-Fraction(1, 2) * _delta(l, j), Generator(K_ZERO, k, i)),
-        )
-
-    raise AssertionError(f"unhandled bracket case {fx}, {fy}")
+    """[x, y] as scalar + linear combination of basis generators, for any n."""
+    return _bracket_result(half_bracket(_key(x), _key(y)), lambda key: Generator(*key))
 
 
 def _ordered_basis(n: int) -> List[Generator]:
@@ -322,13 +302,18 @@ def _ordered_basis(n: int) -> List[Generator]:
 
 
 class JacobiAlgebra:
-    """The Jacobi algebra g_n with its canonical ordered basis and bracket table.
+    """The Jacobi algebra g_n with its canonical ordered basis.
 
     The global order is positives, then Cartan, then negatives; positives run
     a+ (by index), K+ (index-lex), raising K0 (index-lex), and negatives
     mirror the positives in the same sequence.  This is the factor order used
     for PBW normal forms, chosen so that words acting on a lowest-weight
     vector end in annihilators.
+
+    Weights and the Lie generators of n- are read from ``half_bracket`` at
+    construction.  The integer bracket table that normal ordering reads is
+    filled from the same kernel on first use of each pair, so an algebra
+    costs only what its computation touches.
     """
 
     def __init__(self, n: int):
@@ -341,11 +326,10 @@ class JacobiAlgebra:
         self.positive = self.generators[: self.num_positive]
         self.cartan = self.generators[self.num_positive : self.num_positive + n]
         self.negative = self.generators[self.num_positive + n :]
-        self._table: Dict[Tuple[int, int], BracketResult] = {}
+        self._keys: List[Key] = [_key(g) for g in self.generators]
+        self._key_index: Dict[Key, int] = {key: k for k, key in enumerate(self._keys)}
         self._integer_table: Dict[Tuple[int, int], IntegerBracket] = {}
-        self._weights: List[Weight] = []
-        for g in self.generators:
-            self._weights.append(self._weight_from_table(g))
+        self._weights: List[Weight] = [self._weight_from_kernel(key) for key in self._keys]
         self.lowering_generators: List[Generator] = self._lie_generators_of_negative()
 
     # -- membership --------------------------------------------------------
@@ -368,24 +352,23 @@ class JacobiAlgebra:
         return self.bracket_by_index(ix, iy)
 
     def bracket_by_index(self, ix: int, iy: int) -> BracketResult:
-        key = (ix, iy)
-        cached = self._table.get(key)
-        if cached is None:
-            cached = bracket(self.generators[ix], self.generators[iy])
-            self._table[key] = cached
-        return cached
+        generators, index = self.generators, self._key_index
+        return _bracket_result(
+            half_bracket(self._keys[ix], self._keys[iy]), lambda key: generators[index[key]]
+        )
 
     def integer_bracket(self, ix: int, iy: int) -> IntegerBracket:
         """``bracket_by_index(ix, iy)`` as (replacement, numerator, denominator)
-        triples: the scalar part replaces the pair x y by the empty word, a
-        generator term by that generator's index alone."""
+        triples in lowest terms: the scalar part replaces the pair x y by the
+        empty word, a generator term by that generator's index alone.  Filled
+        lazily from ``half_bracket``, one pair at a time."""
         key = (ix, iy)
         cached = self._integer_table.get(key)
         if cached is None:
-            br = self.bracket_by_index(ix, iy)
-            parts = [((), br.scalar)] if br.scalar != 0 else []
-            parts += [((self.index[g],), c) for g, c in br.terms.items()]
-            cached = tuple((word, c.numerator, c.denominator) for word, c in parts)
+            scalar, terms = half_bracket(self._keys[ix], self._keys[iy])
+            parts = [((), scalar)] if scalar else []
+            parts += [((self._key_index[k],), c) for k, c in terms]
+            cached = tuple((word, c, 2) if c % 2 else (word, c // 2, 1) for word, c in parts)
             self._integer_table[key] = cached
         return cached
 
@@ -396,18 +379,15 @@ class JacobiAlgebra:
     def weight(self, g: Generator) -> Weight:
         return self._weights[self.index[self._check(g)]]
 
-    def _weight_from_table(self, g: Generator) -> Weight:
+    def _weight_from_kernel(self, key: Key) -> Weight:
+        # the j-th coordinate is twice the ad h_j eigenvalue, i.e. the
+        # coefficient of the element itself in [h_j, -] in units of 1/2
         coords = []
         for j in range(1, self.n + 1):
-            h_j = Generator(K_ZERO, j, j)
-            br = bracket(h_j, g)
-            if br.scalar != 0:
-                raise RuntimeError(f"ad h_{j} produced a scalar on {g}")
-            extra = {z for z in br.terms if z != g}
-            if extra:
-                raise RuntimeError(f"{g} is not an eigenvector of ad h_{j}")
-            eigen = br.terms.get(g, Fraction(0))
-            coords.append(2 * eigen)
+            scalar, terms = half_bracket((K_ZERO, j, j), key)
+            if scalar or any(k != key for k, _ in terms):
+                raise RuntimeError(f"{key} is not an eigenvector of ad h_{j}")
+            coords.append(Fraction(terms[0][1] if terms else 0))
         return Weight(tuple(coords))
 
     def _lie_generators_of_negative(self) -> List[Generator]:
@@ -419,10 +399,11 @@ class JacobiAlgebra:
         nilpotent they generate n- as a Lie algebra: a^-_n, K^-_{nn} and the
         K^0_{i+1,i}.  A vector killed by each of them is killed by all of n-.
         """
+        keys = self._keys[len(self.generators) - len(self.negative) :]
         derived = set()
-        for x, y in combinations(self.negative, 2):
-            derived.update(bracket(x, y).terms)
-        return [g for g in self.negative if g not in derived]
+        for x, y in combinations(keys, 2):
+            derived.update(key for key, _ in half_bracket(x, y)[1])
+        return [g for g, key in zip(self.negative, keys) if key not in derived]
 
     @property
     def sp_lowering_generators(self) -> List[Generator]:

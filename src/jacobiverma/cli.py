@@ -72,12 +72,17 @@ def _infer_n(*strings: str) -> int:
     return n
 
 
+def _dimension(args, *strings: str) -> int:
+    """``--n`` when given, whatever its value, else the inferred dimension."""
+    return args.n if args.n is not None else _infer_n(*strings)
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
 def _cmd_bracket(args) -> int:
-    n = args.n or _infer_n(args.x, args.y)
+    n = _dimension(args, args.x, args.y)
     alg = JacobiAlgebra(n)
     x = parse_generator(args.x, n)
     y = parse_generator(args.y, n)
@@ -96,7 +101,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_normal_order(args) -> int:
-    n = args.n or _infer_n(args.word)
+    n = _dimension(args, args.word)
     alg = JacobiAlgebra(n)
     word = parse_word(args.word, n)
     u = normal_order(alg, word)
@@ -110,7 +115,7 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    n = args.n or _infer_n(args.x, args.vector)
+    n = _dimension(args, args.x, args.vector)
     alg = JacobiAlgebra(n)
     x = parse_generator(args.x, n)
     v = parse_vector(args.vector, alg)
@@ -161,7 +166,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = args.n or _infer_n(args.vector, args.constraints or "")
+    n = _dimension(args, args.vector, args.constraints or "")
     alg = JacobiAlgebra(n)
     v = parse_vector(args.vector, alg)
     vector_weight(alg, v)  # a zero or mixed-weight vector is an input error

@@ -9,13 +9,15 @@ or hands off to strictly shorter words (the bracket remainder), so the
 rewriting terminates; by the PBW theorem the normal form is independent of
 the strategy.
 
-The structure constants are rational, with small denominators, so no other
-number can arise.  While rewriting, each word carries an integer numerator
-and denominator (``JacobiAlgebra.integer_bracket``); the words that reach
-normal form are summed per denominator, and each monomial of the result gets
-one ``fractions.Fraction`` at the end.  ``UElement`` coefficients are nonzero
-``Fraction``s.  Dependence on the weight enters only when the module
-evaluates Cartan factors (``verma``).
+The structure constants are integer multiples of 1/2, so every coefficient
+of a normal form is a rational with a power of 2 as denominator.  While
+rewriting, each word carries an integer numerator and denominator,
+multiplied by the lowest-terms halves of ``JacobiAlgebra.integer_bracket``,
+which reads the integer kernel ``algebra.half_bracket``; the words that
+reach normal form are summed per denominator, and each monomial of the
+result gets one ``fractions.Fraction`` at the end.  ``UElement``
+coefficients are nonzero ``Fraction``s.  Dependence on the weight enters
+only when the module evaluates Cartan factors (``verma``).
 """
 
 from __future__ import annotations

@@ -268,6 +268,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "singular", "--n", "0", "--weight", "0,0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bracket", "a+1", "a-1"],
+            ["normal-order", "a-1 a+1"],
+            ["act", "a-1", "a+1"],
+            ["verify", "a+1"],
+        ],
+        ids=["bracket", "normal-order", "act", "verify"],
+    )
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_explicit_n_below_one_is_2(self, capsys, argv, n):
+        # an explicit --n is never replaced by the inferred dimension
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: algebra dimension parameter must be >= 1, got {n}\n"
+
 
 class TestDeterminism:
     def test_byte_identical_invocations(self, capsys):
