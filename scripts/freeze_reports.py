@@ -3,7 +3,8 @@
 
 Each ``jv singular --format json`` report is written to
 ``tests/golden/reports/<name>.json``, and each ``jv normal-order``/``jv act``
-output, and ``jv singular`` in the formats that render vectors, to
+output, ``jv singular`` in the formats that render vectors and ``jv verify``
+in text and json, to
 ``tests/golden/cli/<name>.<format>``, as the exact bytes the command
 prints on stdout, so later versions can be diffed against them byte for byte
 (``tests/test_golden_reports.py``).  The arguments of every CLI file are
@@ -63,6 +64,36 @@ VECTOR_CASES = {
 }
 VECTOR_FORMATS = ("text", "latex")
 
+# ``jv verify`` verdicts: a singular vector under a fixed value, a vector whose
+# coefficients mention the variable a relation solves for, the same vector
+# under a constraint that leaves some generators failing, a nonlinear
+# constraint set that cannot be verified, and a g_3 vector under a relation.
+VERIFY_CASES = {
+    "g2_verify_fixed": ["verify", "(a+2)^2 - 2 b+2", "--constraints", "L2 = 1/4"],
+    "g2_verify_relation": [
+        "verify",
+        "(4 L2 - 3) c+ - 2 b+2 d+ + (3/2 - 2 L2) a+1 a+2 + (a+2)^2 d+",
+        "--constraints",
+        "L2 + L1 = 3/2",
+    ],
+    "g2_verify_partial": [
+        "verify",
+        "(4 L2 - 3) c+ - 2 b+2 d+ + (3/2 - 2 L2) a+1 a+2 + (a+2)^2 d+",
+        "--constraints",
+        "L1 = 1/2",
+    ],
+    "g2_verify_nonlinear": ["verify", "(a+2)^2 - 2 b+2", "--constraints", "L2^2 = 1/16"],
+    "g3_verify_relation": [
+        "verify",
+        "--n",
+        "3",
+        "(L2 - L3) K0[1,3] - K0[1,2] K0[2,3]",
+        "--constraints",
+        "L3 = L1 - 1/2",
+    ],
+}
+VERIFY_FORMATS = ("text", "json")
+
 
 def stdout_bytes(argv) -> bytes:
     out = StringIO()
@@ -89,6 +120,9 @@ def main() -> int:
             argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
     for name, argv in VECTOR_CASES.items():
         for fmt in VECTOR_FORMATS:
+            argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in VERIFY_CASES.items():
+        for fmt in VERIFY_FORMATS:
             argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
     for fname, argv in argvs.items():
         (CLI / fname).write_bytes(stdout_bytes(argv))

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Per-stage times of one ``find_singular_vectors`` call, as JSON.
 
-Usage: python3 scripts/stage_times.py N WEIGHT [WEIGHT ...]
+Usage: python3 scripts/stage_times.py [--repeat K] N WEIGHT [WEIGHT ...]
 
 For each weight, builds a fresh ``JacobiAlgebra(N)`` and runs one
 ``find_singular_vectors`` call, both with the benchmark's layer wrappers
 installed (``perfbench/spans.py`` and ``perfbench/workloads.py``), and
-prints one JSON object per line.  Times are in seconds, totals of the spans
-of each stage:
+prints one JSON object per line.  With ``--repeat K`` it does so K times
+per weight, each time on a fresh algebra, and prints the median of each
+stage over the K runs, with ``"repeat": K``; the default, 1, prints the
+single run.  Times are in seconds, totals of the spans of each stage:
 
 * ``init``: the ``JacobiAlgebra(N)`` construction that every ``jv singular``
   call makes before the search; ``total`` does not include it;
@@ -18,14 +20,17 @@ of each stage:
 * ``kernel``: ``_kernel_from_pivots``, the fraction-free back-substitution
   of every case with a kernel;
 * ``lift``: lifting the sp(n) kernel vectors into g_N;
-* ``verify``: ``is_singular`` on every reported vector;
-* ``act`` and ``normal_order``: every call of the action layer, whichever
-  stage made it, with their call counts.
+* ``verify``: ``is_singular`` on every reported vector, which acts with
+  every element of n- through the module kernel of ``verma`` rather than
+  through ``act``, so these acts count here and not under ``act``;
+* ``act`` and ``normal_order``: every call of ``act`` and of
+  ``normal_order``, whichever stage made it, with their call counts.
 
 The program is imported from this checkout's ``src/``.
 """
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -61,21 +66,36 @@ def stage_times(prog, n: int, weight: str) -> dict:
     finally:
         tracer.restore()
     total, _, calls = summarize(tracer.spans)
-    out = {"n": n, "weight": weight}
-    out.update({f"{k}_s": round(total.get(name, 0.0), 4) for k, name in STAGES.items()})
+    out = {f"{k}_s": total.get(name, 0.0) for k, name in STAGES.items()}
     out["act_calls"] = calls.get("verma.act", 0)
     out["normal_order_calls"] = calls.get("pbw.normal_order", 0)
     return out
 
 
+def median_stage_times(prog, n: int, weight: str, repeat: int) -> dict:
+    runs = [stage_times(prog, n, weight) for _ in range(repeat)]
+    out = {"n": n, "weight": weight}
+    if repeat > 1:
+        out["repeat"] = repeat
+    for key in runs[0]:
+        value = statistics.median(run[key] for run in runs)
+        out[key] = round(value, 4) if key.endswith("_s") else value
+    return out
+
+
 def main(argv) -> int:
-    if len(argv) < 2 or not argv[0].isdigit():
+    argv = list(argv)
+    repeat = 1
+    if argv[:1] == ["--repeat"] and len(argv) > 1 and argv[1].isdigit():
+        repeat = int(argv[1])
+        argv = argv[2:]
+    if len(argv) < 2 or not argv[0].isdigit() or repeat < 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     prog = load_program()
     n = int(argv[0])
     for weight in argv[1:]:
-        print(json.dumps(stage_times(prog, n, weight)))
+        print(json.dumps(median_stage_times(prog, n, weight, repeat)))
     return 0
 
 

@@ -22,6 +22,7 @@ answer), 2 on parse errors and invalid input (such as a branch budget below
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -209,7 +210,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``jv`` parser, built on the first call and shared by later ones."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "latex", "json"), default="text", help="output format"

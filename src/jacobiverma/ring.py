@@ -447,18 +447,42 @@ def _pseudo_rem(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
 
 
 def _euclid_gcd_univariate(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
-    """Monic Euclidean algorithm for univariate polynomials over Q."""
-    while not b.is_zero:
-        b = b.monic()
-        db = b.degree_in(x)
-        r = a
-        while not r.is_zero and r.degree_in(x) >= db:
-            dr = r.degree_in(x)
-            lr = _coeffs_in(r, x)[dr]
-            shift = PolyQ.var(a.nvars, x) ** (dr - db)
-            r = r - lr * shift * b
-        a, b = b, r
-    return a.monic()
+    """Monic Euclidean algorithm for univariate polynomials over Q, b nonzero.
+
+    Runs on dense coefficient lists indexed by degree in x, with no
+    trailing zero, and builds one PolyQ from the last divisor, which is
+    monic, at the end."""
+
+    def dense(p: PolyQ) -> list:
+        out = [Fraction(0)] * (p.degree_in(x) + 1)
+        for exps, c in p.terms.items():
+            out[exps[x]] = c
+        return out
+
+    u, v = dense(a), dense(b)
+    while v:
+        lc = v[-1]
+        v = [c / lc for c in v]
+        dv = len(v) - 1
+        while len(u) > dv:
+            q = u.pop()
+            if q:
+                shift = len(u) - dv
+                for k in range(dv):
+                    u[shift + k] -= q * v[k]
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    terms = {}
+    for d, c in enumerate(u):
+        if c:
+            exps = [0] * a.nvars
+            exps[x] = d
+            terms[tuple(exps)] = c
+    out = PolyQ.__new__(PolyQ)
+    out.nvars = a.nvars
+    out.terms = terms
+    return out
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:

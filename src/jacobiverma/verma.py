@@ -7,14 +7,21 @@ generator normal-orders the product, after which trailing lowering factors
 annihilate v0 and Cartan factors h_i evaluate to Li, so that h^e multiplies a
 coefficient by L^e.
 
-The weight stays formal throughout; numeric weights are a matter of
-evaluating the polynomial coefficients afterwards.
+One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
+``apply_word_to_v0`` and ``is_singular``.  It takes the input coefficients as
+integer numerators over one common denominator, adds integers for every
+normal-ordered term (whose coefficients have powers of 2 as denominators),
+and ``act`` makes one reduced ``Fraction`` per term of the result.  The
+weight stays formal in ``act`` and ``apply_word_to_v0``.  ``is_singular``
+runs the same kernel at a branch's weight: Cartan factors take the values
+of the branch's solved form and the integer sums are tested for zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -117,65 +124,145 @@ class VermaVector:
 
 
 # Module vector under construction: raising part of a monomial's exponents
-# -> L-exponent -> coefficient.
-_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]]
+# -> L-exponent -> integer numerator over the denominator of the call.
+_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+_IntTerms = Dict[Tuple[int, ...], int]
 
 
-def _evaluate_on_v0(alg: JacobiAlgebra, u: UElement, coeff: Dict[Tuple[int, ...], Fraction],
-                    acc: _Accumulator) -> None:
-    """Add (u v0) times the polynomial with terms ``coeff`` into ``acc``: kill
-    lowering tails, evaluate Cartan factors at L, keep the raising prefix.
+def _numerators(polys: Sequence[PolyQ]) -> Tuple[List[_IntTerms], int]:
+    """The coefficients of ``polys`` as integers over one common denominator."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in polys], den
 
-    A Cartan factor h^e shifts the exponent of every term of ``coeff`` by e.
+
+def _mul_int_terms(t1: _IntTerms, t2: _IntTerms) -> _IntTerms:
+    """Product of two integer term maps (``ring._mul_terms`` sums in Fractions)."""
+    res: _IntTerms = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            res[e] = res.get(e, 0) + c1 * c2
+    return {e: c for e, c in res.items() if c}
+
+
+class _BranchWeight:
+    """Values of the Cartan generators at a branch's weight: h_i acts on v0 as
+    the solved form's value of L_i, a polynomial in the unsolved variables.
+
+    The values are kept as integer polynomials over one denominator ``den``;
+    their products are cached per Cartan exponent for the life of the
+    object, which is one ``is_singular`` call.
+    """
+
+    def __init__(self, constraints: "ConstraintSet"):
+        nvars = constraints.nvars
+        self.values, self.den = _numerators(
+            [constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]
+        )
+        self._products: Dict[Tuple[int, ...], _IntTerms] = {}
+
+    def cartan(self, exps: Tuple[int, ...]) -> _IntTerms:
+        """h^exps v0 as an integer polynomial over den ** sum(exps)."""
+        out = self._products.get(exps)
+        if out is None:
+            out = {(0,) * len(exps): 1}
+            for value, e in zip(self.values, exps):
+                for _ in range(e):
+                    out = _mul_int_terms(out, value)
+            self._products[exps] = out
+        return out
+
+
+def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[UElement, _IntTerms]],
+                 weight: Optional[_BranchWeight] = None) -> Tuple[_Accumulator, int]:
+    """The sum of (u v0) times c over the pairs (u, c), fraction-free.
+
+    Lowering tails kill v0 and the raising prefix is kept.  At the formal
+    weight (``weight`` None) a Cartan factor h^e multiplies c by L^e, a
+    shift of exponents; at a branch's weight it multiplies c by the
+    polynomial ``weight.cartan(e)``.  The coefficients of normal forms have
+    powers of 2 as denominators, and the Cartan values of a branch have
+    powers of ``weight.den``; both are brought to their largest power in the
+    call, so every term adds integers.  Returns the sums and the denominator
+    by which they are to be divided, besides that of the c.
     """
     npos = alg.num_positive
     low = npos + alg.n
-    for m, c in u.terms.items():
-        exps = m.exps
-        if any(exps[low:]):
-            continue
-        cartan = exps[npos:low]
-        shift = any(cartan)
-        slot = acc.setdefault(exps[:npos], {})
-        for e, a in coeff.items():
-            if shift:
+    leaves = []
+    top = 1
+    depth = 0
+    for u, coeff in products:
+        for m, c in u.terms.items():
+            exps = m.exps
+            if any(exps[low:]):
+                continue
+            cartan = exps[npos:low]
+            leaves.append((exps[:npos], cartan, c.numerator, c.denominator, coeff))
+            if c.denominator > top:
+                top = c.denominator
+            if weight is not None:
+                depth = max(depth, sum(cartan))
+    acc: _Accumulator = {}
+    for raising, cartan, num, den, coeff in leaves:
+        slot = acc.get(raising)
+        if slot is None:
+            slot = acc[raising] = {}
+        f = num * (top // den)
+        if weight is not None:
+            f *= weight.den ** (depth - sum(cartan))
+            value = weight.cartan(cartan)
+            for e1, a in coeff.items():
+                for e2, b in value.items():
+                    e = tuple(map(add, e1, e2))
+                    slot[e] = slot.get(e, 0) + f * a * b
+        elif any(cartan):
+            for e, a in coeff.items():
                 e = tuple(map(add, e, cartan))
-            slot[e] = slot.get(e, 0) + c * a
+                slot[e] = slot.get(e, 0) + f * a
+        else:
+            for e, a in coeff.items():
+                slot[e] = slot.get(e, 0) + f * a
+    scale = top * weight.den ** depth if weight is not None else top
+    return acc, scale
 
 
-def _to_vector(alg: JacobiAlgebra, acc: _Accumulator) -> VermaVector:
+def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
     lowering = (0,) * (len(alg.generators) - alg.num_positive)
     terms: Dict[PbwMonomial, PolyQ] = {}
     for raising, slot in acc.items():
-        poly = PolyQ.__new__(PolyQ)  # slot holds Fractions already; drop the zeros only
+        poly = PolyQ.__new__(PolyQ)  # one reduced Fraction per nonzero numerator
         poly.nvars = alg.n
-        poly.terms = {e: c for e, c in slot.items() if c}
+        poly.terms = {e: Fraction(c, den) for e, c in slot.items() if c}
         terms[PbwMonomial(raising + lowering)] = poly
     return VermaVector(alg.n, terms)
 
 
 def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
-    """Action of a basis generator on a module vector.
+    """Action of a basis generator on a module vector, at the formal weight.
 
-    One ``normal_order`` call per term of v.  Every call adds into one map
-    from raising monomial to L-exponent to coefficient, in which a Cartan
-    factor h^e of a normal-ordered term shifts the exponents of the input
-    coefficient by e; the vector is built once, at the end.
+    One ``normal_order`` call per term of v.  The coefficients of v are
+    turned into integers over one common denominator, every normal-ordered
+    term adds integers into one map from raising monomial to L-exponent,
+    with a Cartan factor h^e shifting the exponents by e, and each term of
+    the result becomes one reduced ``Fraction`` at the end.
     """
     ix = alg.index[alg._check(x)]
-    acc: _Accumulator = {}
-    for m, coeff in v.terms.items():
-        _evaluate_on_v0(alg, normal_order(alg, (ix,) + m.word()), coeff.terms, acc)
-    return _to_vector(alg, acc)
+    coeffs, den = _numerators(list(v.terms.values()))
+    products = [(normal_order(alg, (ix,) + m.word()), c) for m, c in zip(v.terms, coeffs)]
+    acc, scale = _apply_on_v0(alg, products)
+    return _to_vector(alg, acc, den * scale)
 
 
 def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] = None) -> VermaVector:
     """The vector (product of the word's generators) v0, any input order."""
     if coeff is None:
         coeff = PolyQ.one(alg.n)
-    acc: _Accumulator = {}
-    _evaluate_on_v0(alg, normal_order(alg, word), coeff.terms, acc)
-    return _to_vector(alg, acc)
+    (ints,), den = _numerators([coeff])
+    acc, scale = _apply_on_v0(alg, [(normal_order(alg, word), ints)])
+    return _to_vector(alg, acc, den * scale)
 
 
 def act_of_bracket(alg: JacobiAlgebra, br: BracketResult, v: VermaVector) -> VermaVector:
@@ -334,20 +421,32 @@ class SingularityReport:
 
 
 def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) -> SingularityReport:
-    """Check that every lowering generator annihilates v modulo the constraints.
+    """Check that every element of n- annihilates v modulo the constraints.
 
     Requires the constraints in solved (affine triangular) form, or empty; a
     constraint set with unsolved nonlinear equations yields an
     ``unverifiable`` report instead of a verdict.
+
+    Each x v is built at the branch's weight rather than at the formal one:
+    the coefficients of v are reduced by the solved form once, a Cartan
+    factor h_i takes the solved form's value of L_i, and the integer
+    numerators of x v are tested for zero with no ``Fraction`` formed and
+    nothing substituted afterwards.  One ``normal_order`` call per term of
+    v and per x, as in ``act``, which is not called.
     """
     if constraints.equations and constraints.solved_form is None:
         return SingularityReport(
             unverifiable=True,
             message="constraints have no affine solved form; cannot verify",
         )
+    weight = _BranchWeight(constraints) if constraints.solved_form else None
+    coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
+    words = [m.word() for m in v.terms]
     report = SingularityReport()
     for x in alg.negative:
-        r = act(alg, x, v)
-        ok = all(constraints.substitute(c).is_zero for c in r.terms.values())
+        ix = alg.index[x]
+        products = [(normal_order(alg, (ix,) + w), c) for w, c in zip(words, coeffs)]
+        acc, _ = _apply_on_v0(alg, products, weight)
+        ok = not any(c for slot in acc.values() for c in slot.values())
         report.by_generator.append((x, ok))
     return report

@@ -4,9 +4,9 @@ Criterion 10 compares two runs of the same code; these files compare across
 code versions.  Each file under ``golden/reports/`` holds the exact stdout of
 one ``jv singular --format json`` run, and the weight to rerun is read back
 from the report itself.  Each file under ``golden/cli/`` holds the exact
-stdout of one ``jv normal-order``, ``jv act`` or ``jv singular`` run, whose
-arguments are listed in ``golden/cli/argv.json``.  ``scripts/freeze_reports.py`` writes
-both."""
+stdout of one ``jv normal-order``, ``jv act``, ``jv singular`` or ``jv verify``
+run, whose arguments are listed in ``golden/cli/argv.json``.
+``scripts/freeze_reports.py`` writes both."""
 
 import json
 from contextlib import redirect_stdout
@@ -30,7 +30,7 @@ CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
 
 def test_corpus_present():
     assert len(GOLDEN) == 15
-    assert len(CLI_ARGV) == 23
+    assert len(CLI_ARGV) == 33
     assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
 
 

@@ -8,6 +8,7 @@ from jacobiverma.ring import (
     PolyQ,
     RatFuncQ,
     RingError,
+    _euclid_gcd_univariate,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -198,6 +199,59 @@ class TestGcd:
     def test_rational_roots_with_irrational_cofactor(self):
         p = (L(1) - const(2)) * (L(1) ** 2 - const(2))
         assert rational_roots(p) == [Fraction(2)]
+
+
+@st.composite
+def split_linear_factors(draw):
+    """Distinct rational roots, each labelled as a factor of both
+    polynomials ("c"), of the first only ("a") or of the second only ("b"),
+    with both polynomials of positive degree."""
+    roots = draw(st.lists(fractions_st, min_size=2, max_size=7, unique=True))
+    labels = draw(st.lists(st.sampled_from("cab"), min_size=len(roots), max_size=len(roots)))
+    if not {"a", "c"} & set(labels):
+        labels[0] = "a"
+    if not {"b", "c"} & set(labels):
+        labels[-1] = "b"
+    return list(zip(roots, labels))
+
+
+class TestUnivariateEuclid:
+    """gcd of products of known distinct linear factors in one variable,
+    which is the product of the shared factors, exactly."""
+
+    @staticmethod
+    def product(nvars, x, roots, scale=1):
+        p = const(scale, nvars)
+        for r in roots:
+            p = p * (PolyQ.var(nvars, x) - const(r, nvars))
+        return p
+
+    @given(
+        split_linear_factors(),
+        st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+        fractions_st.filter(bool),
+        fractions_st.filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_is_the_product_of_shared_factors(self, factors, var, sa, sb):
+        nvars, x = var
+        a = self.product(nvars, x, [r for r, k in factors if k in "ca"], sa)
+        b = self.product(nvars, x, [r for r, k in factors if k in "cb"], sb)
+        expected = self.product(nvars, x, [r for r, k in factors if k == "c"])
+        assert _euclid_gcd_univariate(a, b, x) == expected
+        assert _euclid_gcd_univariate(b, a, x) == expected
+        assert poly_gcd(a, b) == expected
+
+    def test_repeated_and_coprime_factors(self):
+        x = L(1, 1)
+        a = (x - const(Fraction(1, 2), 1)) ** 3 * (x + const(2, 1))
+        b = (x - const(Fraction(1, 2), 1)) ** 2 * (x - const(3, 1)) * const(-6, 1)
+        assert _euclid_gcd_univariate(a, b, 0) == (x - const(Fraction(1, 2), 1)) ** 2
+        assert _euclid_gcd_univariate(a, x - const(3, 1), 0) == const(1, 1)
+
+    def test_divisor_is_its_own_gcd(self):
+        a = (L(2) - const(1)) * (L(2) + const(Fraction(3, 4)))
+        assert _euclid_gcd_univariate(a * const(-3), a * (L(2) - const(5)), 1) == a
 
 
 class TestRatFunc:

@@ -16,6 +16,7 @@ from jacobiverma.algebra import (
 )
 from jacobiverma.pbw import PbwMonomial
 from jacobiverma.ring import PolyQ
+from jacobiverma.textio import parse_constraints, parse_vector
 from jacobiverma.verma import (
     ConstraintSet,
     InconsistentConstraintsError,
@@ -317,3 +318,114 @@ class TestIsSingular:
         report = is_singular(ALG, v, cs)
         assert report.unverifiable
         assert not report.singular
+
+
+def oracle_verdicts(alg, v, cs):
+    """Per element of n-: does ``oracle_act`` followed by ``substitute`` give 0?"""
+    return [
+        (x, all(cs.substitute(c).is_zero for c in oracle_act(alg, x, v).terms.values()))
+        for x in alg.negative
+    ]
+
+
+# Constraint sets of each kind: none, one variable fixed, and relations that
+# solve for a variable in terms of another.
+CONSTRAINTS = {
+    2: ["", "L2 = 1/4", "L1 = 3/4", "L2 = -L1", "L2 + L1 = 3/2"],
+    3: ["", "L1 = 5/4", "L3 = L1 + 1/2", "L3 = L1 - 1/2", "L2 + L1 = 5/2; L3 = 1/4"],
+}
+
+# Vectors whose verdicts depend on the constraints, some with coefficients
+# in the variables that the relations above solve for.
+VECTORS = {
+    2: [
+        "(a+2)^2 - 2 b+2",
+        "d+",
+        "(L2 - L1) d+ + (L2 + L1) a+1 a-2 a+2",
+        "(L1 + L2) c+ + a+1 a+2",
+        "(4 L2 - 3) c+ - 2 b+2 d+ + (3/2 - 2 L2) a+1 a+2 + (a+2)^2 d+",
+        "(-4 L1 + 3) c+ - 2 b+2 d+ + (2 L1 - 3/2) a+1 a+2 + (a+2)^2 d+",
+        "(L2^2 - 1/16) a+2 + L1 b+1 d-",
+    ],
+    3: [
+        "(L2 - L3) K0[1,3] - K0[1,2] K0[2,3]",
+        "(L2 - L1 + 1/2) K0[1,3] - K0[1,2] K0[2,3]",
+        "(a+[3])^2 - 2 K+[3,3]",
+        "(L3 - L1) K0[1,3] + (L1 + L2) K+[1,2] - L3^2 a+[1] a+[3] K0[2,3]",
+        "(-4 L2 + 3) K+[2,3] - 2 K+[3,3] K0[2,3] + (2 L2 - 3/2) a+[2] a+[3] + (a+[3])^2 K0[2,3]",
+    ],
+}
+
+
+class TestIsSingularAgainstOracle:
+    """Every per-generator verdict of ``is_singular`` against the action of
+    the insertion-sort oracle followed by reduction modulo the solved form."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_listed_vectors_under_every_constraint_set(self, n):
+        alg = ALG if n == 2 else JacobiAlgebra(3)
+        seen = set()
+        for text in VECTORS[n]:
+            v = parse_vector(text, alg)
+            for eqs in CONSTRAINTS[n]:
+                cs = ConstraintSet.from_equations(n, parse_constraints(eqs, n))
+                report = is_singular(alg, v, cs)
+                assert not report.unverifiable
+                assert report.by_generator == oracle_verdicts(alg, v, cs), (text, eqs)
+                seen.add(tuple(ok for _, ok in report.by_generator))
+        # both a singular verdict and mixed verdicts occur
+        assert any(all(s) for s in seen)
+        assert any(any(s) and not all(s) for s in seen)
+
+    def test_mixed_verdict(self):
+        # the (1,1) vector of the worked cases, under a constraint other than
+        # its own: c- and d- leave a nonzero remainder, the rest annihilate
+        v = parse_vector(VECTORS[2][4], ALG)
+        cs = ConstraintSet.from_equations(2, parse_constraints("L1 = 1/2", 2))
+        report = is_singular(ALG, v, cs)
+        failing = [g for g, ok in report.by_generator if not ok]
+        assert failing == [G(K_MINUS, 1, 2), G(K_ZERO, 2, 1)]
+        assert report.by_generator == oracle_verdicts(ALG, v, cs)
+
+    def test_coefficient_vanishing_under_the_relation(self):
+        # (L2 - L1) d+ is zero at L2 = L1, so every generator annihilates it,
+        # although d- does not annihilate it at the formal weight
+        v = parse_vector("(L2 - L1) d+", ALG)
+        assert is_singular(ALG, v, ConstraintSet.from_equations(2, [L(2) - L(1)])).singular
+        assert not is_singular(ALG, v, ConstraintSet.empty(2)).singular
+
+    @pytest.mark.parametrize("n, seed", [(2, 11), (3, 12)])
+    def test_random_vectors(self, n, seed):
+        alg = ALG if n == 2 else JacobiAlgebra(3)
+        rng = random.Random(seed)
+        for _ in range(6):
+            v = random_vector(rng) if n == 2 else random_vector_n3(alg, rng)
+            for eqs in CONSTRAINTS[n]:
+                cs = ConstraintSet.from_equations(n, parse_constraints(eqs, n))
+                assert is_singular(alg, v, cs).by_generator == oracle_verdicts(alg, v, cs)
+
+    def test_formal_weight_verdict_is_act_being_zero(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            v = random_vector(rng)
+            report = is_singular(ALG, v, ConstraintSet.empty(2))
+            assert report.by_generator == [(x, act(ALG, x, v).is_zero) for x in ALG.negative]
+
+
+class TestApplyWordToV0:
+    def test_clean_and_equal_to_the_oracle(self):
+        rng = random.Random(14)
+        for n in (2, 3):
+            alg = ALG if n == 2 else JacobiAlgebra(n)
+            for _ in range(15):
+                word = [rng.choice(alg.generators) for _ in range(rng.randint(1, 4))]
+                coeff = PolyQ(n, {
+                    tuple(rng.randint(0, 1) for _ in range(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(2)
+                })
+                got = apply_word_to_v0(alg, word, coeff)
+                assert_clean(got)
+                expected = VermaVector.v0(alg)
+                for x in reversed(word):
+                    expected = oracle_act(alg, x, expected)
+                assert got == expected.scale(coeff), word
