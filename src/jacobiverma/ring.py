@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: multivariate polynomials over Q and their fractions.
+"""Exact coefficient arithmetic: multivariate polynomials over Q.
 
 Polynomials live in Q[L1, ..., Ln] where Li stands for the formal lowest-weight
 value on the i-th Cartan generator.  Terms are stored sparsely as a map from
@@ -8,7 +8,9 @@ variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 ``L2`` first.
 
 Rational numbers are plain ``fractions.Fraction``; the stdlib type already
-maintains the reduced-form invariants we need.
+maintains the reduced-form invariants we need.  ``RatFuncQ`` is not a field
+of fractions: it is the reduced quotient num/den that a report prints as a
+kernel coordinate, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -594,7 +596,14 @@ def poly_sort_key(p: PolyQ) -> tuple:
 
 
 class RatFuncQ:
-    """Rational function num/den over PolyQ, stored reduced with monic denominator."""
+    """A printed quotient num/den of polynomials, stored reduced with a monic
+    denominator.
+
+    The solver keeps polynomial vectors throughout and forms these only for
+    the coordinates a report prints, each one divided by the vector's last
+    nonzero coordinate; parsing a printed coordinate gives one back.  There
+    is no field arithmetic: compute with ``num`` and ``den``.
+    """
 
     __slots__ = ("num", "den")
 
@@ -617,18 +626,6 @@ class RatFuncQ:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_scalar(cls, nvars: int, c: Scalar) -> "RatFuncQ":
-        return cls(PolyQ.const(nvars, c))
-
-    @classmethod
-    def one(cls, nvars: int) -> "RatFuncQ":
-        return cls(PolyQ.one(nvars))
-
-    @classmethod
-    def zero(cls, nvars: int) -> "RatFuncQ":
-        return cls(PolyQ.zero(nvars))
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -645,58 +642,7 @@ class RatFuncQ:
             raise RingError(f"{self} is not polynomial")
         return self.num
 
-    def _coerce(self, other) -> "RatFuncQ":
-        if isinstance(other, RatFuncQ):
-            return other
-        if isinstance(other, PolyQ):
-            return RatFuncQ(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFuncQ.from_scalar(self.nvars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFuncQ(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFuncQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise RingError("division by zero rational function")
-        return RatFuncQ(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other / self
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, PolyQ)):
-            other = self._coerce(other)
         if not isinstance(other, RatFuncQ):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -709,12 +655,6 @@ class RatFuncQ:
 
     def __repr__(self):
         return f"RatFuncQ({self.to_text()})"
-
-    def subs(self, assignment: Mapping[int, Union[Scalar, PolyQ]]) -> "RatFuncQ":
-        den = self.den.subs(assignment)
-        if den.is_zero:
-            raise RingError("substitution makes denominator vanish")
-        return RatFuncQ(self.num.subs(assignment), den)
 
     def eval_all(self, point: Iterable[Scalar]) -> Fraction:
         point = list(point)

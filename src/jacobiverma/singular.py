@@ -27,8 +27,9 @@ target weight w:
    the full ansatz and made primitive again.  That polynomial vector is the
    reported singular vector; the printed kernel divides it by its last
    nonzero coordinate (in the ansatz monomial order), so that one reads 1;
-6. every branch with an affine solved form is re-checked against every basis
-   element of n- before it is reported.
+6. every branch is re-checked against every basis element of n- before it
+   is reported; one with no affine solved form cannot be, and is reported
+   unverified.
 
 Branches are deduplicated by constraint set and pruned when they are mere
 specializations of another branch with the same kernel.
@@ -36,7 +37,7 @@ specializations of another branch with the same kernel.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -46,7 +47,6 @@ from .pbw import PbwMonomial
 from .ring import (
     PolyQ,
     RatFuncQ,
-    RingError,
     content_in,
     poly_gcd,
     poly_sort_key,
@@ -94,8 +94,7 @@ REPORT_JSON_SCHEMA = {
 class BranchBudgetExceededError(RuntimeError):
     """Raised when the case tree outgrows the branch budget."""
 
-    def __init__(self, partial: list, unexplored: List[str]):
-        self.partial = partial
+    def __init__(self, unexplored: List[str]):
         self.unexplored = unexplored
         super().__init__(
             f"branch budget exhausted with {len(unexplored)} unexplored case(s): "
@@ -243,17 +242,17 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
 
 @dataclass
 class SolutionBranch:
-    """One consistent case: constraints on L, kernel basis, and the pivot
-    polynomials asserted nonzero along the way.
+    """One consistent case with a nontrivial kernel: its constraints on L and
+    a kernel basis over the sp(n) columns.
 
-    Each kernel vector is the primitive polynomial vector on its line: its
-    coordinates over Q[L] have no common factor and the last nonzero one is
-    monic.
+    Each kernel vector is the primitive polynomial vector on its line, from
+    back-substitution through pruning: its coordinates over Q[L], reduced
+    modulo the constraints, have no common factor and the last nonzero one
+    is monic.
     """
 
     constraints: ConstraintSet
     kernel: List[List[PolyQ]]
-    genericity: List[PolyQ]
 
 
 def _reduce_poly(p: PolyQ, constraints: ConstraintSet) -> PolyQ:
@@ -396,6 +395,13 @@ def _eliminate(
     choice, the kernel and the squarefree monic pivot factors do not depend
     on where the phases meet.
 
+    Every phase-2 division by the previous pivot is exact.  Phase 1 pivots
+    only on constants, so the residual is a matrix over Q[L], and by
+    Sylvester's identity each entry after k Bareiss steps on it is a
+    (k+1)-minor of it, whichever row and column each step picked (Bareiss,
+    Math. Comp. 22, 1968).  A division that leaves a remainder raises
+    ``RingError``.
+
     Returns (retired pivot rows with their columns, used columns, the
     non-constant pivot polynomials in order of use).
     """
@@ -453,20 +459,7 @@ def _eliminate(
             nonconstant.append(p)
         new_active = []
         for row in active:
-            new_row = []
-            divisible = True
-            for j in range(ncols):
-                e = p * row[j] - row[c] * prow[j]
-                new_row.append(e)
-            reduced = []
-            for e in new_row:
-                q = e.try_divide(prev)
-                if q is None:
-                    divisible = False
-                    break
-                reduced.append(q)
-            if divisible:
-                new_row = reduced
+            new_row = [(p * row[j] - row[c] * prow[j]) // prev for j in range(ncols)]
             if any(not e.is_zero for e in new_row):
                 new_active.append(new_row)
         active = new_active
@@ -522,8 +515,8 @@ def _primitive(vec: List[PolyQ]) -> List[PolyQ]:
 
     This is the one polynomial vector on its line over Q(L) with coprime
     coordinates and a monic last coordinate, so it equals what
-    ``_clear_denominators`` makes of ``_normalize_kernel_vector(vec)``.  The
-    gcd chain starts at the last coordinate and stops once it is constant.
+    ``_clear_denominators`` makes of ``_ratios(vec)``.  The gcd chain
+    starts at the last coordinate and stops once it is constant.
     """
     nonzero = [p for p in vec if not p.is_zero]
     if not nonzero:
@@ -550,16 +543,6 @@ def _ratios(vec: List[PolyQ]) -> List[RatFuncQ]:
     return [RatFuncQ(p, last) for p in vec]
 
 
-def _normalize_kernel_vector(v: List[RatFuncQ]) -> List[RatFuncQ]:
-    last = None
-    for x in v:
-        if not x.is_zero:
-            last = x
-    if last is None:
-        return v
-    return [x / last for x in v]
-
-
 def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[SolutionBranch]:
     """Case analysis of M(L) nu = 0 over the weight parameters.
 
@@ -584,18 +567,13 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
     while queue:
         if explored >= branch_budget:
             unexplored = [_constraints_text(c) for c in queue]
-            raise BranchBudgetExceededError(branches, unexplored)
+            raise BranchBudgetExceededError(unexplored)
         cs = queue.popleft()
         explored += 1
         matrix = [[_reduce_poly(e, cs) for e in row] for row in base_matrix]
         pivots, used, nonconstant = _eliminate(matrix, ncols, nvars)
         if len(used) < ncols:
-            kernel = _kernel_from_pivots(pivots, used, ncols, nvars)
-            genericity = sorted(
-                {poly_sort_key(q): q for q in (squarefree_part(p).monic() for p in nonconstant)}.values(),
-                key=poly_sort_key,
-            )
-            branches.append(SolutionBranch(cs, kernel, list(genericity)))
+            branches.append(SolutionBranch(cs, _kernel_from_pivots(pivots, used, ncols, nvars)))
         for p in nonconstant:
             for f in _split_factors(p):
                 try:
@@ -624,50 +602,34 @@ def _constraints_text(cs: ConstraintSet) -> str:
 
 def _prune_branches(branches: List[SolutionBranch]) -> List[SolutionBranch]:
     """Drop branch B when some branch A constrains less, B satisfies A's
-    equations, and A's kernel specializes exactly to B's."""
-    keep: List[SolutionBranch] = []
-    for b in branches:
-        subsumed = False
-        for a in branches:
-            if a is b or len(a.constraints.equations) >= len(b.constraints.equations):
-                continue
-            if b.constraints.solved_form is None:
-                continue
-            if not all(
-                b.constraints.substitute(eq).is_zero for eq in a.constraints.equations
-            ):
-                continue
-            if len(a.kernel) != len(b.kernel):
-                continue
-            try:
-                specialized = [
-                    _normalize_kernel_vector(
-                        [x.subs(dict(b.constraints.solved_form)) for x in _ratios(vec)]
-                    )
-                    for vec in a.kernel
-                ]
-            except RingError:
-                continue
-            if _kernel_signature(specialized) == _kernel_signature(
-                [_ratios(vec) for vec in b.kernel]
-            ):
-                subsumed = True
-                break
-        if not subsumed:
-            keep.append(b)
-    return keep
+    equations, and A's kernel specializes exactly to B's.
+
+    Each of A's polynomial vectors is specialized by B's solved form, made
+    primitive again and compared with B's vectors.  A vector whose last
+    nonzero coordinate vanishes on B's locus does not specialize, and A then
+    does not subsume B: A's vector is primitive, so that happens exactly
+    when the reduced denominator of one of its printed ratios vanishes there.
+    """
+    return [b for b in branches if not any(_specializes_to(a, b) for a in branches if a is not b)]
 
 
-def _kernel_signature(kernel: List[List[RatFuncQ]]) -> tuple:
-    return tuple(
-        sorted(
-            tuple(
-                (tuple(sorted(x.num.terms.items())), tuple(sorted(x.den.terms.items())))
-                for x in vec
-            )
-            for vec in kernel
-        )
-    )
+def _specializes_to(a: SolutionBranch, b: SolutionBranch) -> bool:
+    """Whether branch A subsumes branch B, as ``_prune_branches`` defines it."""
+    cs = b.constraints
+    if len(a.constraints.equations) >= len(cs.equations) or cs.solved_form is None:
+        return False
+    if not all(cs.substitute(eq).is_zero for eq in a.constraints.equations):
+        return False
+    if len(a.kernel) != len(b.kernel):
+        return False
+    specialized = []
+    for vec in a.kernel:
+        coords = [cs.substitute(p) for p in vec]
+        last = max(i for i, p in enumerate(vec) if not p.is_zero)
+        if coords[last].is_zero:
+            return False
+        specialized.append(tuple(_primitive(coords)))
+    return Counter(specialized) == Counter(map(tuple, b.kernel))
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -677,10 +639,8 @@ def _kernel_signature(kernel: List[List[RatFuncQ]]) -> tuple:
 class BranchReport:
     constraints: ConstraintSet
     kernel: List[List[RatFuncQ]]
-    genericity: List[PolyQ]
     vectors: List[VermaVector]
     verified: bool
-    unverifiable: bool = False
 
 
 @dataclass
@@ -689,10 +649,6 @@ class WeightReport:
     monomials: List[PbwMonomial]
     branches: List[BranchReport]
     trivial: bool = False
-
-    @property
-    def has_singular_vector(self) -> bool:
-        return any(b.kernel for b in self.branches)
 
 
 def _clear_denominators(nvars: int, vec: List[RatFuncQ]) -> List[PolyQ]:
@@ -794,9 +750,6 @@ def find_singular_vectors(
             coords = _primitive(_lift_kernel_vector(alg, system, vec, br.constraints, lifted))
             kernel.append(_ratios(coords))
             vectors.append(VermaVector(alg.n, dict(zip(system.ansatz, coords))))
-        if br.constraints.solved_form is None and br.constraints.equations:
-            reports.append(BranchReport(br.constraints, kernel, br.genericity, vectors, False, True))
-            continue
         ok = all(is_singular(alg, v, br.constraints).singular for v in vectors)
-        reports.append(BranchReport(br.constraints, kernel, br.genericity, vectors, ok))
+        reports.append(BranchReport(br.constraints, kernel, vectors, ok))
     return WeightReport(w, system.ansatz, reports)

@@ -392,10 +392,6 @@ def _affine_solve(nvars: int, eqs: Sequence[PolyQ]) -> Optional[Tuple[Tuple[int,
         rest = PolyQ.zero(nvars)
         for exps, c in p.terms.items():
             if exps[target] == 1:
-                others = list(exps)
-                others[target] = 0
-                if any(others):
-                    return None
                 coeff = c
             else:
                 rest = rest + PolyQ(nvars, {exps: c})

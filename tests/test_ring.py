@@ -270,21 +270,14 @@ class TestRatFunc:
         with pytest.raises(RingError):
             RatFuncQ(PolyQ.one(2), PolyQ.zero(2))
 
-    def test_field_ops(self):
-        a = RatFuncQ(L(1), L(2))
-        b = RatFuncQ(L(2), L(1))
-        assert (a * b) == RatFuncQ.one(2)
-        assert (a / a) == RatFuncQ.one(2)
-        assert (a + (-a)).is_zero
-
     @given(polys(max_deg=2, max_terms=3), polys(max_deg=2, max_terms=3))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_through_fraction(self, a, b):
         if b.is_zero:
             return
         r = RatFuncQ(a, b)
-        # r * b == a as rational functions
-        assert r * RatFuncQ(b) == RatFuncQ(a)
+        # r == a / b as rational functions
+        assert r.num * b == a * r.den
 
 
 class TestRendering:

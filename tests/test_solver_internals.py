@@ -20,7 +20,6 @@ from jacobiverma.singular import (
     _clear_denominators,
     _eliminate,
     _kernel_from_pivots,
-    _normalize_kernel_vector,
     _primitive,
     _reduce_poly,
     _split_factors,
@@ -178,7 +177,8 @@ class TestPrimitive:
 
     @staticmethod
     def _via_fractions(vec):
-        return _clear_denominators(2, _normalize_kernel_vector([RatFuncQ(p) for p in vec]))
+        last = next((p for p in reversed(vec) if not p.is_zero), PolyQ.one(2))
+        return _clear_denominators(2, [RatFuncQ(p, last) for p in vec])
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_vector_entry, min_size=1, max_size=4), st.sampled_from([0, 1, 2, 3]))
@@ -233,6 +233,33 @@ class TestSyntheticSolve:
             for b in branches
         }
         assert by_eqs == {("L1",): 1, ("L2",): 1, ("L2", "L1"): 2}
+
+    @staticmethod
+    def _summary(branches):
+        return [
+            (tuple(p.to_text() for p in b.constraints.equations), b.kernel)
+            for b in branches
+        ]
+
+    def test_specialization_is_pruned(self):
+        # generic kernel [-1, L2]; at L2 = 1 the second row alone is left,
+        # whose kernel [-1, 1] is the generic one specialized, so that case
+        # is dropped
+        rows = [
+            [L(2) * (L(2) - const(1)), L(2) - const(1)],
+            [L(2) * (L(2) - const(2)), L(2) - const(2)],
+        ]
+        branches = solve_parametric(self._system(rows, 2))
+        assert self._summary(branches) == [((), [[const(-1), L(2)]])]
+
+    def test_vanishing_last_coordinate_is_kept(self):
+        # the generic kernel [1 - L2, L2] has last coordinate 0 at L2 = 0,
+        # so it does not specialize there and the case L2 = 0 stays
+        branches = solve_parametric(self._system([[L(2), L(2) - const(1)]], 2))
+        assert self._summary(branches) == [
+            ((), [[const(1) - L(2), L(2)]]),
+            (("L2",), [[const(1), const(0)]]),
+        ]
 
     def test_budget_partial_result(self):
         from jacobiverma.singular import BranchBudgetExceededError
