@@ -24,7 +24,10 @@ single run.  Times are in seconds, totals of the spans of each stage:
   every element of n- through the module kernel of ``verma`` rather than
   through ``act``, so these acts count here and not under ``act``;
 * ``act`` and ``normal_order``: every call of ``act`` and of
-  ``normal_order``, whichever stage made it, with their call counts.
+  ``normal_order``, whichever stage made it, with their call counts;
+* ``rewrite``: every call of the integer rewrite ``pbw._normal_sums``, with
+  its call count, whether ``normal_order`` made it or ``is_singular``,
+  which reads the rewrite directly and so makes no ``normal_order`` call.
 
 The program is imported from this checkout's ``src/``.
 """
@@ -50,6 +53,7 @@ STAGES = {
     "verify": "verma.is_singular",
     "act": "verma.act",
     "normal_order": "pbw.normal_order",
+    "rewrite": "pbw.rewrite",
 }
 
 
@@ -60,6 +64,8 @@ def stage_times(prog, n: int, weight: str) -> dict:
     tracer.wrap(prog.singular, "_lift_kernel_vector", "singular.lift")
     tracer.wrap(prog.singular, "_eliminate", "singular.eliminate")
     tracer.wrap(prog.singular, "_kernel_from_pivots", "singular.kernel")
+    tracer.wrap(prog.pbw, "_normal_sums", "pbw.rewrite")
+    tracer.wrap(prog.verma, "_normal_sums", "pbw.rewrite")
     try:
         alg = prog.cli.JacobiAlgebra(n)
         prog.cli.find_singular_vectors(alg, w)
@@ -69,6 +75,7 @@ def stage_times(prog, n: int, weight: str) -> dict:
     out = {f"{k}_s": total.get(name, 0.0) for k, name in STAGES.items()}
     out["act_calls"] = calls.get("verma.act", 0)
     out["normal_order_calls"] = calls.get("pbw.normal_order", 0)
+    out["rewrite_calls"] = calls.get("pbw.rewrite", 0)
     return out
 
 

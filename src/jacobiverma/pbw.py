@@ -10,14 +10,17 @@ rewriting terminates; by the PBW theorem the normal form is independent of
 the strategy.
 
 The structure constants are integer multiples of 1/2, so every coefficient
-of a normal form is a rational with a power of 2 as denominator.  While
-rewriting, each word carries an integer numerator and denominator,
-multiplied by the lowest-terms halves of ``JacobiAlgebra.integer_bracket``,
-which reads the integer kernel ``algebra.half_bracket``; the words that
-reach normal form are summed per denominator, and each monomial of the
-result gets one ``fractions.Fraction`` at the end.  ``UElement``
-coefficients are nonzero ``Fraction``s.  Dependence on the weight enters
-only when the module evaluates Cartan factors (``verma``).
+of a normal form is a rational with a power of 2 as denominator.  The
+rewrite, ``_normal_sums``, works in integers only: each word carries an
+integer numerator and denominator, multiplied by the lowest-terms halves of
+``JacobiAlgebra.integer_bracket``, which reads the integer kernel
+``algebra.half_bracket``, and the words that reach normal form are summed
+into one (numerator, denominator) pair per sorted word.  ``normal_order``
+is that rewrite plus one ``fractions.Fraction`` and one ``PbwMonomial`` per
+word of the result; the module's verification (``verma.is_singular``) reads
+the integer sums directly.  ``UElement`` coefficients are nonzero
+``Fraction``s.  Dependence on the weight enters only when the module
+evaluates Cartan factors (``verma``).
 """
 
 from __future__ import annotations
@@ -139,21 +142,20 @@ class UElement:
         return "UElement(" + ", ".join(f"{m.exps}: {c}" for m, c in self.terms.items()) + ")"
 
 
-def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> UElement:
-    """PBW normal form of a word of generators.
+def _normal_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """PBW normal form of a word of generator indices, in integers.
 
-    Rewrites the leftmost inverted adjacent pair at each step.  The result is
-    supported on ordered monomials only.  Agenda entries carry an integer
-    numerator and denominator, and the position where the search for an
-    inversion resumes: after a rewrite at k the first k letters are still in
-    order, so the next inversion is at k - 1 or later.
+    Returns a map from each sorted word of the normal form to its
+    coefficient as an integer numerator and a power-of-2 denominator, not
+    necessarily in lowest terms; words whose coefficient is zero are
+    dropped.  Rewrites the leftmost inverted adjacent pair at each step.
+    Agenda entries carry an integer numerator and denominator, and the
+    position where the search for an inversion resumes: after a rewrite at
+    k the first k letters are still in order, so the next inversion is at
+    k - 1 or later.  The indices are not checked.
     """
-    idx_word = tuple(alg.index[g] if isinstance(g, Generator) else int(g) for g in word)
-    for idx in idx_word:
-        if not 0 <= idx < len(alg.generators):
-            raise ValueError(f"generator index {idx} out of range")
     bracket = alg.integer_bracket
-    leaves: Dict[Tuple[Tuple[int, ...], int], int] = {}
+    sums: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     agenda: List[Tuple[Tuple[int, ...], int, int, int]] = [(idx_word, 1, 1, 0)]
     while agenda:
         w, num, den, k = agenda.pop()
@@ -161,8 +163,14 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
         while k < last and w[k] <= w[k + 1]:
             k += 1
         if k >= last:
-            key = (w, den)
-            leaves[key] = leaves.get(key, 0) + num
+            prev = sums.get(w)
+            if prev is None:
+                sums[w] = (num, den)
+            elif prev[1] == den:
+                sums[w] = (prev[0] + num, den)
+            else:
+                common = lcm(prev[1], den)
+                sums[w] = (prev[0] * (common // prev[1]) + num * (common // den), common)
             continue
         x, y = w[k], w[k + 1]
         head, tail = w[:k], w[k + 2:]
@@ -170,16 +178,23 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
         agenda.append((head + (y, x) + tail, num, den, resume))
         for replacement, p, q in bracket(x, y):
             agenda.append((head + replacement + tail, num * p, den * q, resume))
-    sums: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for (w, den), num in leaves.items():
-        prev = sums.get(w)
-        if prev is None:
-            sums[w] = (num, den)
-        else:
-            common = lcm(prev[1], den)
-            sums[w] = (prev[0] * (common // prev[1]) + num * (common // den), common)
+    return {w: c for w, c in sums.items() if c[0]}
+
+
+def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> UElement:
+    """PBW normal form of a word of generators (or of their indices).
+
+    The integer rewrite ``_normal_sums`` does the work; each word it returns
+    becomes one ``PbwMonomial`` with one reduced ``Fraction``.  The result
+    is supported on ordered monomials only.
+    """
+    idx_word = tuple(alg.index[g] if isinstance(g, Generator) else int(g) for g in word)
+    for idx in idx_word:
+        if not 0 <= idx < len(alg.generators):
+            raise ValueError(f"generator index {idx} out of range")
     result = {
-        PbwMonomial.from_word(alg, w): Fraction(num, den) for w, (num, den) in sums.items() if num
+        PbwMonomial.from_word(alg, w): Fraction(num, den)
+        for w, (num, den) in _normal_sums(alg, idx_word).items()
     }
     return UElement(alg.n, result)
 

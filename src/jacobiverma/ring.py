@@ -8,16 +8,21 @@ variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 ``L2`` first.
 
 Rational numbers are plain ``fractions.Fraction``; the stdlib type already
-maintains the reduced-form invariants we need.  ``RatFuncQ`` is not a field
-of fractions: it is the reduced quotient num/den that a report prints as a
-kernel coordinate, with no arithmetic of its own.
+maintains the reduced-form invariants we need.  The fraction-free loops (the
+module action in ``verma`` and phase 1 of the solver's elimination) work on
+integer term maps instead, exponent tuple to int, and share one product,
+``_mul_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms`` convert
+at their boundaries.  ``RatFuncQ`` is not a field of fractions: it is the
+reduced quotient num/den that a report prints as a kernel coordinate, with
+no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from typing import Iterable, Mapping, Optional, Union
+from math import gcd as int_gcd, lcm
+from operator import add
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -43,6 +48,30 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
             else:
                 res[e] = v
     return res
+
+
+# Integer term map: exponent tuple -> nonzero int, a polynomial's
+# numerators over a denominator its user keeps.
+IntTerms = Dict[tuple, int]
+
+
+def _mul_int_terms(t1: IntTerms, t2: IntTerms) -> IntTerms:
+    """Product of two integer term maps, zero coefficients dropped."""
+    res: IntTerms = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            res[e] = res.get(e, 0) + c1 * c2
+    return {e: c for e, c in res.items() if c}
+
+
+def _numerators(polys: Sequence["PolyQ"]) -> Tuple[List[IntTerms], int]:
+    """The coefficients of ``polys`` as integers over one common denominator."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in polys], den
 
 
 class PolyQ:
@@ -79,6 +108,15 @@ class PolyQ:
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "PolyQ":
         return cls(nvars, {(0,) * nvars: Fraction(c)})
+
+    @classmethod
+    def from_int_terms(cls, nvars: int, terms: IntTerms, den: int = 1) -> "PolyQ":
+        """The integer term map divided by ``den``: one reduced ``Fraction``
+        per nonzero coefficient, with no other check."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
+        return out
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "PolyQ":

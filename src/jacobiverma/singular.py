@@ -15,10 +15,11 @@ target weight w:
    homogeneous linear condition per surviving basis monomial, with every
    Cartan value taken at L_i - 1/4; a matrix over Q[L1..Ln].  That suffices:
    if x and y kill a vector, so does [x, y];
-3. eliminate in two phases with case splitting: plain Gauss over Q while a
-   constant pivot remains, then fraction-free (Bareiss) steps on the residual
-   rows; a non-constant pivot spawns one child per vanishing-locus factor,
-   while the parent continues with the pivot asserted nonzero;
+3. eliminate in two phases with case splitting: fraction-free Gauss on
+   primitive integer rows while a constant pivot remains, then fraction-free
+   (Bareiss) steps on the residual rows; a non-constant pivot spawns one
+   child per vanishing-locus factor, while the parent continues with the
+   pivot asserted nonzero;
 4. each explored constraint set with a nontrivial kernel becomes a branch; the
    kernel is back-substituted fraction-free, so each kernel vector is a
    polynomial vector, kept primitive (coprime coordinates, the last nonzero
@@ -40,13 +41,17 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import A_MINUS, A_PLUS, K_PLUS, Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial
 from .ring import (
+    IntTerms,
     PolyQ,
     RatFuncQ,
+    _mul_int_terms,
+    _numerators,
     content_in,
     poly_gcd,
     poly_sort_key,
@@ -378,6 +383,17 @@ def _split_factors(p: PolyQ) -> List[PolyQ]:
     return [unique[k] for k in sorted(unique)]
 
 
+def _content_free(row: List[IntTerms]) -> List[IntTerms]:
+    """An integer row divided by the gcd of all its coefficients."""
+    g = 0
+    for t in row:
+        for c in t.values():
+            g = gcd(g, c)
+            if g == 1:
+                return row
+    return [{e: c // g for e, c in t.items()} for t in row]
+
+
 def _eliminate(
     matrix: List[List[PolyQ]],
     ncols: int,
@@ -385,15 +401,27 @@ def _eliminate(
 ) -> Tuple[List[Tuple[List[PolyQ], int]], Set[int], List[PolyQ]]:
     """Two-phase elimination with degree-preferring pivot choice.
 
-    Phase 1 is plain Gauss over Q: while some unused column holds a nonzero
-    constant entry, the least (column, row index) such entry is the pivot, its
-    row is scaled to make it 1, and only the rows with a nonzero entry in the
-    pivot column are updated, on the columns where the pivot row is nonzero.
-    Phase 2 runs Bareiss fraction-free steps on the residual, starting from
-    divisor 1 and always taking an entry of least total degree.  Phase 1
-    rows are Bareiss rows up to nonzero rational factors, so the pivot
-    choice, the kernel and the squarefree monic pivot factors do not depend
-    on where the phases meet.
+    Phase 1 is fraction-free Gauss on integer rows: each row's
+    denominators are cleared and its integer content divided out on entry.
+    While some unused column holds a nonzero constant entry P, the least
+    (column, row index) such entry is the pivot, its row is negated if
+    need be so that P > 0, and only the rows with a nonzero entry f in the
+    pivot column are updated, to P row - f prow with its content divided
+    out again (both terms are first divided by the gcd of P and the
+    coefficients of f, which often leaves P = 1).
+    Phase 2 takes the residual back as ``PolyQ`` rows and runs Bareiss
+    fraction-free steps on it, starting from divisor 1 and always taking
+    an entry of least total degree.
+
+    Every row here is a nonzero rational multiple of the row that Gauss
+    over Q with pivots scaled to 1 would hold, and the pivot rules look only
+    at zero entries, constant entries and total degree, so the pivots and
+    their columns do not depend on those multiples; the non-constant pivots
+    change by constant factors only, which the squarefree monic factors and
+    the primitive kernel vectors do not see.  Phase 1 rows are Bareiss
+    rows up to nonzero rational factors, so the pivot choice, the kernel
+    and the squarefree monic pivot factors do not depend on where the
+    phases meet either.
 
     Every phase-2 division by the previous pivot is exact.  Phase 1 pivots
     only on constants, so the residual is a matrix over Q[L], and by
@@ -405,16 +433,18 @@ def _eliminate(
     Returns (retired pivot rows with their columns, used columns, the
     non-constant pivot polynomials in order of use).
     """
-    active = [list(row) for row in matrix if any(not e.is_zero for e in row)]
-    pivots: List[Tuple[List[PolyQ], int]] = []
+    rows = [_content_free(_numerators(row)[0]) for row in matrix if any(not e.is_zero for e in row)]
+    constant = (0,) * nvars
+    int_pivots: List[Tuple[List[IntTerms], int]] = []
     used: Set[int] = set()
     while True:
         best = None
         for c in range(ncols):
             if c in used:
                 continue
-            for ri, row in enumerate(active):
-                if not row[c].is_zero and row[c].is_constant:
+            for ri, row in enumerate(rows):
+                e = row[c]
+                if len(e) == 1 and constant in e:
                     best = (c, ri)
                     break
             if best is not None:
@@ -422,23 +452,32 @@ def _eliminate(
         if best is None:
             break
         c, ri = best
-        prow = active.pop(ri)
-        inv = 1 / prow[c].constant_value()
-        support = [j for j in range(ncols) if not prow[j].is_zero]
-        for j in support:
-            prow[j] = prow[j] * inv
-        new_active = []
-        for row in active:
+        prow = rows.pop(ri)
+        if prow[c][constant] < 0:
+            prow = [{e: -a for e, a in t.items()} for t in prow]
+        pivot = prow[c][constant]
+        support = [j for j in range(ncols) if prow[j]]
+        remaining = []
+        for row in rows:
             f = row[c]
-            if not f.is_zero:
+            if f:
+                g = gcd(pivot, *f.values())
+                k, f = pivot // g, {e: a // g for e, a in f.items()}
+                row = [{e: k * a for e, a in t.items()} for t in row] if k != 1 else list(row)
                 for j in support:
-                    row[j] = row[j] - f * prow[j]
-                if all(e.is_zero for e in row):
+                    t = dict(row[j])
+                    for e, a in _mul_int_terms(f, prow[j]).items():
+                        t[e] = t.get(e, 0) - a
+                    row[j] = {e: a for e, a in t.items() if a}
+                if not any(row):
                     continue
-            new_active.append(row)
-        active = new_active
-        pivots.append((prow, c))
+                row = _content_free(row)
+            remaining.append(row)
+        rows = remaining
+        int_pivots.append((prow, c))
         used.add(c)
+    pivots = [([PolyQ.from_int_terms(nvars, t) for t in row], c) for row, c in int_pivots]
+    active = [[PolyQ.from_int_terms(nvars, t) for t in row] for row in rows]
     nonconstant: List[PolyQ] = []
     prev = PolyQ.one(nvars)
     while True:

@@ -9,25 +9,31 @@ coefficient by L^e.
 
 One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
 ``apply_word_to_v0`` and ``is_singular``.  It takes the input coefficients as
-integer numerators over one common denominator, adds integers for every
-normal-ordered term (whose coefficients have powers of 2 as denominators),
-and ``act`` makes one reduced ``Fraction`` per term of the result.  The
-weight stays formal in ``act`` and ``apply_word_to_v0``.  ``is_singular``
-runs the same kernel at a branch's weight: Cartan factors take the values
-of the branch's solved form and the integer sums are tested for zero.
+integer numerators over one common denominator and the normal-ordered terms
+with no lowering factor as leaves (raising key, Cartan exponents, numerator,
+power-of-2 denominator), and adds integers for every leaf.  Two adapters
+make the leaves: ``_uelement_leaves`` from a ``normal_order`` result, for
+``act`` and ``apply_word_to_v0``, and ``_sums_leaves`` straight from the
+integer rewrite ``pbw._normal_sums``, for ``is_singular``, which so forms no
+``Fraction``, ``PbwMonomial`` or ``UElement`` per term and skips the words
+that end in a lowering letter before building anything for them.  ``act``
+makes one reduced ``Fraction`` per term of the result.  The weight stays
+formal in ``act`` and ``apply_word_to_v0``.  ``is_singular`` runs the
+kernel at a branch's weight: Cartan factors take the values of the
+branch's solved form and the integer sums are tested for zero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
-from .pbw import PbwMonomial, UElement, monomial_weight, normal_order
-from .ring import PolyQ, poly_sort_key, squarefree_part
+from .pbw import PbwMonomial, UElement, _normal_sums, monomial_weight, normal_order
+from .ring import IntTerms, PolyQ, _mul_int_terms, _numerators, poly_sort_key, squarefree_part
 
 
 VECTOR_JSON_SCHEMA = {
@@ -123,29 +129,47 @@ class VermaVector:
         return "VermaVector(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
 
 
-# Module vector under construction: raising part of a monomial's exponents
-# -> L-exponent -> integer numerator over the denominator of the call.
-_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
-_IntTerms = Dict[Tuple[int, ...], int]
+# Module vector under construction: raising key -> L-exponent -> integer
+# numerator over the denominator of the call.
+_Accumulator = Dict[tuple, Dict[Tuple[int, ...], int]]
+# One normal-ordered term with no lowering factor: (raising key, Cartan
+# exponents, numerator, denominator), the denominator a power of 2.
+_Leaf = Tuple[tuple, Tuple[int, ...], int, int]
 
 
-def _numerators(polys: Sequence[PolyQ]) -> Tuple[List[_IntTerms], int]:
-    """The coefficients of ``polys`` as integers over one common denominator."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in polys], den
+def _uelement_leaves(alg: JacobiAlgebra, u: UElement) -> List[_Leaf]:
+    """The terms of ``u`` that survive on v0, keyed by their raising
+    exponents (which ``_to_vector`` reads back)."""
+    npos = alg.num_positive
+    low = npos + alg.n
+    out = []
+    for m, c in u.terms.items():
+        exps = m.exps
+        if not any(exps[low:]):
+            out.append((exps[:npos], exps[npos:low], c.numerator, c.denominator))
+    return out
 
 
-def _mul_int_terms(t1: _IntTerms, t2: _IntTerms) -> _IntTerms:
-    """Product of two integer term maps (``ring._mul_terms`` sums in Fractions)."""
-    res: _IntTerms = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(map(add, e1, e2))
-            res[e] = res.get(e, 0) + c1 * c2
-    return {e: c for e, c in res.items() if c}
+def _sums_leaves(alg: JacobiAlgebra, sums: Dict[Tuple[int, ...], Tuple[int, int]]) -> List[_Leaf]:
+    """The words of a ``_normal_sums`` result that survive on v0, keyed by
+    their raising prefix.
+
+    A sorted word has its lowering letters last, so the words that end in
+    one are skipped, and the Cartan letters are the run after the raising
+    prefix.
+    """
+    npos = alg.num_positive
+    low = npos + alg.n
+    out = []
+    for w, (num, den) in sums.items():
+        if w and w[-1] >= low:
+            continue
+        k = bisect_left(w, npos)
+        cartan = [0] * alg.n
+        for i in w[k:]:
+            cartan[i - npos] += 1
+        out.append((w[:k], tuple(cartan), num, den))
+    return out
 
 
 class _BranchWeight:
@@ -162,9 +186,9 @@ class _BranchWeight:
         self.values, self.den = _numerators(
             [constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]
         )
-        self._products: Dict[Tuple[int, ...], _IntTerms] = {}
+        self._products: Dict[Tuple[int, ...], IntTerms] = {}
 
-    def cartan(self, exps: Tuple[int, ...]) -> _IntTerms:
+    def cartan(self, exps: Tuple[int, ...]) -> IntTerms:
         """h^exps v0 as an integer polynomial over den ** sum(exps)."""
         out = self._products.get(exps)
         if out is None:
@@ -176,55 +200,49 @@ class _BranchWeight:
         return out
 
 
-def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[UElement, _IntTerms]],
+def _apply_on_v0(products: Sequence[Tuple[List[_Leaf], IntTerms]],
                  weight: Optional[_BranchWeight] = None) -> Tuple[_Accumulator, int]:
-    """The sum of (u v0) times c over the pairs (u, c), fraction-free.
+    """The sum of (u v0) times c over the pairs (leaves of u, c), fraction-free.
 
-    Lowering tails kill v0 and the raising prefix is kept.  At the formal
-    weight (``weight`` None) a Cartan factor h^e multiplies c by L^e, a
-    shift of exponents; at a branch's weight it multiplies c by the
-    polynomial ``weight.cartan(e)``.  The coefficients of normal forms have
-    powers of 2 as denominators, and the Cartan values of a branch have
-    powers of ``weight.den``; both are brought to their largest power in the
-    call, so every term adds integers.  Returns the sums and the denominator
-    by which they are to be divided, besides that of the c.
+    The leaves are the terms of u with no lowering factor, as made by
+    ``_uelement_leaves`` or ``_sums_leaves``; the raising part of each is
+    kept under its key.  At the formal weight (``weight`` None) a Cartan
+    factor h^e multiplies c by L^e, a shift of exponents; at a branch's
+    weight it multiplies c by the polynomial ``weight.cartan(e)``.  The
+    leaves have powers of 2 as denominators, and the Cartan values of a
+    branch have powers of ``weight.den``; both are brought to their largest
+    power in the call, so every term adds integers.  Returns the sums and
+    the denominator by which they are to be divided, besides that of the c.
     """
-    npos = alg.num_positive
-    low = npos + alg.n
-    leaves = []
     top = 1
     depth = 0
-    for u, coeff in products:
-        for m, c in u.terms.items():
-            exps = m.exps
-            if any(exps[low:]):
-                continue
-            cartan = exps[npos:low]
-            leaves.append((exps[:npos], cartan, c.numerator, c.denominator, coeff))
-            if c.denominator > top:
-                top = c.denominator
+    for leaves, _ in products:
+        for _, cartan, _, den in leaves:
+            if den > top:
+                top = den
             if weight is not None:
                 depth = max(depth, sum(cartan))
     acc: _Accumulator = {}
-    for raising, cartan, num, den, coeff in leaves:
-        slot = acc.get(raising)
-        if slot is None:
-            slot = acc[raising] = {}
-        f = num * (top // den)
-        if weight is not None:
-            f *= weight.den ** (depth - sum(cartan))
-            value = weight.cartan(cartan)
-            for e1, a in coeff.items():
-                for e2, b in value.items():
-                    e = tuple(map(add, e1, e2))
-                    slot[e] = slot.get(e, 0) + f * a * b
-        elif any(cartan):
-            for e, a in coeff.items():
-                e = tuple(map(add, e, cartan))
-                slot[e] = slot.get(e, 0) + f * a
-        else:
-            for e, a in coeff.items():
-                slot[e] = slot.get(e, 0) + f * a
+    for leaves, coeff in products:
+        for raising, cartan, num, den in leaves:
+            slot = acc.get(raising)
+            if slot is None:
+                slot = acc[raising] = {}
+            f = num * (top // den)
+            if weight is not None:
+                f *= weight.den ** (depth - sum(cartan))
+                value = weight.cartan(cartan)
+                for e1, a in coeff.items():
+                    for e2, b in value.items():
+                        e = tuple(map(add, e1, e2))
+                        slot[e] = slot.get(e, 0) + f * a * b
+            elif any(cartan):
+                for e, a in coeff.items():
+                    e = tuple(map(add, e, cartan))
+                    slot[e] = slot.get(e, 0) + f * a
+            else:
+                for e, a in coeff.items():
+                    slot[e] = slot.get(e, 0) + f * a
     scale = top * weight.den ** depth if weight is not None else top
     return acc, scale
 
@@ -233,10 +251,7 @@ def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
     lowering = (0,) * (len(alg.generators) - alg.num_positive)
     terms: Dict[PbwMonomial, PolyQ] = {}
     for raising, slot in acc.items():
-        poly = PolyQ.__new__(PolyQ)  # one reduced Fraction per nonzero numerator
-        poly.nvars = alg.n
-        poly.terms = {e: Fraction(c, den) for e, c in slot.items() if c}
-        terms[PbwMonomial(raising + lowering)] = poly
+        terms[PbwMonomial(raising + lowering)] = PolyQ.from_int_terms(alg.n, slot, den)
     return VermaVector(alg.n, terms)
 
 
@@ -251,8 +266,10 @@ def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
     """
     ix = alg.index[alg._check(x)]
     coeffs, den = _numerators(list(v.terms.values()))
-    products = [(normal_order(alg, (ix,) + m.word()), c) for m, c in zip(v.terms, coeffs)]
-    acc, scale = _apply_on_v0(alg, products)
+    products = [
+        (_uelement_leaves(alg, normal_order(alg, (ix,) + m.word())), c) for m, c in zip(v.terms, coeffs)
+    ]
+    acc, scale = _apply_on_v0(products)
     return _to_vector(alg, acc, den * scale)
 
 
@@ -261,7 +278,7 @@ def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] 
     if coeff is None:
         coeff = PolyQ.one(alg.n)
     (ints,), den = _numerators([coeff])
-    acc, scale = _apply_on_v0(alg, [(normal_order(alg, word), ints)])
+    acc, scale = _apply_on_v0([(_uelement_leaves(alg, normal_order(alg, word)), ints)])
     return _to_vector(alg, acc, den * scale)
 
 
@@ -427,8 +444,10 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
     the coefficients of v are reduced by the solved form once, a Cartan
     factor h_i takes the solved form's value of L_i, and the integer
     numerators of x v are tested for zero with no ``Fraction`` formed and
-    nothing substituted afterwards.  One ``normal_order`` call per term of
-    v and per x, as in ``act``, which is not called.
+    nothing substituted afterwards.  One call of the integer rewrite
+    ``pbw._normal_sums`` per term of v and per x; its sums go to the
+    module kernel through ``_sums_leaves``, and neither ``normal_order``
+    nor ``act`` is called.
     """
     if constraints.equations and constraints.solved_form is None:
         return SingularityReport(
@@ -441,8 +460,8 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
     report = SingularityReport()
     for x in alg.negative:
         ix = alg.index[x]
-        products = [(normal_order(alg, (ix,) + w), c) for w, c in zip(words, coeffs)]
-        acc, _ = _apply_on_v0(alg, products, weight)
+        products = [(_sums_leaves(alg, _normal_sums(alg, (ix,) + w)), c) for w, c in zip(words, coeffs)]
+        acc, _ = _apply_on_v0(products, weight)
         ok = not any(c for slot in acc.values() for c in slot.values())
         report.by_generator.append((x, ok))
     return report

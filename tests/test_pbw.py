@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiverma.algebra import (
     A_MINUS,
@@ -17,6 +19,7 @@ from jacobiverma.algebra import (
 from jacobiverma.pbw import (
     PbwMonomial,
     UElement,
+    _normal_sums,
     monomial_weight,
     multiply,
     normal_order,
@@ -90,6 +93,43 @@ class TestNormalOrderOracle:
         for _ in range(count):
             word = tuple(rng.randrange(len(alg.generators)) for _ in range(rng.randint(7, 8)))
             assert as_rational_dict(normal_order(alg, word)) == insert_normal_order(alg, word), word
+
+
+_ALGEBRAS = {n: JacobiAlgebra(n) for n in (1, 2, 3)}
+
+
+@st.composite
+def _words(draw):
+    alg = _ALGEBRAS[draw(st.integers(1, 3))]
+    letters = st.integers(0, len(alg.generators) - 1)
+    return alg, tuple(draw(st.lists(letters, max_size=7)))
+
+
+class TestIntegerRewrite:
+    """``_normal_sums`` is the integer rewrite behind ``normal_order``;
+    ``verma.is_singular`` reads it directly and keeps the words with no
+    lowering letter."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_words())
+    def test_sums_are_the_normal_form(self, case):
+        alg, word = case
+        sums = _normal_sums(alg, word)
+        for w, (num, den) in sums.items():
+            assert list(w) == sorted(w)
+            assert num != 0 and den > 0 and den & (den - 1) == 0
+        as_element = UElement(
+            alg.n, {PbwMonomial.from_word(alg, w): Fraction(num, den) for w, (num, den) in sums.items()}
+        )
+        assert as_element == normal_order(alg, word)
+        low = alg.num_positive + alg.n
+        kept = {
+            PbwMonomial.from_word(alg, w).exps: Fraction(num, den)
+            for w, (num, den) in sums.items()
+            if not (w and w[-1] >= low)
+        }
+        oracle = {e: c for e, c in insert_normal_order(alg, word).items() if not any(e[low:])}
+        assert kept == oracle
 
 
 class TestTermination:

@@ -7,6 +7,7 @@ the certified rank."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,11 +142,55 @@ class TestEliminate:
         numeric = [[e.eval_all(point) for e in row] for row in matrix]
         assert len(kernel) == len(fraction_kernel(numeric, ncols))
 
+    @settings(max_examples=80, deadline=None)
+    @given(_matrices(), st.data())
+    def test_row_scaling_changes_pivots_by_constant_factors_only(self, matrix, data):
+        ncols = len(matrix[0])
+        scales = data.draw(
+            st.lists(
+                st.fractions(-7, 7, max_denominator=6).filter(bool),
+                min_size=len(matrix),
+                max_size=len(matrix),
+            )
+        )
+        scaled = [[e * k for e in row] for row, k in zip(matrix, scales)]
+        pivots, used, nonconstant = _eliminate(matrix, ncols, 2)
+        s_pivots, s_used, s_nonconstant = _eliminate(scaled, ncols, 2)
+        assert [c for _, c in pivots] == [c for _, c in s_pivots]
+        assert used == s_used
+        assert _kernel_from_pivots(pivots, used, ncols, 2) == _kernel_from_pivots(
+            s_pivots, s_used, ncols, 2
+        )
+        assert [p.monic() for p in nonconstant] == [p.monic() for p in s_nonconstant]
+        # phase 1 pivots on constants only; its pivot rows are primitive
+        # integer rows with a positive pivot, the same for both inputs
+        for (row, c), (s_row, _) in zip(pivots, s_pivots):
+            if not row[c].is_constant:
+                break
+            coeffs = [v for e in row for v in e.terms.values()]
+            assert all(v.denominator == 1 for v in coeffs)
+            assert gcd(*(v.numerator for v in coeffs)) == 1
+            assert row[c].constant_value() > 0
+            assert s_row == row
+
+    def test_updated_rows_are_primitive_with_positive_pivots(self):
+        # [1, 3, 2] - [1, 1, 0] = [0, 2, 2] has content 2, and the second
+        # pivot row [0, -1, L1] is negated to make its pivot positive
+        matrix = [[const(1), const(1), const(0)], [const(0), const(-1), L(1)], [const(1), const(3), const(2)]]
+        pivots, used, nonconstant = _eliminate(matrix, 3, 2)
+        assert pivots == [
+            ([const(1), const(1), const(0)], 0),
+            ([const(0), const(1), -L(1)], 1),
+            ([const(0), const(0), L(1) + const(1)], 2),
+        ]
+        assert nonconstant == [L(1) + const(1)]
+
     def test_row_without_pivot_column_entry_is_untouched(self):
         zero = const(0)
         matrix = [[const(2), const(1), L(2)], [zero, L(1), L(1) * L(2)]]
         pivots, used, nonconstant = _eliminate(matrix, 3, 2)
-        assert pivots[0] == ([const(1), const(Fraction(1, 2)), Fraction(1, 2) * L(2)], 0)
+        # phase 1 keeps the pivot row as a primitive integer row
+        assert pivots[0] == ([const(2), const(1), L(2)], 0)
         assert pivots[1] == ([zero, L(1), L(1) * L(2)], 1)
         assert used == {0, 1}
         assert nonconstant == [L(1)]

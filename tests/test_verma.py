@@ -14,7 +14,7 @@ from jacobiverma.algebra import (
     K_ZERO,
     Weight,
 )
-from jacobiverma.pbw import PbwMonomial
+from jacobiverma.pbw import PbwMonomial, _normal_sums
 from jacobiverma.ring import PolyQ
 from jacobiverma.textio import parse_constraints, parse_vector
 from jacobiverma.verma import (
@@ -393,6 +393,21 @@ class TestIsSingularAgainstOracle:
         v = parse_vector("(L2 - L1) d+", ALG)
         assert is_singular(ALG, v, ConstraintSet.from_equations(2, [L(2) - L(1)])).singular
         assert not is_singular(ALG, v, ConstraintSet.empty(2)).singular
+
+    def test_lowering_tails_are_skipped(self):
+        # x m = m x + [x, m] for the lowering x: every normal form holds the
+        # sorted word of m x, which ends in a lowering letter and kills v0,
+        # so d+ is singular at L2 = L1 only if those words are skipped
+        v = parse_vector("d+", ALG)
+        (m,) = v.terms
+        low = ALG.num_positive + ALG.n
+        for x in ALG.negative:
+            sums = _normal_sums(ALG, (ALG.index[x],) + m.word())
+            assert any(w[-1] >= low for w in sums)
+        cs = ConstraintSet.from_equations(2, [L(2) - L(1)])
+        report = is_singular(ALG, v, cs)
+        assert report.singular
+        assert report.by_generator == oracle_verdicts(ALG, v, cs)
 
     @pytest.mark.parametrize("n, seed", [(2, 11), (3, 12)])
     def test_random_vectors(self, n, seed):
