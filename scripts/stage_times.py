@@ -13,7 +13,8 @@ single run.  Times are in seconds, totals of the spans of each stage:
 
 * ``init``: the ``JacobiAlgebra(N)`` construction that every ``jv singular``
   call makes before the search; ``total`` does not include it;
-* ``assemble``: ``assemble_system``, enumeration included;
+* ``assemble``: ``assemble_system``, which includes the next stage;
+* ``enumerate``: ``enumerate_ansatz``, the listing of the ansatz;
 * ``solve``: ``solve_parametric``, which contains the next two stages;
 * ``eliminate``: ``_eliminate``, the two-phase elimination of every case
   the solver explores;
@@ -46,6 +47,7 @@ STAGES = {
     "init": "algebra.init",
     "total": "singular.find_singular_vectors",
     "assemble": "singular.assemble_system",
+    "enumerate": "singular.enumerate_ansatz",
     "solve": "singular.solve_parametric",
     "eliminate": "singular.eliminate",
     "kernel": "singular.kernel",

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from .algebra import InvalidDimensionError, JacobiAlgebra
 from .ring import frac_text
-from .singular import BranchBudgetExceededError, find_singular_vectors
+from .singular import BranchBudgetExceededError, display_factor_order, find_singular_vectors
 from .textio import (
     ParseError,
     constraints_to_json,
@@ -140,8 +140,10 @@ def _cmd_singular(args) -> int:
     latex = args.format == "latex"
     short = args.short_names if latex else None
     print(f"weight: {render_weight(report.weight)}")
+    order = display_factor_order(alg)
     mono_text = ", ".join(
-        render_monomial(alg, m, short=short, latex=latex) for m in report.monomials
+        render_monomial(alg, m, short=short, latex=latex, order=order)
+        for m in report.monomials
     )
     print(f"ansatz monomials: {mono_text if mono_text else '(none)'}")
     if report.trivial:
@@ -253,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weight",
         required=True,
-        help="target weight, e.g. 2d1, d1-d2 or 4,4; write --weight=-1,0 when the "
-        "first coordinate is negative",
+        help="target weight, e.g. 2d1, d1-d2 or 4,4; a weight that starts with '-' "
+        "needs the --weight=W form, e.g. --weight=-1,3 or --weight=-d1+d2",
     )
     p.add_argument("--branch-budget", type=_positive_int, default=64)
     p.set_defaults(func=_cmd_singular)

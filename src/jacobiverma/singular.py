@@ -41,7 +41,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import A_MINUS, A_PLUS, K_PLUS, Generator, JacobiAlgebra, Weight
@@ -118,6 +120,13 @@ def _positive_layout(alg: JacobiAlgebra) -> Tuple[range, range, range]:
     return range(0, a_end), range(a_end, k_end), range(k_end, alg.num_positive)
 
 
+def _ansatz_signature(alg: JacobiAlgebra) -> List[int]:
+    """The positive indices from most to least significant in the ansatz
+    order: K+, then a+, then raising K0."""
+    aplus, kplus, kzero = _positive_layout(alg)
+    return [*kplus, *aplus, *kzero]
+
+
 def ansatz_sort_key(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
     """Sort key for same-weight monomials: descending lex with the K+ block most
     significant, then a+, then raising K0 (callers sort with reverse=True).
@@ -125,69 +134,59 @@ def ansatz_sort_key(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
     This reproduces the presentation order of the worked g_2 cases and puts
     the conventional free-scale monomial last.
     """
-    aplus, kplus, kzero = _positive_layout(alg)
-    sig = list(kplus) + list(aplus) + list(kzero)
-    return tuple(m.exps[i] for i in sig)
+    return tuple(m.exps[i] for i in _ansatz_signature(alg))
 
 
 def display_factor_order(alg: JacobiAlgebra) -> List[int]:
     """Factor order used when rendering monomials: K+, a+, raising K0, Cartan,
     then the mirrored lowering blocks.  Swapping the K+ and a+ blocks relative
     to the ordered basis is purely cosmetic since those families commute."""
-    aplus, kplus, kzero = _positive_layout(alg)
+    order = _ansatz_signature(alg)
     npos, n = alg.num_positive, alg.n
-    order = list(kplus) + list(aplus) + list(kzero)
-    order += list(range(npos, npos + n))
-    base = npos + n
-    order += [base + i for i in list(kplus)] + [base + i for i in list(aplus)]
-    order += [base + i for i in list(kzero)]
-    return order
+    return order + list(range(npos, npos + n)) + [npos + n + i for i in order]
 
 
 def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
     """All raising-only monomials of weight w, in the canonical ansatz order.
 
     Every raising generator has an integral weight, so a weight with a
-    non-integral coordinate has none.  Otherwise the search is a bounded DFS
-    over exponent vectors, in integers: the linear functional
-    sum_k (n-k) * coord_k is strictly positive on every raising generator, so
-    its value on w caps the multiplicity of each generator.
+    non-integral coordinate has none.  Otherwise a DFS in integers chooses
+    the K+ and raising-K0 exponents only: a+_i has weight delta_i, so the
+    a+ exponents are the weight left over, and a leaf is kept when every
+    coordinate of that remainder is >= 0.  The DFS carries the prefix sums
+    P_t = rem_1 + ... + rem_t of the remaining weight.  Each K+ and
+    raising-K0 generator lowers at least one P_t and raises none, and a valid
+    leaf has every P_t >= 0, so a node with a negative P_t is dropped and
+    every exponent loop ends.
     """
     n = alg.n
     if len(w.coords) != n:
         raise ValueError(f"weight has {len(w.coords)} coordinates, expected {n}")
     if any(c.denominator != 1 for c in w.coords):
         return []
-    npos = alg.num_positive
-    weights = [tuple(int(c) for c in alg.weight(g).coords) for g in alg.positive]
-
-    def phi(coords) -> int:
-        return sum((n - k) * c for k, c in enumerate(coords))
-
-    phis = [phi(wc) for wc in weights]
-    target = [int(c) for c in w.coords]
+    _, kplus, kzero = _positive_layout(alg)
+    sp = [*kplus, *kzero]
+    drops = [list(accumulate(int(c) for c in alg.weight(alg.positive[k]).coords)) for k in sp]
     found: List[PbwMonomial] = []
-    exps = [0] * npos
-    tail = (0,) * (len(alg.generators) - npos)
+    exps = [0] * alg.num_positive
+    tail = (0,) * (len(alg.generators) - alg.num_positive)
 
-    def dfs(k: int, remaining: List[int], rem_phi: int):
-        if rem_phi < 0:
-            return
-        if k == npos:
-            if not any(remaining):
+    def dfs(d: int, prefix: List[int]):
+        if d == len(sp):
+            rem = [b - a for a, b in zip([0] + prefix, prefix)]
+            if min(rem) >= 0:
+                exps[:n] = rem  # a+_i is positive i
                 found.append(PbwMonomial(tuple(exps) + tail))
             return
-        for e in range(rem_phi // phis[k] + 1):
-            exps[k] = e
-            dfs(
-                k + 1,
-                [r - e * wc for r, wc in zip(remaining, weights[k])],
-                rem_phi - e * phis[k],
-            )
-        exps[k] = 0
+        while min(prefix) >= 0:
+            dfs(d + 1, prefix)
+            exps[sp[d]] += 1
+            prefix = [p - q for p, q in zip(prefix, drops[d])]
+        exps[sp[d]] = 0
 
-    dfs(0, target, phi(target))
-    found.sort(key=lambda m: ansatz_sort_key(alg, m), reverse=True)
+    dfs(0, list(accumulate(int(c) for c in w.coords)))
+    key = itemgetter(*_ansatz_signature(alg))
+    found.sort(key=lambda m: key(m.exps), reverse=True)
     return found
 
 

@@ -246,13 +246,20 @@ def _maybe_power(toks: _Tokens) -> int:
 
 
 def render_monomial(
-    alg: JacobiAlgebra, m: PbwMonomial, short: Optional[bool] = None, latex: bool = False
+    alg: JacobiAlgebra,
+    m: PbwMonomial,
+    short: Optional[bool] = None,
+    latex: bool = False,
+    order: Optional[List[int]] = None,
 ) -> str:
-    """Factors in display order (K+, a+, raising K0, Cartan, mirrored blocks)."""
+    """Factors in display order (K+, a+, raising K0, Cartan, mirrored blocks).
+
+    ``order`` is ``display_factor_order(alg)``, passed in by callers that
+    render many monomials so that it is built once."""
     if m.is_unit:
         return "1"
     parts = []
-    for idx in display_factor_order(alg):
+    for idx in order or display_factor_order(alg):
         e = m.exps[idx]
         if not e:
             continue
@@ -469,20 +476,17 @@ def render_vector(
     (Fraction coefficients) as a signed sum of terms."""
     if v.is_zero:
         return "0"
-    items = sorted(
-        v.terms.items(),
-        key=lambda t: _display_exps(alg, t[0]),
-        reverse=True,
-    )
+    order = display_factor_order(alg)
     parts: List[str] = []
-    for m, c in items:
-        mono = render_monomial(alg, m, short=short, latex=latex)
+    for m, c in _display_sorted(v, order):
+        mono = render_monomial(alg, m, short=short, latex=latex, order=order)
         parts.append(_format_term(mono, c, m.is_unit, latex, first=not parts))
     return " ".join(parts)
 
 
-def _display_exps(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
-    return tuple(m.exps[i] for i in display_factor_order(alg))
+def _display_sorted(v: Union[VermaVector, UElement], order: List[int]) -> list:
+    """The terms of v, in descending display order of their monomials."""
+    return sorted(v.terms.items(), key=lambda t: [t[0].exps[i] for i in order], reverse=True)
 
 
 def _format_term(
@@ -575,15 +579,13 @@ def vector_to_json(
     alg: JacobiAlgebra, v: Union[VermaVector, UElement], short: Optional[bool] = None
 ) -> list:
     """Terms of a module vector or an enveloping-algebra element, in display order."""
-    items = sorted(
-        v.terms.items(), key=lambda t: _display_exps(alg, t[0]), reverse=True
-    )
+    order = display_factor_order(alg)
     return [
         {
-            "monomial": render_monomial(alg, m, short=short),
+            "monomial": render_monomial(alg, m, short=short, order=order),
             "coeff": c.to_text() if isinstance(c, PolyQ) else frac_text(c),
         }
-        for m, c in items
+        for m, c in _display_sorted(v, order)
     ]
 
 
@@ -609,9 +611,10 @@ def report_to_json(alg: JacobiAlgebra, report, short: Optional[bool] = None) -> 
                 "verified": bool(br.verified),
             }
         )
+    order = display_factor_order(alg)
     return {
         "weight": [frac_text(c) for c in report.weight.coords],
-        "monomials": [render_monomial(alg, m, short=short) for m in report.monomials],
+        "monomials": [render_monomial(alg, m, short=short, order=order) for m in report.monomials],
         "branches": branches,
         "trivial": bool(report.trivial),
     }

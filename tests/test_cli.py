@@ -170,6 +170,15 @@ class TestCommands:
         assert br["vectors"] == [["1"]]
         assert br["verified"] is True
 
+    @pytest.mark.parametrize("weight", ["-1,3", "-d1+d2"])
+    def test_singular_weight_with_leading_minus(self, capsys, weight):
+        code, out, _ = run_cli(
+            capsys, "singular", "--n", "2", f"--weight={weight}", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["monomials"] == [] and payload["branches"] == []
+
     def test_singular_d2_reports_absence(self, capsys):
         code, out, _ = run_cli(capsys, "singular", "--n", "2", "--weight", "d2")
         assert code == 0

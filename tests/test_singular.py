@@ -133,8 +133,12 @@ def brute_force_ansatz(alg, w):
 BRUTE_FORCE_CASES = [
     (ALG, c)
     for c in [(2, 0), (1, 1), (0, 3), (3, -1), (2, 2), (0, 0), (-1, 0),
-              (Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))]
-] + [(JacobiAlgebra(3), c) for c in [(1, -1, 0), (0, 0, 1), (0, Fraction(1, 2), Fraction(1, 2))]]
+              (Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+              (-1, 3), (2, -2), (4, -2)]
+] + [
+    (JacobiAlgebra(3), c)
+    for c in [(1, -1, 0), (0, 0, 1), (0, Fraction(1, 2), Fraction(1, 2)), (0, 1, -1), (-1, 2, 0)]
+]
 
 
 @pytest.mark.parametrize(
@@ -145,6 +149,17 @@ def test_enumeration_matches_brute_force(alg, coords):
     mons = enumerate_ansatz(alg, w)
     assert len(set(mons)) == len(mons)
     assert set(mons) == brute_force_ansatz(alg, w)
+    assert mons == sorted(mons, key=lambda m: ansatz_sort_key(alg, m), reverse=True)
+
+
+def test_enumeration_g4_2d1_plus_2d2():
+    from jacobiverma.pbw import monomial_weight
+
+    alg = JacobiAlgebra(4)
+    w = Weight.of(2, 2, 0, 0)
+    mons = enumerate_ansatz(alg, w)
+    assert len(mons) == len(set(mons)) == 1007
+    assert all(monomial_weight(alg, m) == w for m in mons)
     assert mons == sorted(mons, key=lambda m: ansatz_sort_key(alg, m), reverse=True)
 
 
