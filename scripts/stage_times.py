@@ -20,15 +20,17 @@ single run.  Times are in seconds, totals of the spans of each stage:
   the solver explores;
 * ``kernel``: ``_kernel_from_pivots``, the fraction-free back-substitution
   of every case with a kernel;
-* ``lift``: lifting the sp(n) kernel vectors into g_N;
+* ``lift``: lifting the sp(n) kernel vectors into g_N: the closed-form
+  table of the lifted columns (``_lift_table``, once per weight with a
+  branch) and the integer sums of every kernel vector over it;
+* ``print``: making each lifted vector primitive (``_primitive``) and
+  dividing it by its last nonzero coordinate for the printed kernel
+  (``_ratios``);
 * ``verify``: ``is_singular`` on every reported vector, which acts with
-  every element of n- through the module kernel of ``verma`` rather than
-  through ``act``, so these acts count here and not under ``act``;
-* ``act`` and ``normal_order``: every call of ``act`` and of
-  ``normal_order``, whichever stage made it, with their call counts;
+  every element of n- through the module kernel of ``verma``;
 * ``rewrite``: every call of the integer rewrite ``pbw._normal_sums``, with
-  its call count, whether ``normal_order`` made it or ``is_singular``,
-  which reads the rewrite directly and so makes no ``normal_order`` call.
+  its call count; ``assemble_system`` and ``is_singular`` read it
+  directly, and no stage calls ``act`` or ``normal_order``.
 
 The program is imported from this checkout's ``src/``.
 """
@@ -52,22 +54,32 @@ STAGES = {
     "eliminate": "singular.eliminate",
     "kernel": "singular.kernel",
     "lift": "singular.lift",
+    "print": "singular.print",
     "verify": "verma.is_singular",
-    "act": "verma.act",
-    "normal_order": "pbw.normal_order",
     "rewrite": "pbw.rewrite",
 }
+
+# (module, attribute, span name) wrapped on top of the benchmark's layers.
+# singular and verma import _normal_sums by name, so each importing
+# module's attribute is wrapped as well.
+WRAPPED = [
+    ("singular", "_lift_table", "singular.lift"),
+    ("singular", "_lift_kernel_vector", "singular.lift"),
+    ("singular", "_printed", "singular.print"),
+    ("singular", "_eliminate", "singular.eliminate"),
+    ("singular", "_kernel_from_pivots", "singular.kernel"),
+    ("pbw", "_normal_sums", "pbw.rewrite"),
+    ("singular", "_normal_sums", "pbw.rewrite"),
+    ("verma", "_normal_sums", "pbw.rewrite"),
+]
 
 
 def stage_times(prog, n: int, weight: str) -> dict:
     w = prog.textio.parse_weight(weight, n)
     tracer = Tracer()
     install_tracing(tracer, prog)
-    tracer.wrap(prog.singular, "_lift_kernel_vector", "singular.lift")
-    tracer.wrap(prog.singular, "_eliminate", "singular.eliminate")
-    tracer.wrap(prog.singular, "_kernel_from_pivots", "singular.kernel")
-    tracer.wrap(prog.pbw, "_normal_sums", "pbw.rewrite")
-    tracer.wrap(prog.verma, "_normal_sums", "pbw.rewrite")
+    for module, attr, name in WRAPPED:
+        tracer.wrap(getattr(prog, module), attr, name)
     try:
         alg = prog.cli.JacobiAlgebra(n)
         prog.cli.find_singular_vectors(alg, w)
@@ -75,8 +87,6 @@ def stage_times(prog, n: int, weight: str) -> dict:
         tracer.restore()
     total, _, calls = summarize(tracer.spans)
     out = {f"{k}_s": total.get(name, 0.0) for k, name in STAGES.items()}
-    out["act_calls"] = calls.get("verma.act", 0)
-    out["normal_order_calls"] = calls.get("pbw.normal_order", 0)
     out["rewrite_calls"] = calls.get("pbw.rewrite", 0)
     return out
 

@@ -9,10 +9,13 @@ variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 
 Rational numbers are plain ``fractions.Fraction``; the stdlib type already
 maintains the reduced-form invariants we need.  The fraction-free loops (the
-module action in ``verma`` and phase 1 of the solver's elimination) work on
-integer term maps instead, exponent tuple to int, and share one product,
-``_mul_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms`` convert
-at their boundaries.  ``RatFuncQ`` is not a field of fractions: it is the
+module action in ``verma``, phase 1 of the solver's elimination and the
+lift) work on integer term maps instead, exponent tuple to int, and share
+one product, ``_mul_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms``
+convert at their boundaries.  ``PolyQ`` products run on the same product:
+each factor becomes integer numerators over one denominator, and each term
+of the result one reduced ``Fraction``.  ``PolyQ.try_divide`` is long
+division on one remainder map.  ``RatFuncQ`` is not a field of fractions: it is the
 reduced quotient num/den that a report prints as a kernel coordinate, with
 no arithmetic of its own.
 """
@@ -37,17 +40,14 @@ def _monomial_key(exps: tuple) -> tuple:
 
 
 def _mul_terms(t1: dict, t2: dict) -> dict:
-    """Product of two term maps, zero coefficients dropped."""
-    res: dict = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = res.get(e, Fraction(0)) + c1 * c2
-            if v == 0:
-                res.pop(e, None)
-            else:
-                res[e] = v
-    return res
+    """Product of two term maps, zero coefficients dropped.
+
+    The coefficients are brought to integer numerators over one
+    denominator per factor, the products of numerators are summed as
+    integers, and each result term becomes one reduced ``Fraction``."""
+    (n1,), d1 = _int_terms([t1])
+    (n2,), d2 = _int_terms([t2])
+    return _fraction_terms(_mul_int_terms(n1, n2), d1 * d2)
 
 
 # Integer term map: exponent tuple -> nonzero int, a polynomial's
@@ -65,13 +65,38 @@ def _mul_int_terms(t1: IntTerms, t2: IntTerms) -> IntTerms:
     return {e: c for e, c in res.items() if c}
 
 
+def _int_terms(term_maps: Sequence[dict]) -> Tuple[List[IntTerms], int]:
+    """``Fraction`` term maps as integer numerators over one common
+    denominator."""
+    den = 1
+    for t in term_maps:
+        for c in t.values():
+            d = c.denominator
+            if den % d:
+                den = lcm(den, d)
+    return [{e: c.numerator * (den // c.denominator) for e, c in t.items()} for t in term_maps], den
+
+
+def _fraction_terms(terms: IntTerms, den: int) -> dict:
+    """The integer term map divided by ``den``: one reduced ``Fraction`` per
+    nonzero coefficient."""
+    if den == 1:
+        return {e: Fraction(c) for e, c in terms.items() if c}
+    return {e: Fraction(c, den) for e, c in terms.items() if c}
+
+
 def _numerators(polys: Sequence["PolyQ"]) -> Tuple[List[IntTerms], int]:
     """The coefficients of ``polys`` as integers over one common denominator."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in polys], den
+    return _int_terms([p.terms for p in polys])
+
+
+def _poly(nvars: int, terms: dict) -> "PolyQ":
+    """A PolyQ over a term map that is already clean: exponent tuples of
+    length ``nvars`` to nonzero ``Fraction``s.  No check is made."""
+    out = PolyQ.__new__(PolyQ)
+    out.nvars = nvars
+    out.terms = terms
+    return out
 
 
 class PolyQ:
@@ -113,10 +138,7 @@ class PolyQ:
     def from_int_terms(cls, nvars: int, terms: IntTerms, den: int = 1) -> "PolyQ":
         """The integer term map divided by ``den``: one reduced ``Fraction``
         per nonzero coefficient, with no other check."""
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
-        return out
+        return _poly(nvars, _fraction_terms(terms, den))
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "PolyQ":
@@ -135,7 +157,7 @@ class PolyQ:
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
@@ -192,21 +214,21 @@ class PolyQ:
             return NotImplemented
         res = dict(self.terms)
         for exps, c in other.terms.items():
-            res[exps] = res.get(exps, Fraction(0)) + c
-            if res[exps] == 0:
-                del res[exps]
-        out = PolyQ.__new__(PolyQ)
-        out.nvars = self.nvars
-        out.terms = res
-        return out
+            prev = res.get(exps)
+            if prev is None:
+                res[exps] = c
+            else:
+                c += prev
+                if c:
+                    res[exps] = c
+                else:
+                    del res[exps]
+        return _poly(self.nvars, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PolyQ.__new__(PolyQ)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -221,10 +243,7 @@ class PolyQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = PolyQ.__new__(PolyQ)
-        out.nvars = self.nvars
-        out.terms = _mul_terms(self.terms, other.terms)
-        return out
+        return _poly(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -285,10 +304,7 @@ class PolyQ:
                     res[e] = v
                 else:
                     res.pop(e, None)
-        out = PolyQ.__new__(PolyQ)
-        out.nvars = self.nvars
-        out.terms = res
-        return out
+        return _poly(self.nvars, res)
 
     def eval_all(self, point: Iterable[Scalar]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -324,10 +340,7 @@ class PolyQ:
         _, lc = self.leading()
         if lc == 1:
             return self
-        out = PolyQ.__new__(PolyQ)
-        out.nvars = self.nvars
-        out.terms = {e: c / lc for e, c in self.terms.items()}
-        return out
+        return _poly(self.nvars, {e: c / lc for e, c in self.terms.items()})
 
     def rational_content(self) -> Fraction:
         """gcd of the coefficients, signed like the leading coefficient."""
@@ -345,7 +358,10 @@ class PolyQ:
     # -- division ----------------------------------------------------------
 
     def try_divide(self, divisor: "PolyQ") -> Optional["PolyQ"]:
-        """Exact multivariate division; None if the division is not exact."""
+        """Exact multivariate division; None if the division is not exact.
+
+        Long division by the graded-lex leading term, on one remainder dict
+        updated in place; the quotient's terms are collected in another."""
         if divisor.is_zero:
             raise RingError("division by zero polynomial")
         if self.is_zero:
@@ -354,17 +370,24 @@ class PolyQ:
             c = divisor.constant_value()
             return PolyQ(self.nvars, {e: v / c for e, v in self.terms.items()})
         d_exps, d_lc = divisor.leading()
-        rem = self
-        quo = PolyQ.zero(self.nvars)
-        while not rem.is_zero:
-            r_exps, r_lc = rem.leading()
+        rest = [(e, c) for e, c in divisor.terms.items() if e != d_exps]
+        rem = dict(self.terms)
+        quo: dict = {}
+        while rem:
+            r_exps = max(rem, key=_monomial_key)
             q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in q_exps):
+            if min(q_exps) < 0:
                 return None
-            q_term = PolyQ(self.nvars, {q_exps: r_lc / d_lc})
-            quo = quo + q_term
-            rem = rem - q_term * divisor
-        return quo
+            q = rem.pop(r_exps) / d_lc
+            quo[q_exps] = q
+            for e, c in rest:
+                e = tuple(map(add, q_exps, e))
+                v = rem.get(e, 0) - q * c
+                if v:
+                    rem[e] = v
+                else:
+                    rem.pop(e, None)
+        return _poly(self.nvars, quo)
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         q = self.try_divide(other)
@@ -444,12 +467,8 @@ def _coeffs_in(p: PolyQ, x: int) -> dict:
     """View p as a univariate polynomial in variable x: degree -> PolyQ coefficient."""
     out: dict = {}
     for exps, c in p.terms.items():
-        e = exps[x]
-        rest = list(exps)
-        rest[x] = 0
-        coeff = out.setdefault(e, PolyQ.zero(p.nvars))
-        out[e] = coeff + PolyQ(p.nvars, {tuple(rest): c})
-    return {e: c for e, c in out.items() if not c.is_zero}
+        out.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1:]] = c
+    return {e: _poly(p.nvars, t) for e, t in out.items()}
 
 
 def content_in(p: PolyQ, x: int) -> PolyQ:
@@ -519,10 +538,7 @@ def _euclid_gcd_univariate(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
             exps = [0] * a.nvars
             exps[x] = d
             terms[tuple(exps)] = c
-    out = PolyQ.__new__(PolyQ)
-    out.nvars = a.nvars
-    out.terms = terms
-    return out
+    return _poly(a.nvars, terms)
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:

@@ -12,9 +12,11 @@ target weight w:
 2. assemble the conditions in sp(n): the columns are the ansatz monomials
    with no a+ factor, and each Lie generator of sp(n)'s lowering part
    (K-_nn and the K0_{i+1,i}) applied to the general combination gives one
-   homogeneous linear condition per surviving basis monomial, with every
-   Cartan value taken at L_i - 1/4; a matrix over Q[L1..Ln].  That suffices:
-   if x and y kill a vector, so does [x, y];
+   homogeneous linear condition per surviving basis monomial; a matrix over
+   Q[L1..Ln].  The entries are computed at the Cartan values L_i - 1/4 in
+   the first place: the module kernel of ``verma`` evaluates each h_i on v0
+   as L_i - 1/4, so nothing is substituted afterwards.  That suffices: if
+   x and y kill a vector, so does [x, y];
 3. eliminate in two phases with case splitting: fraction-free Gauss on
    primitive integer rows while a constant pivot remains, then fraction-free
    (Bareiss) steps on the residual rows; a non-constant pivot spawns one
@@ -25,9 +27,14 @@ target weight w:
    polynomial vector, kept primitive (coprime coordinates, the last nonzero
    one monic);
 5. each kernel vector is lifted through m -> m(K') v0 into the coordinates of
-   the full ansatz and made primitive again.  That polynomial vector is the
-   reported singular vector; the printed kernel divides it by its last
-   nonzero coordinate (in the ansatz monomial order), so that one reads 1;
+   the full ansatz and made primitive again.  The lift is closed-form, with
+   no module action: for m = K+^beta K0^gamma, the a- part of each K'0
+   factor kills the a+-free K0-monomial it meets, and the K'+ factors
+   expand by the binomial theorem since K+ and a+ commute, so
+   m(K') v0 = prod_ij (K+_ij - 1/2 a+_i a+_j)^beta_ij K0^gamma v0.  That
+   polynomial vector is the reported singular vector; the printed kernel
+   divides it by its last nonzero coordinate (in the ansatz monomial
+   order), so that one reads 1;
 6. every branch is re-checked against every basis element of n- before it
    is reported; one with no affine solved form cannot be, and is reported
    unverified.
@@ -42,12 +49,12 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .algebra import A_MINUS, A_PLUS, K_PLUS, Generator, JacobiAlgebra, Weight
-from .pbw import PbwMonomial
+from .algebra import K_PLUS, Generator, JacobiAlgebra, Weight
+from .pbw import PbwMonomial, _normal_sums
 from .ring import (
     IntTerms,
     PolyQ,
@@ -60,10 +67,15 @@ from .ring import (
     rational_roots,
     squarefree_part,
 )
-from .verma import (
+# ``act`` is not called here any more; it stays importable from this module,
+# where perfbench/workloads.py wraps it.
+from .verma import (  # noqa: F401
     ConstraintSet,
     InconsistentConstraintsError,
     VermaVector,
+    _apply_on_v0,
+    _CartanValues,
+    _sums_leaves,
     act,
     is_singular,
 )
@@ -195,8 +207,8 @@ def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
 
 @dataclass(frozen=True)
 class SystemRow:
-    """One linear condition: the coefficient of ``result`` in act(x, sum nu_k m_k v0),
-    where x is one of the Lie generators of n-."""
+    """One linear condition: the coefficient of ``result`` in x (sum nu_k m_k v0)
+    at the Cartan values L_i - 1/4, where x is one of the Lie generators of n-."""
 
     x: Generator
     result: PbwMonomial
@@ -221,24 +233,33 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     The columns are the ansatz monomials with no a+ factor, in ansatz order.
     Rows come from the Lie generators of n- other than a-_n, generator by
     generator and within one generator by result monomial in ansatz order;
-    zero rows are pruned.  Every entry is taken at the shifted Cartan values
-    L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg part.
+    zero rows are pruned.  Every entry is computed at the shifted Cartan
+    values L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg
+    part: x m v0 is rewritten by ``pbw._normal_sums`` and evaluated by the
+    module kernel ``verma._apply_on_v0`` with those values for the h_i.
     """
     ansatz = enumerate_ansatz(alg, w)
     aplus, _, _ = _positive_layout(alg)
     columns = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
-    shift = {i: PolyQ.var(alg.n, i) - PolyQ.const(alg.n, Fraction(1, 4)) for i in range(alg.n)}
+    n = alg.n
+    shifted = _CartanValues([PolyQ.var(n, i) - PolyQ.const(n, Fraction(1, 4)) for i in range(n)])
+    one = {(0,) * n: 1}
+    zero = PolyQ.zero(n)
+    words = [m.word() for m in columns]
+    order = itemgetter(*_ansatz_signature(alg))
     rows: List[SystemRow] = []
     for x in alg.sp_lowering_generators:
-        images = [act(alg, x, VermaVector.monomial(alg, m)) for m in columns]
-        support: Set[PbwMonomial] = set()
-        for img in images:
-            support.update(img.terms)
-        for b in sorted(support, key=lambda m: ansatz_sort_key(alg, m), reverse=True):
-            entries = tuple(img.terms.get(b, PolyQ.zero(alg.n)) for img in images)
+        ix = alg.index[x]
+        images = []
+        for word in words:
+            acc, den = _apply_on_v0([(_sums_leaves(alg, _normal_sums(alg, (ix,) + word)), one)], shifted)
+            images.append({key: PolyQ.from_int_terms(n, slot, den) for key, slot in acc.items()})
+        support = {key: PbwMonomial.from_word(alg, key) for img in images for key in img}
+        for key, b in sorted(support.items(), key=lambda t: order(t[1].exps), reverse=True):
+            entries = tuple(img.get(key, zero) for img in images)
             if any(not e.is_zero for e in entries):
-                rows.append(SystemRow(x, b, tuple(e.subs(shift) for e in entries)))
-    return AnsatzSystem(w, alg.n, columns, rows, ansatz)
+                rows.append(SystemRow(x, b, entries))
+    return AnsatzSystem(w, n, columns, rows, ansatz)
 
 
 # -- parametric solve --------------------------------------------------------
@@ -410,7 +431,9 @@ def _eliminate(
     coefficients of f, which often leaves P = 1).
     Phase 2 takes the residual back as ``PolyQ`` rows and runs Bareiss
     fraction-free steps on it, starting from divisor 1 and always taking
-    an entry of least total degree.
+    an entry of least total degree.  A step computes only the columns
+    still unused after it: the pivot column becomes zero by construction,
+    and the used columns are zero in every residual row already.
 
     Every row here is a nonzero rational multiple of the row that Gauss
     over Q with pivots scaled to 1 would hold, and the pivot rules look only
@@ -479,6 +502,7 @@ def _eliminate(
     active = [[PolyQ.from_int_terms(nvars, t) for t in row] for row in rows]
     nonconstant: List[PolyQ] = []
     prev = PolyQ.one(nvars)
+    zero = PolyQ.zero(nvars)
     while True:
         best = None
         for ri, row in enumerate(active):
@@ -495,14 +519,18 @@ def _eliminate(
         p = prow[c]
         if not p.is_constant:
             nonconstant.append(p)
+        used.add(c)
+        free = [j for j in range(ncols) if j not in used]
         new_active = []
         for row in active:
-            new_row = [(p * row[j] - row[c] * prow[j]) // prev for j in range(ncols)]
-            if any(not e.is_zero for e in new_row):
+            new_row = [zero] * ncols
+            f = row[c]
+            for j in free:
+                new_row[j] = (p * row[j] - f * prow[j]) // prev
+            if any(not new_row[j].is_zero for j in free):
                 new_active.append(new_row)
         active = new_active
         pivots.append((prow, c))
-        used.add(c)
         prev = p
     return pivots, used, nonconstant
 
@@ -579,6 +607,12 @@ def _ratios(vec: List[PolyQ]) -> List[RatFuncQ]:
     if last is None:
         return [RatFuncQ(p) for p in vec]
     return [RatFuncQ(p, last) for p in vec]
+
+
+def _printed(lifted: List[PolyQ]) -> Tuple[List[PolyQ], List[RatFuncQ]]:
+    """The lifted vector made primitive, and its printed kernel."""
+    coords = _primitive(lifted)
+    return coords, _ratios(coords)
 
 
 def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[SolutionBranch]:
@@ -708,61 +742,67 @@ def kernel_vector_to_verma(
     return VermaVector(alg.n, {m: p for m, p in zip(monomials, polys) if not p.is_zero})
 
 
-def _raise_aplus(alg: JacobiAlgebra, i: int, v: VermaVector) -> VermaVector:
-    """a+_i v.  The a+ block leads the PBW order and commutes with itself, so
-    a+_i only raises the a+_i exponent of each monomial."""
-    k = alg.index[Generator(A_PLUS, i)]
-    terms: Dict[PbwMonomial, PolyQ] = {}
-    for m, c in v.terms.items():
-        exps = list(m.exps)
-        exps[k] += 1
-        terms[PbwMonomial(tuple(exps))] = c
-    return VermaVector(alg.n, terms)
+def _lift_table(alg: JacobiAlgebra, system: AnsatzSystem) -> Tuple[List[List[Tuple[int, int]]], int]:
+    """The lift m -> m(K') v0 of every column, in closed form.
 
+    For m = K+^beta K0^gamma, m(K') v0 = prod_ij (K+_ij - 1/2 a+_i a+_j)^beta_ij
+    K0^gamma v0.  The K'0 factors act as the K0 alone: a-_j kills every
+    a+-free K0-monomial times v0, and the sorted word applies each K0 in PBW
+    order, so K'0^gamma v0 is the monomial K0^gamma v0.  K+ and a+ commute
+    with each other and lead the PBW order, so the K'+ factors expand by the
+    binomial theorem, one exponent vector per choice of k_ij <= beta_ij.
 
-def _lift_factor(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
-    """K' v for a raising sp generator K = x, where K'+_ij = K+_ij - 1/2 a+_i a+_j
-    and K'0_ij = K0_ij - 1/2 a+_i a-_j (i < j)."""
-    if x.family == K_PLUS:
-        inner = _raise_aplus(alg, x.j, v)
-    else:
-        inner = act(alg, Generator(A_MINUS, x.j), v)
-    oscillator = _raise_aplus(alg, x.i, inner)
-    return act(alg, x, v) - oscillator.scale(Fraction(1, 2))
+    Returns, per column, its terms as (ansatz index, integer coefficient),
+    all over 2^top, and top.
+    """
+    index = {m.exps: k for k, m in enumerate(system.ansatz)}
+    kplus = [
+        (alg.index[g], g.i - 1, g.j - 1)  # a+_i is positive i - 1
+        for g in alg.positive
+        if g.family == K_PLUS
+    ]
+    top = max((sum(m.exps[k] for k, _, _ in kplus) for m in system.columns), default=0)
+    table = []
+    for m in system.columns:
+        terms = {m.exps: 1 << top}
+        for k, i, j in kplus:
+            beta = m.exps[k]
+            if not beta:
+                continue
+            expanded = {}
+            for exps, c in terms.items():
+                for t in range(beta + 1):
+                    e = list(exps)
+                    e[k] -= t
+                    e[i] += t
+                    e[j] += t
+                    a = comb(beta, t) * (c >> t)
+                    expanded[tuple(e)] = -a if t % 2 else a
+            terms = expanded
+        table.append([(index[e], c) for e, c in terms.items()])
+    return table, top
 
 
 def _lift_kernel_vector(
-    alg: JacobiAlgebra,
     system: AnsatzSystem,
+    lift: Tuple[List[List[Tuple[int, int]]], int],
     vec: List[PolyQ],
     constraints: ConstraintSet,
-    lifted: Dict[Tuple[int, ...], VermaVector],
 ) -> List[PolyQ]:
     """Full-ansatz coordinates of sum_k vec_k m_k(K') v0, reduced modulo the
-    constraints.
-
-    ``lifted`` maps words to their vectors, so that the lifts of monomials
-    with a common suffix share its work.
-    """
-
-    def lift(word: Tuple[int, ...]) -> VermaVector:
-        v = lifted.get(word)
-        if v is None:
-            if word:
-                v = _lift_factor(alg, alg.generators[word[0]], lift(word[1:]))
-            else:
-                v = VermaVector.v0(alg)
-            lifted[word] = v
-        return v
-
-    zero = PolyQ.zero(alg.n)
-    full: Dict[PbwMonomial, PolyQ] = {}
-    for m, p in zip(system.columns, vec):
-        if p.is_zero:
+    constraints; ``lift`` is ``_lift_table`` of the system.  The coordinates
+    add integer numerators over one denominator."""
+    table, top = lift
+    coeffs, den = _numerators(vec)
+    acc: List[IntTerms] = [{} for _ in system.ansatz]
+    for terms, p in zip(table, coeffs):
+        if not p:
             continue
-        for b, c in lift(m.word()).terms.items():
-            full[b] = full.get(b, zero) + c * p
-    return [_reduce_poly(full.get(m, zero), constraints) for m in system.ansatz]
+        for k, c in terms:
+            slot = acc[k]
+            for e, a in p.items():
+                slot[e] = slot.get(e, 0) + c * a
+    return [_reduce_poly(PolyQ.from_int_terms(system.nvars, slot, den << top), constraints) for slot in acc]
 
 
 def find_singular_vectors(
@@ -779,14 +819,14 @@ def find_singular_vectors(
         return WeightReport(w, [alg_mon], [], trivial=True)
     system = assemble_system(alg, w)
     solution = solve_parametric(system, branch_budget)
-    lifted: Dict[Tuple[int, ...], VermaVector] = {}
+    lift = _lift_table(alg, system) if solution else None
     reports: List[BranchReport] = []
     for br in solution:
         kernel: List[List[RatFuncQ]] = []
         vectors: List[VermaVector] = []
         for vec in br.kernel:
-            coords = _primitive(_lift_kernel_vector(alg, system, vec, br.constraints, lifted))
-            kernel.append(_ratios(coords))
+            coords, ratios = _printed(_lift_kernel_vector(system, lift, vec, br.constraints))
+            kernel.append(ratios)
             vectors.append(VermaVector(alg.n, dict(zip(system.ansatz, coords))))
         ok = all(is_singular(alg, v, br.constraints).singular for v in vectors)
         reports.append(BranchReport(br.constraints, kernel, vectors, ok))

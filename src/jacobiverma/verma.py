@@ -8,7 +8,8 @@ annihilate v0 and Cartan factors h_i evaluate to Li, so that h^e multiplies a
 coefficient by L^e.
 
 One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
-``apply_word_to_v0`` and ``is_singular``.  It takes the input coefficients as
+``apply_word_to_v0``, ``is_singular`` and the solver's condition assembly
+(``singular.assemble_system``).  It takes the input coefficients as
 integer numerators over one common denominator and the normal-ordered terms
 with no lowering factor as leaves (raising key, Cartan exponents, numerator,
 power-of-2 denominator), and adds integers for every leaf.  Two adapters
@@ -16,11 +17,13 @@ make the leaves: ``_uelement_leaves`` from a ``normal_order`` result, for
 ``act`` and ``apply_word_to_v0``, and ``_sums_leaves`` straight from the
 integer rewrite ``pbw._normal_sums``, for ``is_singular``, which so forms no
 ``Fraction``, ``PbwMonomial`` or ``UElement`` per term and skips the words
-that end in a lowering letter before building anything for them.  ``act``
-makes one reduced ``Fraction`` per term of the result.  The weight stays
-formal in ``act`` and ``apply_word_to_v0``.  ``is_singular`` runs the
-kernel at a branch's weight: Cartan factors take the values of the
-branch's solved form and the integer sums are tested for zero.
+that end in a lowering letter before building anything for them; the
+assembly reads the rewrite the same way.  ``act`` makes one reduced
+``Fraction`` per term of the result.  The weight stays formal in ``act``
+and ``apply_word_to_v0``.  Otherwise the Cartan factors take given values
+(``_CartanValues``): ``is_singular`` runs the kernel at a branch's weight,
+the values of the branch's solved form, and tests the integer sums for
+zero; the assembly runs it at the shifted values L_i - 1/4.
 """
 
 from __future__ import annotations
@@ -172,20 +175,19 @@ def _sums_leaves(alg: JacobiAlgebra, sums: Dict[Tuple[int, ...], Tuple[int, int]
     return out
 
 
-class _BranchWeight:
-    """Values of the Cartan generators at a branch's weight: h_i acts on v0 as
-    the solved form's value of L_i, a polynomial in the unsolved variables.
+class _CartanValues:
+    """Values of the Cartan generators on v0: h_i acts as ``values[i]``, a
+    polynomial in L1..Ln.  ``is_singular`` gives a branch's solved-form
+    values of the L_i, and ``singular.assemble_system`` the shifted values
+    L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg part.
 
     The values are kept as integer polynomials over one denominator ``den``;
     their products are cached per Cartan exponent for the life of the
-    object, which is one ``is_singular`` call.
+    object.
     """
 
-    def __init__(self, constraints: "ConstraintSet"):
-        nvars = constraints.nvars
-        self.values, self.den = _numerators(
-            [constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]
-        )
+    def __init__(self, values: Sequence[PolyQ]):
+        self.values, self.den = _numerators(values)
         self._products: Dict[Tuple[int, ...], IntTerms] = {}
 
     def cartan(self, exps: Tuple[int, ...]) -> IntTerms:
@@ -201,17 +203,17 @@ class _BranchWeight:
 
 
 def _apply_on_v0(products: Sequence[Tuple[List[_Leaf], IntTerms]],
-                 weight: Optional[_BranchWeight] = None) -> Tuple[_Accumulator, int]:
+                 weight: Optional[_CartanValues] = None) -> Tuple[_Accumulator, int]:
     """The sum of (u v0) times c over the pairs (leaves of u, c), fraction-free.
 
     The leaves are the terms of u with no lowering factor, as made by
     ``_uelement_leaves`` or ``_sums_leaves``; the raising part of each is
     kept under its key.  At the formal weight (``weight`` None) a Cartan
-    factor h^e multiplies c by L^e, a shift of exponents; at a branch's
-    weight it multiplies c by the polynomial ``weight.cartan(e)``.  The
-    leaves have powers of 2 as denominators, and the Cartan values of a
-    branch have powers of ``weight.den``; both are brought to their largest
-    power in the call, so every term adds integers.  Returns the sums and
+    factor h^e multiplies c by L^e, a shift of exponents; with given Cartan
+    values it multiplies c by the polynomial ``weight.cartan(e)``.  The
+    leaves have powers of 2 as denominators, and the Cartan values have
+    powers of ``weight.den``; both are brought to their largest power in
+    the call, so every term adds integers.  Returns the sums and
     the denominator by which they are to be divided, besides that of the c.
     """
     top = 1
@@ -454,7 +456,12 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
             unverifiable=True,
             message="constraints have no affine solved form; cannot verify",
         )
-    weight = _BranchWeight(constraints) if constraints.solved_form else None
+    nvars = constraints.nvars
+    weight = (
+        _CartanValues([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)])
+        if constraints.solved_form
+        else None
+    )
     coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
     words = [m.word() for m in v.terms]
     report = SingularityReport()

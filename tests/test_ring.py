@@ -146,6 +146,63 @@ class TestArithmetic:
         assert (a + b).eval_all(pt) == a.eval_all(pt) + b.eval_all(pt)
 
 
+def _no_zero_coefficient(p):
+    return all(c != 0 for c in p.terms.values())
+
+
+class TestProductsAndDivision:
+    # The coefficients of polys() have mixed denominators, and their leading
+    # coefficients are not monic in general.
+
+    @given(polys(), polys())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_quotient_of_a_product(self, a, b):
+        if b.is_zero:
+            return
+        q = (a * b).try_divide(b)
+        assert q == a
+        assert _no_zero_coefficient(q)
+
+    @given(polys(), polys(), polys(max_terms=3))
+    @settings(max_examples=80, deadline=None)
+    def test_none_exactly_when_no_quotient_exists(self, a, b, r):
+        # A remainder with no term divisible by the leading term of b is the
+        # unique remainder of division by b, so b divides a b + r iff r = 0.
+        if b.is_zero:
+            return
+        lead, _ = b.leading()
+        r = PolyQ(2, {e: c for e, c in r.terms.items() if any(x < y for x, y in zip(e, lead))})
+        q = (a * b + r).try_divide(b)
+        if r.is_zero:
+            assert q == a
+        else:
+            assert q is None
+
+    @given(polys(), polys())
+    @settings(max_examples=80, deadline=None)
+    def test_a_returned_quotient_is_exact(self, p, b):
+        if b.is_zero:
+            return
+        q = p.try_divide(b)
+        if q is not None:
+            assert q * b == p
+
+    @given(polys(), polys(), polys())
+    @settings(max_examples=80, deadline=None)
+    def test_cancelling_products_keep_no_zero_coefficient(self, a, b, c):
+        # (a + b)(a - b) = a^2 - b^2 cancels the cross terms
+        p = (a + b) * (a - b)
+        assert p == a * a - b * b
+        assert _no_zero_coefficient(p)
+        assert (a * (b + c) - a * b - a * c).terms == {}
+        assert _no_zero_coefficient(a * (b - b + c))
+
+    def test_cancellation_example(self):
+        p = (L(1) + const(Fraction(1, 2))) * (L(1) - const(Fraction(1, 2)))
+        assert p.terms == {(2, 0): 1, (0, 0): Fraction(-1, 4)}
+        assert ((const(Fraction(2, 3)) * L(2) + L(1)) * const(0)).terms == {}
+
+
 class TestGcd:
     def test_gcd_linear_factor(self):
         g = poly_gcd(L(1) ** 2 - L(2) ** 2, L(1) - L(2))

@@ -8,7 +8,6 @@ import pytest
 
 from jacobiverma.algebra import (
     A_MINUS,
-    A_PLUS,
     Generator,
     JacobiAlgebra,
     K_MINUS,
@@ -19,7 +18,8 @@ from jacobiverma.pbw import PbwMonomial
 from jacobiverma.ring import PolyQ, RatFuncQ
 from jacobiverma.singular import (
     BranchBudgetExceededError,
-    _raise_aplus,
+    _lift_kernel_vector,
+    _lift_table,
     ansatz_sort_key,
     assemble_system,
     enumerate_ansatz,
@@ -27,7 +27,7 @@ from jacobiverma.singular import (
     solve_parametric,
 )
 from jacobiverma.textio import render_monomial, report_to_json
-from jacobiverma.verma import VermaVector, act, is_singular
+from jacobiverma.verma import ConstraintSet, VermaVector, act, is_singular
 
 from kac_kazhdan import check_kac_kazhdan
 from oracles import all_negative_rows, evaluate_rows, fraction_kernel, oracle_lift, same_span
@@ -349,25 +349,6 @@ EXPECTED_D1D2 = [
 ]
 
 
-class TestRaiseAplus:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_act(self, n):
-        alg = JacobiAlgebra(n)
-        rng = random.Random(1000 + n)
-        for _ in range(15):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                exps = [0] * len(alg.generators)
-                for _ in range(rng.randint(0, 4)):
-                    exps[rng.randrange(alg.num_positive)] += 1
-                mono = tuple(rng.randint(0, 2) for _ in range(n))
-                c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                terms[PbwMonomial(tuple(exps))] = PolyQ(n, {mono: c})
-            v = VermaVector(n, terms)
-            for i in range(1, n + 1):
-                assert _raise_aplus(alg, i, v) == act(alg, G(A_PLUS, i), v)
-
-
 class TestFindSingularVectors:
     def test_weight_2d1(self):
         rep = find_singular_vectors(ALG, Weight.of(2, 0))
@@ -533,3 +514,57 @@ class TestDeterminism:
             return json.dumps(out, sort_keys=True)
 
         assert run() == run()
+
+
+def act_then_shift_rows(alg, sys_):
+    """The sp(n) rows computed as ``act`` at the formal weight followed by
+    the substitution L_i -> L_i - 1/4 in every entry."""
+    n = alg.n
+    shift = {i: PolyQ.var(n, i) - PolyQ.const(n, Fraction(1, 4)) for i in range(n)}
+    rows = []
+    for x in alg.sp_lowering_generators:
+        images = [act(alg, x, VermaVector.monomial(alg, m)) for m in sys_.columns]
+        support = {b for img in images for b in img.terms}
+        for b in sorted(support, key=lambda m: ansatz_sort_key(alg, m), reverse=True):
+            entries = tuple(img.terms.get(b, PolyQ.zero(n)).subs(shift) for img in images)
+            if any(not e.is_zero for e in entries):
+                rows.append((x, b, entries))
+    return rows
+
+
+class TestAssembleAtShiftedCartan:
+    @pytest.mark.parametrize(
+        "alg, w", GENERATOR_ROW_CASES, ids=[str(w) for _, w in GENERATOR_ROW_CASES]
+    )
+    def test_rows_equal_act_then_substitution(self, alg, w):
+        sys_ = assemble_system(alg, w)
+        assert [(r.x, r.result, r.entries) for r in sys_.rows] == act_then_shift_rows(alg, sys_)
+
+
+LIFT_CASES = [
+    (ALG, Weight.of(*c))
+    for c in [(2, 0), (0, 2), (1, 1), (1, -1), (1, 0), (0, 1), (0, 3),
+              (2, 2), (3, 1), (4, 0), (3, 3), (6, 0), (4, 4)]
+] + [(JacobiAlgebra(3), Weight.of(*c)) for c in [(1, 1, 0), (2, 0, 0), (2, 2, 0)]]
+
+
+class TestClosedFormLift:
+    # the g_2 ladder weights of the benchmark and three g_3 weights
+    @pytest.mark.parametrize("alg, w", LIFT_CASES, ids=[str(w) for _, w in LIFT_CASES])
+    def test_every_column_matches_the_oracle_lift(self, alg, w):
+        sys_ = assemble_system(alg, w)
+        lift = _lift_table(alg, sys_)
+        free = ConstraintSet.empty(alg.n)
+        zero, one = PolyQ.zero(alg.n), PolyQ.one(alg.n)
+        for k, m in enumerate(sys_.columns):
+            unit = [one if c == k else zero for c in range(len(sys_.columns))]
+            coords = _lift_kernel_vector(sys_, lift, unit, free)
+            got = VermaVector(alg.n, dict(zip(sys_.ansatz, coords)))
+            assert got == oracle_lift(alg, m), render_monomial(alg, m)
+
+    def test_lift_is_linear_with_polynomial_coefficients(self):
+        # b+2 -> b+2 - 1/2 (a+2)^2, scaled by a polynomial coefficient
+        sys_ = assemble_system(ALG, Weight.of(0, 2))
+        coeff = 2 * L(2) - const(Fraction(1, 3))
+        coords = _lift_kernel_vector(sys_, _lift_table(ALG, sys_), [coeff], ConstraintSet.empty(2))
+        assert coords == [coeff, coeff * const(Fraction(-1, 2))]
