@@ -29,8 +29,9 @@ single run.  Times are in seconds, totals of the spans of each stage:
 * ``verify``: ``is_singular`` on every reported vector, which acts with
   every element of n- through the module kernel of ``verma``;
 * ``rewrite``: every call of the integer rewrite ``pbw._normal_sums``, with
-  its call count; ``assemble_system`` and ``is_singular`` read it
-  directly, and no stage calls ``act`` or ``normal_order``.
+  its call count; ``assemble_system`` and ``is_singular`` read it through
+  the module kernel of ``verma``, and no stage calls ``act`` or
+  ``normal_order``.
 
 The program is imported from this checkout's ``src/``.
 """
@@ -60,8 +61,7 @@ STAGES = {
 }
 
 # (module, attribute, span name) wrapped on top of the benchmark's layers.
-# singular and verma import _normal_sums by name, so each importing
-# module's attribute is wrapped as well.
+# verma imports _normal_sums by name, so its attribute is wrapped as well.
 WRAPPED = [
     ("singular", "_lift_table", "singular.lift"),
     ("singular", "_lift_kernel_vector", "singular.lift"),
@@ -69,7 +69,6 @@ WRAPPED = [
     ("singular", "_eliminate", "singular.eliminate"),
     ("singular", "_kernel_from_pivots", "singular.kernel"),
     ("pbw", "_normal_sums", "pbw.rewrite"),
-    ("singular", "_normal_sums", "pbw.rewrite"),
     ("verma", "_normal_sums", "pbw.rewrite"),
 ]
 

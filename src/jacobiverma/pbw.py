@@ -17,8 +17,8 @@ integer numerator and denominator, multiplied by the lowest-terms halves of
 ``algebra.half_bracket``, and the words that reach normal form are summed
 into one (numerator, denominator) pair per sorted word.  ``normal_order``
 is that rewrite plus one ``fractions.Fraction`` and one ``PbwMonomial`` per
-word of the result; the module's verification (``verma.is_singular``) reads
-the integer sums directly.  ``UElement`` coefficients are nonzero
+word of the result; the module action (``verma``) reads the integer sums
+directly.  ``UElement`` coefficients are nonzero
 ``Fraction``s.  Dependence on the weight enters only when the module
 evaluates Cartan factors (``verma``).
 """
@@ -63,9 +63,6 @@ class PbwMonomial:
         for idx, e in enumerate(self.exps):
             out.extend([idx] * e)
         return tuple(out)
-
-    def degree(self) -> int:
-        return sum(self.exps)
 
     @property
     def is_unit(self) -> bool:
@@ -181,6 +178,21 @@ def _normal_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[in
     return {w: c for w, c in sums.items() if c[0]}
 
 
+def _index_word(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> Tuple[int, ...]:
+    """The generator indices of a word of generators or of their indices.
+
+    A generator that is not a basis element of ``alg`` raises
+    ``DimensionMismatchError``, and an index out of range ``ValueError``.
+    """
+    out = []
+    for g in word:
+        idx = alg.index[alg._check(g)] if isinstance(g, Generator) else int(g)
+        if not 0 <= idx < len(alg.generators):
+            raise ValueError(f"generator index {idx} out of range")
+        out.append(idx)
+    return tuple(out)
+
+
 def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> UElement:
     """PBW normal form of a word of generators (or of their indices).
 
@@ -188,13 +200,9 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
     becomes one ``PbwMonomial`` with one reduced ``Fraction``.  The result
     is supported on ordered monomials only.
     """
-    idx_word = tuple(alg.index[g] if isinstance(g, Generator) else int(g) for g in word)
-    for idx in idx_word:
-        if not 0 <= idx < len(alg.generators):
-            raise ValueError(f"generator index {idx} out of range")
     result = {
         PbwMonomial.from_word(alg, w): Fraction(num, den)
-        for w, (num, den) in _normal_sums(alg, idx_word).items()
+        for w, (num, den) in _normal_sums(alg, _index_word(alg, word)).items()
     }
     return UElement(alg.n, result)
 

@@ -14,9 +14,10 @@ target weight w:
    (K-_nn and the K0_{i+1,i}) applied to the general combination gives one
    homogeneous linear condition per surviving basis monomial; a matrix over
    Q[L1..Ln].  The entries are computed at the Cartan values L_i - 1/4 in
-   the first place: the module kernel of ``verma`` evaluates each h_i on v0
-   as L_i - 1/4, so nothing is substituted afterwards.  That suffices: if
-   x and y kill a vector, so does [x, y];
+   the first place: the module kernel of ``verma``, the one path of every
+   action there, evaluates each h_i on v0 as L_i - 1/4, so nothing is
+   substituted afterwards.  That suffices: if x and y kill a vector, so
+   does [x, y];
 3. eliminate in two phases with case splitting: fraction-free Gauss on
    primitive integer rows while a constant pivot remains, then fraction-free
    (Bareiss) steps on the residual rows; a non-constant pivot spawns one
@@ -54,7 +55,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .algebra import K_PLUS, Generator, JacobiAlgebra, Weight
-from .pbw import PbwMonomial, _normal_sums
+from .pbw import PbwMonomial
 from .ring import (
     IntTerms,
     PolyQ,
@@ -75,7 +76,7 @@ from .verma import (  # noqa: F401
     VermaVector,
     _apply_on_v0,
     _CartanValues,
-    _sums_leaves,
+    _to_vector,
     act,
     is_singular,
 )
@@ -233,16 +234,18 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     The columns are the ansatz monomials with no a+ factor, in ansatz order.
     Rows come from the Lie generators of n- other than a-_n, generator by
     generator and within one generator by result monomial in ansatz order;
-    zero rows are pruned.  Every entry is computed at the shifted Cartan
+    a row exists only for a monomial that some image reaches, so none is
+    zero.  Every entry is computed at the shifted Cartan
     values L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg
-    part: x m v0 is rewritten by ``pbw._normal_sums`` and evaluated by the
-    module kernel ``verma._apply_on_v0`` with those values for the h_i.
+    part: the module kernel ``verma._apply_on_v0`` builds x m v0 with
+    those values for the h_i, as it builds every action.
     """
     ansatz = enumerate_ansatz(alg, w)
     aplus, _, _ = _positive_layout(alg)
     columns = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
     n = alg.n
-    shifted = _CartanValues([PolyQ.var(n, i) - PolyQ.const(n, Fraction(1, 4)) for i in range(n)])
+    quarter = PolyQ.const(n, Fraction(1, 4))
+    shifted = _CartanValues(*_numerators([PolyQ.var(n, i) - quarter for i in range(n)]))
     one = {(0,) * n: 1}
     zero = PolyQ.zero(n)
     words = [m.word() for m in columns]
@@ -250,15 +253,10 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     rows: List[SystemRow] = []
     for x in alg.sp_lowering_generators:
         ix = alg.index[x]
-        images = []
-        for word in words:
-            acc, den = _apply_on_v0([(_sums_leaves(alg, _normal_sums(alg, (ix,) + word)), one)], shifted)
-            images.append({key: PolyQ.from_int_terms(n, slot, den) for key, slot in acc.items()})
-        support = {key: PbwMonomial.from_word(alg, key) for img in images for key in img}
-        for key, b in sorted(support.items(), key=lambda t: order(t[1].exps), reverse=True):
-            entries = tuple(img.get(key, zero) for img in images)
-            if any(not e.is_zero for e in entries):
-                rows.append(SystemRow(x, b, entries))
+        images = [_to_vector(alg, *_apply_on_v0(alg, [((ix,) + word, one)], shifted)).terms for word in words]
+        support = {b for img in images for b in img}
+        for b in sorted(support, key=lambda m: order(m.exps), reverse=True):
+            rows.append(SystemRow(x, b, tuple(img.get(b, zero) for img in images)))
     return AnsatzSystem(w, n, columns, rows, ansatz)
 
 

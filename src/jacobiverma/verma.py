@@ -9,21 +9,20 @@ coefficient by L^e.
 
 One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
 ``apply_word_to_v0``, ``is_singular`` and the solver's condition assembly
-(``singular.assemble_system``).  It takes the input coefficients as
-integer numerators over one common denominator and the normal-ordered terms
-with no lowering factor as leaves (raising key, Cartan exponents, numerator,
-power-of-2 denominator), and adds integers for every leaf.  Two adapters
-make the leaves: ``_uelement_leaves`` from a ``normal_order`` result, for
-``act`` and ``apply_word_to_v0``, and ``_sums_leaves`` straight from the
-integer rewrite ``pbw._normal_sums``, for ``is_singular``, which so forms no
-``Fraction``, ``PbwMonomial`` or ``UElement`` per term and skips the words
-that end in a lowering letter before building anything for them; the
-assembly reads the rewrite the same way.  ``act`` makes one reduced
-``Fraction`` per term of the result.  The weight stays formal in ``act``
-and ``apply_word_to_v0``.  Otherwise the Cartan factors take given values
-(``_CartanValues``): ``is_singular`` runs the kernel at a branch's weight,
-the values of the branch's solved form, and tests the integer sums for
-zero; the assembly runs it at the shifted values L_i - 1/4.
+(``singular.assemble_system``).  It takes (index word, coefficient) pairs,
+the coefficients integer polynomials over one common denominator, and the
+values of the Cartan generators on v0 (``_CartanValues``).  Each word is
+rewritten by the integer rewrite ``pbw._normal_sums``; a sorted word that
+ends in a lowering letter kills v0 and is skipped before anything is built
+for it, and in the others h^e multiplies the coefficient by the value's
+product, so every term adds integers and no ``Fraction``, ``PbwMonomial``
+or enveloping-algebra element is formed per term.  At the formal weight
+the values are the variables L_i themselves, so h^e multiplies by L^e:
+``act`` and ``apply_word_to_v0`` run the kernel there and make one reduced
+``Fraction`` per term of the result.  ``is_singular`` runs it at a
+branch's weight, the values of the branch's solved form, and tests the
+integer sums for zero; the assembly runs it at the shifted values
+L_i - 1/4.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
-from .pbw import PbwMonomial, UElement, _normal_sums, monomial_weight, normal_order
+# ``normal_order`` is not called here any more; it stays importable from this
+# module, where perfbench/workloads.py wraps it.
+from .pbw import PbwMonomial, _index_word, _normal_sums, monomial_weight, normal_order  # noqa: F401
 from .ring import IntTerms, PolyQ, _mul_int_terms, _numerators, poly_sort_key, squarefree_part
 
 
@@ -132,63 +133,32 @@ class VermaVector:
         return "VermaVector(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
 
 
-# Module vector under construction: raising key -> L-exponent -> integer
+# Module vector under construction: raising word -> L-exponent -> integer
 # numerator over the denominator of the call.
-_Accumulator = Dict[tuple, Dict[Tuple[int, ...], int]]
-# One normal-ordered term with no lowering factor: (raising key, Cartan
-# exponents, numerator, denominator), the denominator a power of 2.
-_Leaf = Tuple[tuple, Tuple[int, ...], int, int]
-
-
-def _uelement_leaves(alg: JacobiAlgebra, u: UElement) -> List[_Leaf]:
-    """The terms of ``u`` that survive on v0, keyed by their raising
-    exponents (which ``_to_vector`` reads back)."""
-    npos = alg.num_positive
-    low = npos + alg.n
-    out = []
-    for m, c in u.terms.items():
-        exps = m.exps
-        if not any(exps[low:]):
-            out.append((exps[:npos], exps[npos:low], c.numerator, c.denominator))
-    return out
-
-
-def _sums_leaves(alg: JacobiAlgebra, sums: Dict[Tuple[int, ...], Tuple[int, int]]) -> List[_Leaf]:
-    """The words of a ``_normal_sums`` result that survive on v0, keyed by
-    their raising prefix.
-
-    A sorted word has its lowering letters last, so the words that end in
-    one are skipped, and the Cartan letters are the run after the raising
-    prefix.
-    """
-    npos = alg.num_positive
-    low = npos + alg.n
-    out = []
-    for w, (num, den) in sums.items():
-        if w and w[-1] >= low:
-            continue
-        k = bisect_left(w, npos)
-        cartan = [0] * alg.n
-        for i in w[k:]:
-            cartan[i - npos] += 1
-        out.append((w[:k], tuple(cartan), num, den))
-    return out
+_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
 
 
 class _CartanValues:
     """Values of the Cartan generators on v0: h_i acts as ``values[i]``, a
-    polynomial in L1..Ln.  ``is_singular`` gives a branch's solved-form
-    values of the L_i, and ``singular.assemble_system`` the shifted values
-    L_i - 1/4 of the copy of sp(n) that commutes with the Heisenberg part.
+    polynomial in L1..Ln given as integer terms over one denominator
+    ``den`` (``_numerators`` makes them from ``PolyQ``s).  ``formal`` gives
+    the variables L_i themselves, for ``act`` and ``apply_word_to_v0``;
+    ``is_singular`` gives a branch's solved-form values of the L_i, and
+    ``singular.assemble_system`` the shifted values L_i - 1/4 of the copy
+    of sp(n) that commutes with the Heisenberg part.
 
-    The values are kept as integer polynomials over one denominator ``den``;
-    their products are cached per Cartan exponent for the life of the
-    object.
+    Products of the values are cached per Cartan exponent for the life of
+    the object.
     """
 
-    def __init__(self, values: Sequence[PolyQ]):
-        self.values, self.den = _numerators(values)
+    def __init__(self, values: Sequence[IntTerms], den: int):
+        self.values = values
+        self.den = den
         self._products: Dict[Tuple[int, ...], IntTerms] = {}
+
+    @classmethod
+    def formal(cls, n: int) -> "_CartanValues":
+        return cls([{tuple(int(i == j) for j in range(n)): 1} for i in range(n)], 1)
 
     def cartan(self, exps: Tuple[int, ...]) -> IntTerms:
         """h^exps v0 as an integer polynomial over den ** sum(exps)."""
@@ -202,85 +172,83 @@ class _CartanValues:
         return out
 
 
-def _apply_on_v0(products: Sequence[Tuple[List[_Leaf], IntTerms]],
-                 weight: Optional[_CartanValues] = None) -> Tuple[_Accumulator, int]:
-    """The sum of (u v0) times c over the pairs (leaves of u, c), fraction-free.
+def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], IntTerms]],
+                 weight: _CartanValues) -> Tuple[_Accumulator, int]:
+    """The sum of c (w v0) over the pairs (index word w, integer polynomial
+    c), fraction-free.
 
-    The leaves are the terms of u with no lowering factor, as made by
-    ``_uelement_leaves`` or ``_sums_leaves``; the raising part of each is
-    kept under its key.  At the formal weight (``weight`` None) a Cartan
-    factor h^e multiplies c by L^e, a shift of exponents; with given Cartan
-    values it multiplies c by the polynomial ``weight.cartan(e)``.  The
-    leaves have powers of 2 as denominators, and the Cartan values have
-    powers of ``weight.den``; both are brought to their largest power in
-    the call, so every term adds integers.  Returns the sums and
-    the denominator by which they are to be divided, besides that of the c.
+    One ``pbw._normal_sums`` call per word, and one pass over the sorted
+    words it returns: a sorted word has its lowering letters last, so the
+    words that end in one kill v0 and are skipped; in the others the Cartan
+    letters are the run after the raising prefix, and h^e multiplies c by
+    ``weight.cartan(e)``, while the raising prefix is kept as the key.  The
+    rewrite's denominators are powers of 2, and the Cartan values' powers
+    of ``weight.den``; both are brought to their largest power in the call,
+    so every term adds integers.  Returns the sums and the denominator by
+    which they are to be divided, besides that of the c.
     """
+    npos = alg.num_positive
+    low = npos + alg.n
+    leaves = []
     top = 1
     depth = 0
-    for leaves, _ in products:
-        for _, cartan, _, den in leaves:
+    for word, coeff in products:
+        for w, (num, den) in _normal_sums(alg, word).items():
+            if w and w[-1] >= low:
+                continue
+            k = bisect_left(w, npos)
+            cartan = [0] * alg.n
+            for i in w[k:]:
+                cartan[i - npos] += 1
+            degree = len(w) - k
+            leaves.append((w[:k], tuple(cartan), degree, num, den, coeff))
             if den > top:
                 top = den
-            if weight is not None:
-                depth = max(depth, sum(cartan))
+            if degree > depth:
+                depth = degree
     acc: _Accumulator = {}
-    for leaves, coeff in products:
-        for raising, cartan, num, den in leaves:
-            slot = acc.get(raising)
-            if slot is None:
-                slot = acc[raising] = {}
-            f = num * (top // den)
-            if weight is not None:
-                f *= weight.den ** (depth - sum(cartan))
-                value = weight.cartan(cartan)
-                for e1, a in coeff.items():
-                    for e2, b in value.items():
-                        e = tuple(map(add, e1, e2))
-                        slot[e] = slot.get(e, 0) + f * a * b
-            elif any(cartan):
-                for e, a in coeff.items():
-                    e = tuple(map(add, e, cartan))
-                    slot[e] = slot.get(e, 0) + f * a
-            else:
-                for e, a in coeff.items():
-                    slot[e] = slot.get(e, 0) + f * a
-    scale = top * weight.den ** depth if weight is not None else top
-    return acc, scale
+    for raising, cartan, degree, num, den, coeff in leaves:
+        slot = acc.get(raising)
+        if slot is None:
+            slot = acc[raising] = {}
+        f = num * (top // den) * weight.den ** (depth - degree)
+        value = weight.cartan(cartan)
+        for e1, a in coeff.items():
+            for e2, b in value.items():
+                e = tuple(map(add, e1, e2))
+                slot[e] = slot.get(e, 0) + f * a * b
+    return acc, top * weight.den ** depth
 
 
 def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
-    lowering = (0,) * (len(alg.generators) - alg.num_positive)
-    terms: Dict[PbwMonomial, PolyQ] = {}
-    for raising, slot in acc.items():
-        terms[PbwMonomial(raising + lowering)] = PolyQ.from_int_terms(alg.n, slot, den)
-    return VermaVector(alg.n, terms)
+    return VermaVector(alg.n, {
+        PbwMonomial.from_word(alg, raising): PolyQ.from_int_terms(alg.n, slot, den)
+        for raising, slot in acc.items()
+    })
 
 
 def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
     """Action of a basis generator on a module vector, at the formal weight.
 
-    One ``normal_order`` call per term of v.  The coefficients of v are
-    turned into integers over one common denominator, every normal-ordered
-    term adds integers into one map from raising monomial to L-exponent,
-    with a Cartan factor h^e shifting the exponents by e, and each term of
-    the result becomes one reduced ``Fraction`` at the end.
+    The coefficients of v are turned into integers over one common
+    denominator, and the module kernel adds integers for x m v0 over the
+    terms m of v, at Cartan values L_i; each term of the result becomes one
+    reduced ``Fraction`` at the end.
     """
     ix = alg.index[alg._check(x)]
     coeffs, den = _numerators(list(v.terms.values()))
-    products = [
-        (_uelement_leaves(alg, normal_order(alg, (ix,) + m.word())), c) for m, c in zip(v.terms, coeffs)
-    ]
-    acc, scale = _apply_on_v0(products)
+    products = [((ix,) + m.word(), c) for m, c in zip(v.terms, coeffs)]
+    acc, scale = _apply_on_v0(alg, products, _CartanValues.formal(alg.n))
     return _to_vector(alg, acc, den * scale)
 
 
 def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] = None) -> VermaVector:
-    """The vector (product of the word's generators) v0, any input order."""
+    """The vector (product of the word's generators) v0, any input order;
+    the word holds generators or their indices."""
     if coeff is None:
         coeff = PolyQ.one(alg.n)
     (ints,), den = _numerators([coeff])
-    acc, scale = _apply_on_v0([(_uelement_leaves(alg, normal_order(alg, word)), ints)])
+    acc, scale = _apply_on_v0(alg, [(_index_word(alg, word), ints)], _CartanValues.formal(alg.n))
     return _to_vector(alg, acc, den * scale)
 
 
@@ -442,14 +410,13 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
     constraint set with unsolved nonlinear equations yields an
     ``unverifiable`` report instead of a verdict.
 
-    Each x v is built at the branch's weight rather than at the formal one:
-    the coefficients of v are reduced by the solved form once, a Cartan
-    factor h_i takes the solved form's value of L_i, and the integer
-    numerators of x v are tested for zero with no ``Fraction`` formed and
-    nothing substituted afterwards.  One call of the integer rewrite
-    ``pbw._normal_sums`` per term of v and per x; its sums go to the
-    module kernel through ``_sums_leaves``, and neither ``normal_order``
-    nor ``act`` is called.
+    Each x v is built by the module kernel at the branch's weight: the
+    coefficients of v are reduced by the solved form once, a Cartan factor
+    h_i takes the solved form's value of L_i (L_i itself when there are no
+    constraints), and the integer numerators of x v are tested for zero
+    with no ``Fraction`` formed and nothing substituted afterwards.  One
+    call of the integer rewrite ``pbw._normal_sums`` per term of v and per
+    x; ``act`` is not called.
     """
     if constraints.equations and constraints.solved_form is None:
         return SingularityReport(
@@ -457,18 +424,13 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
             message="constraints have no affine solved form; cannot verify",
         )
     nvars = constraints.nvars
-    weight = (
-        _CartanValues([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)])
-        if constraints.solved_form
-        else None
-    )
+    weight = _CartanValues(*_numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]))
     coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
     words = [m.word() for m in v.terms]
     report = SingularityReport()
     for x in alg.negative:
         ix = alg.index[x]
-        products = [(_sums_leaves(alg, _normal_sums(alg, (ix,) + w)), c) for w, c in zip(words, coeffs)]
-        acc, _ = _apply_on_v0(products, weight)
+        acc, _ = _apply_on_v0(alg, [((ix,) + w, c) for w, c in zip(words, coeffs)], weight)
         ok = not any(c for slot in acc.values() for c in slot.values())
         report.by_generator.append((x, ok))
     return report

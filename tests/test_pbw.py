@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jacobiverma.algebra import (
     A_MINUS,
     A_PLUS,
+    DimensionMismatchError,
     Generator,
     JacobiAlgebra,
     K_MINUS,
@@ -68,6 +69,22 @@ class TestNormalOrderGolden:
         word = [G(A_PLUS, 2), G(K_PLUS, 2, 2), G(K_ZERO, 2, 1)]
         u = normal_order(ALG, word)
         assert u == uelt([(mono(*word), 1)])
+
+
+class TestNormalOrderInput:
+    def test_foreign_generator_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="not a basis element of g_2"):
+            normal_order(ALG, [G(A_MINUS, 1), G(A_PLUS, 3)])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match=f"generator index {len(ALG.generators)} out of range"):
+            normal_order(ALG, [0, len(ALG.generators)])
+        with pytest.raises(ValueError, match="generator index -1 out of range"):
+            normal_order(ALG, [-1])
+
+    def test_index_word_is_the_generator_word(self):
+        word = [G(K_MINUS, 1, 2), G(A_PLUS, 1), G(K_ZERO, 2, 1), G(A_PLUS, 2)]
+        assert normal_order(ALG, [ALG.index[g] for g in word]) == normal_order(ALG, word)
 
 
 class TestNormalOrderOracle:

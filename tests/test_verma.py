@@ -7,6 +7,7 @@ import pytest
 from jacobiverma.algebra import (
     A_MINUS,
     A_PLUS,
+    DimensionMismatchError,
     Generator,
     JacobiAlgebra,
     K_MINUS,
@@ -444,3 +445,18 @@ class TestApplyWordToV0:
                 for x in reversed(word):
                     expected = oracle_act(alg, x, expected)
                 assert got == expected.scale(coeff), word
+
+    def test_foreign_generator_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="not a basis element of g_2"):
+            apply_word_to_v0(ALG, [G(A_PLUS, 1), G(A_PLUS, 3)])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match=f"generator index {len(ALG.generators)} out of range"):
+            apply_word_to_v0(ALG, [0, len(ALG.generators)])
+
+    def test_index_word_is_the_generator_word(self):
+        word = [G(K_MINUS, 1, 2), G(A_PLUS, 1), G(K_ZERO, 1, 1), G(K_PLUS, 2, 2), G(K_ZERO, 1, 2)]
+        coeff = L(1) - const(Fraction(1, 3))
+        got = apply_word_to_v0(ALG, [ALG.index[g] for g in word], coeff)
+        assert not got.is_zero
+        assert got == apply_word_to_v0(ALG, word, coeff)
