@@ -16,10 +16,10 @@ single run.  Times are in seconds, totals of the spans of each stage:
 * ``assemble``: ``assemble_system``, which includes the next stage;
 * ``enumerate``: ``enumerate_ansatz``, the listing of the ansatz;
 * ``solve``: ``solve_parametric``, which contains the next two stages;
-* ``eliminate``: ``_eliminate``, the two-phase elimination of every case
-  the solver explores;
+* ``eliminate``: ``_eliminate``, the fraction-free elimination on integer
+  rows of every case the solver explores;
 * ``kernel``: ``_kernel_from_pivots``, the fraction-free back-substitution
-  of every case with a kernel;
+  on the integer pivot rows of every case with a kernel;
 * ``lift``: lifting the sp(n) kernel vectors into g_N: the closed-form
   table of the lifted columns (``_lift_table``, once per weight with a
   branch) and the integer sums of every kernel vector over it;

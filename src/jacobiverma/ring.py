@@ -9,15 +9,17 @@ variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 
 Rational numbers are plain ``fractions.Fraction``; the stdlib type already
 maintains the reduced-form invariants we need.  The fraction-free loops (the
-module action in ``verma``, phase 1 of the solver's elimination and the
-lift) work on integer term maps instead, exponent tuple to int, and share
-one product, ``_mul_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms``
-convert at their boundaries.  ``PolyQ`` products run on the same product:
-each factor becomes integer numerators over one denominator, and each term
-of the result one reduced ``Fraction``.  ``PolyQ.try_divide`` is long
-division on one remainder map.  ``RatFuncQ`` is not a field of fractions: it is the
-reduced quotient num/den that a report prints as a kernel coordinate, with
-no arithmetic of its own.
+module action in ``verma``, the solver's elimination and back-substitution,
+and the lift) work on integer term maps instead, exponent tuple to int, and
+share one product, ``_mul_int_terms``, and one exact division,
+``_div_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms`` convert at
+their boundaries.  ``PolyQ`` arithmetic runs on the same two: a product
+brings each factor to integer numerators over one denominator and makes each
+term of the result one reduced ``Fraction``, and ``PolyQ.try_divide`` divides
+the numerators by the primitive part of the divisor, which by Gauss's lemma
+is exact in Z[L] whenever the division is exact in Q[L].  ``RatFuncQ`` is
+not a field of fractions: it is the reduced quotient num/den that a report
+prints as a kernel coordinate, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -63,6 +65,34 @@ def _mul_int_terms(t1: IntTerms, t2: IntTerms) -> IntTerms:
             e = tuple(map(add, e1, e2))
             res[e] = res.get(e, 0) + c1 * c2
     return {e: c for e, c in res.items() if c}
+
+
+def _div_int_terms(num: IntTerms, den: IntTerms) -> IntTerms:
+    """The quotient num/den in Z[L]; ``RingError`` unless it exists.
+
+    Long division by the graded-lex leading term of ``den`` on one remainder
+    map; it fails at the first leading term of the remainder that the
+    leading term of ``den`` does not divide, as a monomial or over Z."""
+    d_exps = max(den, key=_monomial_key)
+    d_lc = den[d_exps]
+    rest = [(e, c) for e, c in den.items() if e != d_exps]
+    rem = dict(num)
+    quo: IntTerms = {}
+    while rem:
+        r_exps = max(rem, key=_monomial_key)
+        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
+        q, r = divmod(rem.pop(r_exps), d_lc)
+        if r or min(q_exps) < 0:
+            raise RingError("inexact division of integer polynomials")
+        quo[q_exps] = q
+        for e, c in rest:
+            e = tuple(map(add, q_exps, e))
+            v = rem.get(e, 0) - q * c
+            if v:
+                rem[e] = v
+            else:
+                rem.pop(e, None)
+    return quo
 
 
 def _int_terms(term_maps: Sequence[dict]) -> Tuple[List[IntTerms], int]:
@@ -360,8 +390,10 @@ class PolyQ:
     def try_divide(self, divisor: "PolyQ") -> Optional["PolyQ"]:
         """Exact multivariate division; None if the division is not exact.
 
-        Long division by the graded-lex leading term, on one remainder dict
-        updated in place; the quotient's terms are collected in another."""
+        Scaling for a constant divisor; otherwise ``_div_int_terms`` of the
+        integer numerators by the divisor's primitive part, which divides
+        them in Z[L] exactly when the divisor divides in Q[L] (Gauss's
+        lemma), and the quotient is scaled back."""
         if divisor.is_zero:
             raise RingError("division by zero polynomial")
         if self.is_zero:
@@ -369,25 +401,14 @@ class PolyQ:
         if divisor.is_constant:
             c = divisor.constant_value()
             return PolyQ(self.nvars, {e: v / c for e, v in self.terms.items()})
-        d_exps, d_lc = divisor.leading()
-        rest = [(e, c) for e, c in divisor.terms.items() if e != d_exps]
-        rem = dict(self.terms)
-        quo: dict = {}
-        while rem:
-            r_exps = max(rem, key=_monomial_key)
-            q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if min(q_exps) < 0:
-                return None
-            q = rem.pop(r_exps) / d_lc
-            quo[q_exps] = q
-            for e, c in rest:
-                e = tuple(map(add, q_exps, e))
-                v = rem.get(e, 0) - q * c
-                if v:
-                    rem[e] = v
-                else:
-                    rem.pop(e, None)
-        return _poly(self.nvars, quo)
+        (num,), num_den = _int_terms([self.terms])
+        (div,), div_den = _int_terms([divisor.terms])
+        content = int_gcd(*div.values())
+        try:
+            quo = _div_int_terms(num, {e: v // content for e, v in div.items()})
+        except RingError:
+            return None
+        return PolyQ.from_int_terms(self.nvars, {e: v * div_den for e, v in quo.items()}, num_den * content)
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         q = self.try_divide(other)
@@ -400,31 +421,17 @@ class PolyQ:
     def to_text(self, varnames: Optional[list] = None) -> str:
         if varnames is None:
             varnames = [f"L{i + 1}" for i in range(self.nvars)]
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for i in range(self.nvars - 1, -1, -1):
-                e = exps[i]
-                if e == 1:
-                    factors.append(varnames[i])
-                elif e > 1:
-                    factors.append(f"{varnames[i]}^{e}")
-            if not factors:
-                body = frac_text(abs(c))
-            elif abs(c) == 1:
-                body = " ".join(factors)
-            else:
-                body = frac_text(abs(c)) + " " + " ".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return self._render(varnames, "{}^{}", frac_text)
 
     def to_latex(self) -> str:
         names = [f"\\Lambda(H_{i + 1})" for i in range(self.nvars)]
+        return self._render(names, "{}^{{{}}}", frac_latex)
+
+    def _render(self, names: list, power: str, number) -> str:
+        """The signed terms in descending order, each its absolute
+        coefficient as ``number`` renders it (left out when 1 before
+        factors) and the variables from the last one down, a power as
+        ``power.format(name, e)``."""
         if self.is_zero:
             return "0"
         parts = []
@@ -435,13 +442,13 @@ class PolyQ:
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
-                    factors.append(f"{names[i]}^{{{e}}}")
+                    factors.append(power.format(names[i], e))
             if not factors:
-                body = frac_latex(abs(c))
+                body = number(abs(c))
             elif abs(c) == 1:
                 body = " ".join(factors)
             else:
-                body = frac_latex(abs(c)) + " " + " ".join(factors)
+                body = number(abs(c)) + " " + " ".join(factors)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:

@@ -18,15 +18,15 @@ target weight w:
    action there, evaluates each h_i on v0 as L_i - 1/4, so nothing is
    substituted afterwards.  That suffices: if x and y kill a vector, so
    does [x, y];
-3. eliminate in two phases with case splitting: fraction-free Gauss on
-   primitive integer rows while a constant pivot remains, then fraction-free
-   (Bareiss) steps on the residual rows; a non-constant pivot spawns one
-   child per vanishing-locus factor, while the parent continues with the
-   pivot asserted nonzero;
+3. eliminate with case splitting: fraction-free (Bareiss) steps on primitive
+   integer rows, pivoting on a constant while one is left and on an entry
+   of least total degree after that; a non-constant pivot spawns one child
+   per vanishing-locus factor, while the parent continues with the pivot
+   asserted nonzero;
 4. each explored constraint set with a nontrivial kernel becomes a branch; the
-   kernel is back-substituted fraction-free, so each kernel vector is a
-   polynomial vector, kept primitive (coprime coordinates, the last nonzero
-   one monic);
+   kernel is back-substituted fraction-free on the integer pivot rows, so
+   each kernel vector is a polynomial vector, kept primitive (coprime
+   coordinates, the last nonzero one monic);
 5. each kernel vector is lifted through m -> m(K') v0 into the coordinates of
    the full ansatz and made primitive again.  The lift is closed-form, with
    no module action: for m = K+^beta K0^gamma, the a- part of each K'0
@@ -60,6 +60,8 @@ from .ring import (
     IntTerms,
     PolyQ,
     RatFuncQ,
+    _div_int_terms,
+    _monomial_key,
     _mul_int_terms,
     _numerators,
     content_in,
@@ -416,160 +418,145 @@ def _eliminate(
     matrix: List[List[PolyQ]],
     ncols: int,
     nvars: int,
-) -> Tuple[List[Tuple[List[PolyQ], int]], Set[int], List[PolyQ]]:
-    """Two-phase elimination with degree-preferring pivot choice.
+) -> Tuple[List[Tuple[List[IntTerms], int]], Set[int], List[PolyQ]]:
+    """Fraction-free elimination on primitive integer rows, with
+    degree-preferring pivot choice.
 
-    Phase 1 is fraction-free Gauss on integer rows: each row's
-    denominators are cleared and its integer content divided out on entry.
-    While some unused column holds a nonzero constant entry P, the least
-    (column, row index) such entry is the pivot, its row is negated if
-    need be so that P > 0, and only the rows with a nonzero entry f in the
-    pivot column are updated, to P row - f prow with its content divided
-    out again (both terms are first divided by the gcd of P and the
-    coefficients of f, which often leaves P = 1).
-    Phase 2 takes the residual back as ``PolyQ`` rows and runs Bareiss
-    fraction-free steps on it, starting from divisor 1 and always taking
-    an entry of least total degree.  A step computes only the columns
-    still unused after it: the pivot column becomes zero by construction,
-    and the used columns are zero in every residual row already.
+    Each row's denominators are cleared and its integer content divided out
+    on entry.  The pivot is a nonzero entry P of least (total degree,
+    column, row index) in the unused columns: while a constant is left, the
+    first constant in column order, so degrees are computed only once none
+    is.  Its row is negated if need be so that P has a positive leading
+    coefficient.  Every other row, with entry f in the pivot column, becomes
+    ((P/g) row - (f/g) prow) // prev with its content divided out, where g
+    is the gcd of the contents of P and f and prev is the primitive part of
+    the previous pivot (1 after a constant pivot).  A row with f = 0 thus
+    becomes (P/g) row // prev, which is the row itself when P is a constant
+    and prev = 1, and only then is it left as it is.  Only the unused
+    columns are computed: the pivot column becomes zero by construction,
+    and the used columns are zero in every remaining row already.
 
-    Every row here is a nonzero rational multiple of the row that Gauss
-    over Q with pivots scaled to 1 would hold, and the pivot rules look only
-    at zero entries, constant entries and total degree, so the pivots and
-    their columns do not depend on those multiples; the non-constant pivots
-    change by constant factors only, which the squarefree monic factors and
-    the primitive kernel vectors do not see.  Phase 1 rows are Bareiss
-    rows up to nonzero rational factors, so the pivot choice, the kernel
-    and the squarefree monic pivot factors do not depend on where the
-    phases meet either.
+    These are Bareiss steps (Bareiss, Math. Comp. 22, 1968) up to a nonzero
+    rational factor per row, so every division by prev is exact in Q[L]: by
+    Sylvester's identity each Bareiss entry after k steps is a (k+1)-minor
+    of the matrix, whichever row and column each step picked.  As prev is
+    primitive, the division is exact in Z[L] by Gauss's lemma; one that
+    leaves a remainder raises ``RingError``.
 
-    Every phase-2 division by the previous pivot is exact.  Phase 1 pivots
-    only on constants, so the residual is a matrix over Q[L], and by
-    Sylvester's identity each entry after k Bareiss steps on it is a
-    (k+1)-minor of it, whichever row and column each step picked (Bareiss,
-    Math. Comp. 22, 1968).  A division that leaves a remainder raises
-    ``RingError``.
+    The pivot rule looks only at zero entries, constant entries and total
+    degree, so the pivots and their columns do not depend on the row
+    factors; the non-constant pivots change by constant factors only, which
+    the squarefree monic factors and the primitive kernel vectors do not
+    see.
 
     Returns (retired pivot rows with their columns, used columns, the
     non-constant pivot polynomials in order of use).
     """
     rows = [_content_free(_numerators(row)[0]) for row in matrix if any(not e.is_zero for e in row)]
     constant = (0,) * nvars
-    int_pivots: List[Tuple[List[IntTerms], int]] = []
+    one = {constant: 1}
+    pivots: List[Tuple[List[IntTerms], int]] = []
     used: Set[int] = set()
+    nonconstant: List[PolyQ] = []
+    prev = one
     while True:
-        best = None
-        for c in range(ncols):
-            if c in used:
-                continue
-            for ri, row in enumerate(rows):
-                e = row[c]
-                if len(e) == 1 and constant in e:
-                    best = (c, ri)
-                    break
-            if best is not None:
-                break
+        best = next(
+            (
+                (0, c, ri)
+                for c in range(ncols)
+                if c not in used
+                for ri, row in enumerate(rows)
+                if len(row[c]) == 1 and constant in row[c]
+            ),
+            None,
+        )
+        if best is None:
+            best = min(
+                ((max(map(sum, e)), c, ri) for ri, row in enumerate(rows) for c, e in enumerate(row) if e),
+                default=None,
+            )
         if best is None:
             break
-        c, ri = best
+        _, c, ri = best
         prow = rows.pop(ri)
-        if prow[c][constant] < 0:
+        p = prow[c]
+        if p[max(p, key=_monomial_key)] < 0:
             prow = [{e: -a for e, a in t.items()} for t in prow]
-        pivot = prow[c][constant]
-        support = [j for j in range(ncols) if prow[j]]
+            p = prow[c]
+        if any(map(any, p)):
+            nonconstant.append(PolyQ.from_int_terms(nvars, p))
+        used.add(c)
+        support = [j for j in range(ncols) if prow[j] and j != c]
+        content = gcd(*p.values())
+        primitive = {e: a // content for e, a in p.items()}
+        divide = prev != one
+        unchanged = primitive == one and not divide
         remaining = []
         for row in rows:
             f = row[c]
+            if not f and unchanged:
+                remaining.append(row)
+                continue
+            g = gcd(content, *f.values())
+            k = primitive if g == content else {e: a // g for e, a in p.items()}
+            row = list(row) if k == one else [_mul_int_terms(k, t) if t else t for t in row]
+            row[c] = {}
             if f:
-                g = gcd(pivot, *f.values())
-                k, f = pivot // g, {e: a // g for e, a in f.items()}
-                row = [{e: k * a for e, a in t.items()} for t in row] if k != 1 else list(row)
+                f = {e: a // g for e, a in f.items()}
                 for j in support:
                     t = dict(row[j])
                     for e, a in _mul_int_terms(f, prow[j]).items():
                         t[e] = t.get(e, 0) - a
                     row[j] = {e: a for e, a in t.items() if a}
-                if not any(row):
-                    continue
-                row = _content_free(row)
-            remaining.append(row)
+            if divide:
+                row = [_div_int_terms(t, prev) if t else t for t in row]
+            if any(row):
+                remaining.append(_content_free(row))
         rows = remaining
-        int_pivots.append((prow, c))
-        used.add(c)
-    pivots = [([PolyQ.from_int_terms(nvars, t) for t in row], c) for row, c in int_pivots]
-    active = [[PolyQ.from_int_terms(nvars, t) for t in row] for row in rows]
-    nonconstant: List[PolyQ] = []
-    prev = PolyQ.one(nvars)
-    zero = PolyQ.zero(nvars)
-    while True:
-        best = None
-        for ri, row in enumerate(active):
-            for c in range(ncols):
-                if c in used or row[c].is_zero:
-                    continue
-                key = (row[c].total_degree(), c, ri)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, c, ri = best
-        prow = active.pop(ri)
-        p = prow[c]
-        if not p.is_constant:
-            nonconstant.append(p)
-        used.add(c)
-        free = [j for j in range(ncols) if j not in used]
-        new_active = []
-        for row in active:
-            new_row = [zero] * ncols
-            f = row[c]
-            for j in free:
-                new_row[j] = (p * row[j] - f * prow[j]) // prev
-            if any(not new_row[j].is_zero for j in free):
-                new_active.append(new_row)
-        active = new_active
         pivots.append((prow, c))
-        prev = p
+        prev = primitive
     return pivots, used, nonconstant
 
 
 def _kernel_from_pivots(
-    pivots: List[Tuple[List[PolyQ], int]],
+    pivots: List[Tuple[List[IntTerms], int]],
     used: Set[int],
     ncols: int,
     nvars: int,
 ) -> List[List[PolyQ]]:
     """One primitive kernel vector per free column, by fraction-free
-    back-substitution.
+    back-substitution on the integer pivot rows.
 
-    A constant pivot p sets its coordinate to -s/p, where s is the row's sum
-    over the coordinates already set.  A non-constant pivot instead
-    multiplies those coordinates by p and sets its own to -s, so every
-    coordinate stays a polynomial and the vector keeps its direction.
+    For each pivot row, the last first, s is the row's sum over the
+    coordinates already set and p its pivot entry, both divided by the gcd
+    of their contents.  The coordinates already set are multiplied by p and
+    the pivot's own is set to -s, so every coordinate stays an integer
+    polynomial and the vector keeps its direction.  The vector becomes
+    ``PolyQ`` once, for ``_primitive``.
     """
     free = [c for c in range(ncols) if c not in used]
-    zero = PolyQ.zero(nvars)
+    one = {(0,) * nvars: 1}
     vectors: List[List[PolyQ]] = []
     for f in free:
-        v: List[Optional[PolyQ]] = [None] * ncols
+        v: List[Optional[IntTerms]] = [None] * ncols
         for c in free:
-            v[c] = PolyQ.one(nvars) if c == f else zero
+            v[c] = one if c == f else {}
         for prow, c in reversed(pivots):
-            s = zero
-            for j in range(ncols):
-                if j == c or prow[j].is_zero:
+            s: IntTerms = {}
+            for j, t in enumerate(prow):
+                if j == c or not t:
                     continue
                 if v[j] is None:
                     raise AssertionError("back-substitution order violated")
-                if not v[j].is_zero:
-                    s = s + prow[j] * v[j]
+                for e, a in _mul_int_terms(t, v[j]).items():
+                    s[e] = s.get(e, 0) + a
             p = prow[c]
-            if p.is_constant:
-                v[c] = s * (-1 / p.constant_value())
-            else:
-                v = [x if x is None or x.is_zero else x * p for x in v]
-                v[c] = -s
-        vectors.append(_primitive(v))
+            g = gcd(*p.values(), *s.values())
+            p = {e: a // g for e, a in p.items()}
+            if p != one:
+                v = [_mul_int_terms(x, p) if x else x for x in v]
+            v[c] = {e: -a // g for e, a in s.items() if a}
+        vectors.append(_primitive([PolyQ.from_int_terms(nvars, t) for t in v]))
     return vectors
 
 

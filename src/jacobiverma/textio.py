@@ -382,14 +382,8 @@ def _parse_poly_factor(toks: _Tokens, nvars: int) -> PolyQ:
         toks.expect(")")
     else:
         raise ParseError(f"unexpected token {text!r} in polynomial")
-    tok = toks.peek()
-    if tok is not None and tok[1] == "^":
-        toks.next()
-        kind, text = toks.next()
-        if kind != "num" or "/" in text:
-            raise ParseError(f"expected integer exponent, found {text!r}")
-        base = base ** int(text)
-    return base
+    e = _maybe_power(toks)
+    return base if e == 1 else base ** e
 
 
 # -- vectors ---------------------------------------------------------------------
@@ -422,47 +416,26 @@ def parse_vector(s: str, alg: JacobiAlgebra) -> VermaVector:
 
 
 def _parse_vector_coeff(toks: _Tokens, nvars: int) -> PolyQ:
-    """Optional coefficient: a rational, an L-polynomial, or a parenthesized
-    polynomial; a parenthesized generator belongs to the monomial instead."""
+    """Optional coefficient: a product of the factors of ``parse_poly``
+    (rationals, L variables and parenthesized polynomials, each with an
+    optional integer power); a parenthesized generator belongs to the
+    monomial instead."""
     coeff = PolyQ.one(nvars)
     while True:
         tok = toks.peek()
         if tok is None:
             break
         kind, text = tok
-        if kind == "num":
+        if text == "*":
             toks.next()
-            factor = PolyQ.const(nvars, Fraction(text))
-            tok2 = toks.peek()
-            if tok2 is not None and tok2[1] == "^":
-                toks.next()
-                k2, t2 = toks.next()
-                if k2 != "num" or "/" in t2:
-                    raise ParseError(f"expected integer exponent, found {t2!r}")
-                factor = factor ** int(t2)
-            coeff = coeff * factor
-        elif kind == "lvar":
-            coeff = coeff * _parse_poly_factor(toks, nvars)
-        elif text == "*":
-            toks.next()
-        elif text == "(":
-            save = toks.pos
-            toks.next()
-            inner = toks.peek()
+            continue
+        if text == "(":
+            inner = toks.items[toks.pos + 1] if toks.pos + 1 < len(toks.items) else None
             if inner is not None and inner[0] == "gen":
-                toks.pos = save
                 break
-            coeff = coeff * _parse_poly_expr(toks, nvars)
-            toks.expect(")")
-            tok2 = toks.peek()
-            if tok2 is not None and tok2[1] == "^":
-                toks.next()
-                k2, t2 = toks.next()
-                if k2 != "num" or "/" in t2:
-                    raise ParseError(f"expected integer exponent, found {t2!r}")
-                coeff = coeff ** int(t2)
-        else:
+        elif kind not in ("num", "lvar"):
             break
+        coeff = coeff * _parse_poly_factor(toks, nvars)
     return coeff
 
 

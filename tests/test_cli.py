@@ -121,6 +121,11 @@ class TestRoundTrips:
         )
         assert v == expected
 
+    @pytest.mark.parametrize("coeff", ["2 (L1 + 1)^2", "L1 (L2 + 1)^2", "2 3^2"])
+    def test_exponent_binds_to_its_own_factor(self, coeff):
+        v = parse_vector(f"{coeff} a+1", ALG)
+        assert v == apply_word_to_v0(ALG, parse_word("a+1", 2), parse_poly(coeff, 2))
+
     def test_unordered_word_is_normalized(self):
         # d+ a+2 = a+2 d+ + (1/2) a+1
         v = parse_vector("d+ a+2", ALG)

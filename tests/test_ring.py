@@ -8,6 +8,7 @@ from jacobiverma.ring import (
     PolyQ,
     RatFuncQ,
     RingError,
+    _div_int_terms,
     _euclid_gcd_univariate,
     poly_gcd,
     rational_roots,
@@ -196,6 +197,31 @@ class TestProductsAndDivision:
         assert _no_zero_coefficient(p)
         assert (a * (b + c) - a * b - a * c).terms == {}
         assert _no_zero_coefficient(a * (b - b + c))
+
+    def test_integer_quotient(self):
+        # (2 L1 + 3 L2)(L1 - L2) / (2 L1 + 3 L2), all in Z[L]
+        num = {(2, 0): 2, (1, 1): 1, (0, 2): -3}
+        assert _div_int_terms(num, {(1, 0): 2, (0, 1): 3}) == {(1, 0): 1, (0, 1): -1}
+
+    def test_integer_division_with_a_remainder_raises(self):
+        # L1^2 + 1 = (L1 + 1)(L1 - 1) + 2
+        with pytest.raises(RingError):
+            _div_int_terms({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})
+
+    def test_integer_division_by_a_leading_term_that_does_not_divide_raises(self):
+        # over Q, L1^2 / (2 L1) = L1/2, which is not in Z[L]
+        with pytest.raises(RingError):
+            _div_int_terms({(2, 0): 1}, {(1, 0): 2})
+        # L2 is not divisible by the leading monomial L1
+        with pytest.raises(RingError):
+            _div_int_terms({(0, 1): 1}, {(1, 0): 1})
+
+    def test_divisor_that_is_not_primitive(self):
+        assert L(1) ** 2 // (2 * L(1)) == Fraction(1, 2) * L(1)
+        assert (const(Fraction(3, 4)) * L(1) * L(2)).try_divide(const(6) * L(2)) == const(Fraction(1, 8)) * L(1)
+
+    def test_a_non_divisor_gives_none(self):
+        assert (L(1) ** 2 + const(1)).try_divide(2 * L(1) + const(2)) is None
 
     def test_cancellation_example(self):
         p = (L(1) + const(Fraction(1, 2))) * (L(1) - const(Fraction(1, 2)))

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jacobiverma import singular
 from jacobiverma.algebra import JacobiAlgebra, Weight
-from jacobiverma.ring import PolyQ, RatFuncQ
+from jacobiverma.ring import PolyQ, RatFuncQ, _div_int_terms
 from jacobiverma.singular import (
     SystemRow,
     AnsatzSystem,
@@ -39,6 +40,11 @@ def L(i, nvars=2):
 
 def const(c, nvars=2):
     return PolyQ.const(nvars, Fraction(c))
+
+
+def poly_rows(pivots, nvars=2):
+    """``_eliminate``'s integer pivot rows as ``PolyQ`` rows."""
+    return [([PolyQ.from_int_terms(nvars, t) for t in row], c) for row, c in pivots]
 
 
 class TestSplitFactors:
@@ -162,15 +168,13 @@ class TestEliminate:
             s_pivots, s_used, ncols, 2
         )
         assert [p.monic() for p in nonconstant] == [p.monic() for p in s_nonconstant]
-        # phase 1 pivots on constants only; its pivot rows are primitive
-        # integer rows with a positive pivot, the same for both inputs
+        # every pivot row is a primitive integer row whose pivot has a
+        # positive leading coefficient, the same for both inputs
         for (row, c), (s_row, _) in zip(pivots, s_pivots):
-            if not row[c].is_constant:
-                break
-            coeffs = [v for e in row for v in e.terms.values()]
-            assert all(v.denominator == 1 for v in coeffs)
-            assert gcd(*(v.numerator for v in coeffs)) == 1
-            assert row[c].constant_value() > 0
+            coeffs = [v for t in row for v in t.values()]
+            assert all(type(v) is int for v in coeffs)
+            assert gcd(*coeffs) == 1
+            assert PolyQ.from_int_terms(2, row[c]).leading()[1] > 0
             assert s_row == row
 
     def test_updated_rows_are_primitive_with_positive_pivots(self):
@@ -178,7 +182,7 @@ class TestEliminate:
         # pivot row [0, -1, L1] is negated to make its pivot positive
         matrix = [[const(1), const(1), const(0)], [const(0), const(-1), L(1)], [const(1), const(3), const(2)]]
         pivots, used, nonconstant = _eliminate(matrix, 3, 2)
-        assert pivots == [
+        assert poly_rows(pivots) == [
             ([const(1), const(1), const(0)], 0),
             ([const(0), const(1), -L(1)], 1),
             ([const(0), const(0), L(1) + const(1)], 2),
@@ -189,14 +193,15 @@ class TestEliminate:
         zero = const(0)
         matrix = [[const(2), const(1), L(2)], [zero, L(1), L(1) * L(2)]]
         pivots, used, nonconstant = _eliminate(matrix, 3, 2)
-        # phase 1 keeps the pivot row as a primitive integer row
+        # the pivot row is kept as a primitive integer row
+        pivots = poly_rows(pivots)
         assert pivots[0] == ([const(2), const(1), L(2)], 0)
         assert pivots[1] == ([zero, L(1), L(1) * L(2)], 1)
         assert used == {0, 1}
         assert nonconstant == [L(1)]
 
     def test_kernel_through_a_nonconstant_pivot(self):
-        # phase 1 pivots on the 1 in column 1; phase 2 on 2 L1 in column 0.
+        # The first pivot is the 1 in column 1, the second 2 L1 in column 0.
         # Back-substitution multiplies by 2 L1, which the primitive
         # representative divides out again.
         matrix = [[2 * L(1), L(2) + const(1), const(0)], [const(0), const(1), L(1) * L(2)]]
@@ -211,6 +216,40 @@ class TestEliminate:
                 continue
             ker = fraction_kernel(evaluate_rows(matrix, pt), 3)
             assert same_span([[x.eval_all(pt) for x in vec]], ker, 3)
+
+    def test_steps_divide_by_a_nonconstant_previous_pivot(self, monkeypatch):
+        # No entry is constant, so every pivot is non-constant and the second
+        # and third steps divide by the previous pivot.  Rows 0 and 2 have no
+        # entry in the first pivot column, 2 L1 - 1, and are still multiplied
+        # by it, as in Bareiss: left as they are, the next division by it
+        # would leave a remainder.
+        zero = const(0)
+        matrix = [
+            [zero, zero, const(1) - L(1), zero],
+            [2 * L(1) - const(1), 2 * L(1), zero, L(2) + 2 * L(1) + const(2)],
+            [zero, zero, L(2) - L(1) + const(2), 2 * L(2) - L(1) + const(1)],
+        ]
+        divisors = []
+
+        def spy(num, den):
+            divisors.append(PolyQ.from_int_terms(2, den))
+            return _div_int_terms(num, den)
+
+        monkeypatch.setattr(singular, "_div_int_terms", spy)
+        pivots, used, nonconstant = _eliminate(matrix, 4, 2)
+        assert [c for _, c in pivots] == [0, 2, 3]
+        assert len(nonconstant) == 3
+        assert 2 * L(1) - const(1) in divisors
+        assert all(not d.is_constant for d in divisors)
+        (vec,) = _kernel_from_pivots(pivots, used, 4, 2)
+        assert vec == [-L(1), L(1) - const(Fraction(1, 2)), zero, zero]
+        rng = random.Random(20261019)
+        for _ in range(20):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+            if any(p.eval_all(pt) == 0 for p in nonconstant):
+                continue
+            ker = fraction_kernel(evaluate_rows(matrix, pt), 4)
+            assert same_span([[x.eval_all(pt) for x in vec]], ker, 4)
 
 
 _vector_entry = st.one_of(st.just(const(0)), _entry, _entry)
