@@ -57,6 +57,15 @@ CLI_CASES = {
 }
 FORMATS = ("text", "latex", "json")
 
+# Words with runs of equal letters: a letter before a run, which the rewrite
+# moves through the whole run in one step, and a run before a letter.
+RUN_CASES = {
+    "g2_run1": ["normal-order", "--n", "2", "K-[1,1] a+1^4 K+[1,1]^2"],
+    "g2_run2": ["normal-order", "--n", "2", "K-[1,1]^3 a+1"],
+    "g2_run3": ["normal-order", "--n", "2", "K-[1,1]^3 K+[1,1]^2"],
+}
+RUN_FORMATS = ("json",)
+
 # Reports in the formats that render the singular vectors themselves; the
 # JSON form of the same report is under ``reports/``.
 VECTOR_CASES = {
@@ -117,6 +126,9 @@ def main() -> int:
     argvs = {}
     for name, argv in CLI_CASES.items():
         for fmt in FORMATS:
+            argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in RUN_CASES.items():
+        for fmt in RUN_FORMATS:
             argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
     for name, argv in VECTOR_CASES.items():
         for fmt in VECTOR_FORMATS:

@@ -13,9 +13,9 @@ All structure constants are integer multiples of 1/2, given by
 Kronecker-delta formulas uniform in n (Heisenberg x Heisenberg, Heisenberg x
 sp crossing, sp x sp).  They are written once, as the integer kernel
 ``half_bracket`` on (family, i, j) keys; ``JacobiAlgebra`` tabulates its
-integer form lazily, pair by pair, for normal ordering, and ``bracket``,
-``JacobiAlgebra.bracket`` and ``bracket_by_index`` turn a kernel value into a
-``BracketResult`` of ``Fraction``s.
+integer form lazily, pair by pair and run by run, for normal ordering,
+and ``bracket``, ``JacobiAlgebra.bracket`` and ``bracket_by_index`` turn a
+kernel value into a ``BracketResult`` of ``Fraction``s.
 
 Weights are recorded in the delta-basis normalized by delta_i(h_j) =
 (1/2) delta_ij; equivalently, the j-th weight coordinate of a generator g is
@@ -292,6 +292,12 @@ def bracket(x: Generator, y: Generator) -> BracketResult:
     return _bracket_result(half_bracket(_key(x), _key(y)), lambda key: Generator(*key))
 
 
+def _halved(word: Tuple[int, ...], num: int, t: int) -> Tuple[Tuple[int, ...], int, int]:
+    """(word, num / 2^t) with the fraction in lowest terms; num is nonzero."""
+    shift = min((num & -num).bit_length() - 1, t)
+    return word, num >> shift, 1 << (t - shift)
+
+
 def _ordered_basis(n: int) -> List[Generator]:
     pos: List[Generator] = [Generator(A_PLUS, i) for i in range(1, n + 1)]
     pos += [Generator(K_PLUS, i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
@@ -311,9 +317,10 @@ class JacobiAlgebra:
     vector end in annihilators.
 
     Weights and the Lie generators of n- are read from ``half_bracket`` at
-    construction.  The integer bracket table that normal ordering reads is
-    filled from the same kernel on first use of each pair, so an algebra
-    costs only what its computation touches.
+    construction.  The integer bracket table and the run table of x y^b
+    that normal ordering reads are filled from the same kernel on first use
+    of each pair or run, so an algebra costs only what its computation
+    touches.
     """
 
     def __init__(self, n: int):
@@ -329,6 +336,10 @@ class JacobiAlgebra:
         self._keys: List[Key] = [_key(g) for g in self.generators]
         self._key_index: Dict[Key, int] = {key: k for k, key in enumerate(self._keys)}
         self._integer_table: Dict[Tuple[int, int], IntegerBracket] = {}
+        self._run_table: Dict[Tuple[int, int, int], IntegerBracket] = {}
+        # the module's formal Cartan values (``verma._CartanValues.formal``),
+        # built there on first use
+        self._formal_cartan = None
         self._weights: List[Weight] = [self._weight_from_kernel(key) for key in self._keys]
         self.lowering_generators: List[Generator] = self._lie_generators_of_negative()
 
@@ -370,6 +381,44 @@ class JacobiAlgebra:
             parts += [((self._key_index[k],), c) for k, c in terms]
             cached = tuple((word, c, 2) if c % 2 else (word, c // 2, 1) for word, c in parts)
             self._integer_table[key] = cached
+        return cached
+
+    def run_bracket(self, ix: int, iy: int, b: int) -> IntegerBracket:
+        """x y^b - y^b x for a run y^b, b >= 2, as (replacement, numerator,
+        denominator) triples in lowest terms: the terms C(b, t) y^(b-t) c_t
+        for t = 1..b, where c_1 = [x, y] and c_t = [c_(t-1), y].  Right
+        multiplication by y is left multiplication plus ad y, and the two
+        commute, so x y^b is their b-th power on x; the b = 1 case is
+        ``integer_bracket``.  The t = 1 term is ``integer_bracket`` times b;
+        from t = 2 on, c_t is summed from the ``integer_bracket`` of each
+        generator of c_(t-1) with y, with numerators over 2^t, until the
+        chain reaches a scalar or zero.  Filled lazily, one (x, y, b) at a
+        time, so the table holds the runs the algebra's rewrites meet."""
+        key = (ix, iy, b)
+        cached = self._run_table.get(key)
+        if cached is not None:
+            return cached
+        pad = (iy,) * (b - 1)
+        out = []
+        # the generator terms of c_t as (index, numerator over 2^t)
+        chain = []
+        for word, p, q in self.integer_bracket(ix, iy):
+            out.append((pad + word, b * p, q) if q == 1 or b % 2 else (pad + word, b // 2 * p, 1))
+            if word:
+                chain.append((word[0], 2 * p // q))
+        binom = b
+        for t in range(2, b + 1):
+            if not chain:
+                break
+            sums: Dict[Tuple[int, ...], int] = {}
+            for g, c in chain:
+                for word, p, q in self.integer_bracket(g, iy):
+                    sums[word] = sums.get(word, 0) + c * (2 * p // q)
+            binom = binom * (b - t + 1) // t
+            pad = pad[1:]
+            out += [_halved(pad + word, binom * c, t) for word, c in sums.items() if c]
+            chain = [(word[0], c) for word, c in sums.items() if word and c]
+        cached = self._run_table[key] = tuple(out)
         return cached
 
     def classify(self, g: Generator) -> GenClass:

@@ -50,8 +50,15 @@ from .textio import (
     uelement_to_json,
     vector_to_json,
 )
-from .verma import ConstraintSet, InconsistentConstraintsError, act, is_singular, vector_weight
-from .pbw import normal_order
+from .verma import (
+    ConstraintSet,
+    InconsistentConstraintsError,
+    InhomogeneousVectorError,
+    act,
+    is_singular,
+    vector_weight,
+)
+from .pbw import monomial_weight, normal_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,7 +179,15 @@ def _cmd_verify(args) -> int:
     n = _dimension(args, args.vector, args.constraints or "")
     alg = JacobiAlgebra(n)
     v = parse_vector(args.vector, alg)
-    vector_weight(alg, v)  # a zero or mixed-weight vector is an input error
+    try:
+        vector_weight(alg, v)  # a zero or mixed-weight vector is an input error
+    except InhomogeneousVectorError as exc:
+        first, second = (
+            f"{render_monomial(alg, m)} (weight {render_weight(monomial_weight(alg, m))})"
+            for m in exc.monomials
+        )
+        print(f"error: vector mixes weights: {first} and {second}", file=sys.stderr)
+        return EXIT_PARSE
     eqs = parse_constraints(args.constraints, n) if args.constraints else []
     try:
         cs = ConstraintSet.from_equations(n, eqs)

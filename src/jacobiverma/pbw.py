@@ -3,22 +3,30 @@
 A monomial records the multiplicity of each basis generator; the underlying
 word is the generators repeated in the algebra's global order (positives,
 Cartan, negatives).  ``normal_order`` rewrites an arbitrary word into this
-basis by repeatedly applying x*y = y*x + [x, y] to the leftmost out-of-order
-adjacent pair.  Every swap either lowers the inversion count at fixed length
-or hands off to strictly shorter words (the bracket remainder), so the
+basis.  At the leftmost out-of-order adjacent pair x y it moves x through
+the whole run y^b that starts there, in one step:
+
+    x y^b = y^b x + sum_{t=1..b} C(b, t) y^(b-t) c_t,
+    c_1 = [x, y],  c_t = [c_(t-1), y],
+
+because right multiplication by y is left multiplication by y plus
+ad y, and the two commute.  The chain c_t stops at a scalar or at zero;
+b = 1 is the swap x y = y x + [x, y].  The first child has the same
+length and b fewer inversions, and every other child is shorter, so the
 rewriting terminates; by the PBW theorem the normal form is independent of
 the strategy.
 
 The structure constants are integer multiples of 1/2, so every coefficient
 of a normal form is a rational with a power of 2 as denominator.  The
 rewrite, ``_normal_sums``, works in integers only: each word carries an
-integer numerator and denominator, multiplied by the lowest-terms halves of
-``JacobiAlgebra.integer_bracket``, which reads the integer kernel
-``algebra.half_bracket``, and the words that reach normal form are summed
-into one (numerator, denominator) pair per sorted word.  ``normal_order``
-is that rewrite plus one ``fractions.Fraction`` and one ``PbwMonomial`` per
-word of the result; the module action (``verma``) reads the integer sums
-directly.  ``UElement`` coefficients are nonzero
+integer numerator and denominator, multiplied by the lowest-terms
+coefficients, over powers of 2, of ``JacobiAlgebra.integer_bracket``
+(b = 1) or ``JacobiAlgebra.run_bracket`` (b >= 2), which read the integer
+kernel ``algebra.half_bracket``, and the words that reach normal form are
+summed into one (numerator, denominator) pair per sorted word.
+``normal_order`` is that rewrite plus one ``fractions.Fraction`` and one
+``PbwMonomial`` per word of the result; the module action (``verma``) reads
+the integer sums directly.  ``UElement`` coefficients are nonzero
 ``Fraction``s.  Dependence on the weight enters only when the module
 evaluates Cartan factors (``verma``).
 """
@@ -145,13 +153,17 @@ def _normal_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[in
     Returns a map from each sorted word of the normal form to its
     coefficient as an integer numerator and a power-of-2 denominator, not
     necessarily in lowest terms; words whose coefficient is zero are
-    dropped.  Rewrites the leftmost inverted adjacent pair at each step.
-    Agenda entries carry an integer numerator and denominator, and the
-    position where the search for an inversion resumes: after a rewrite at
-    k the first k letters are still in order, so the next inversion is at
-    k - 1 or later.  The indices are not checked.
+    dropped.  Each step moves the left letter x of the leftmost inverted
+    adjacent pair through the run y^b that starts after it: x y^b becomes
+    y^b x, with b fewer inversions at the same length, plus the shorter
+    words C(b, t) y^(b-t) c_t of ``alg.run_bracket`` (``alg.integer_bracket``
+    when b = 1), so the rewrite ends.  Agenda entries carry an integer
+    numerator and denominator, and the position where the search for an
+    inversion resumes: after a rewrite at k the first k letters are still
+    in order, so the next inversion is at k - 1 or later.  The indices are
+    not checked.
     """
-    bracket = alg.integer_bracket
+    bracket, run_bracket = alg.integer_bracket, alg.run_bracket
     sums: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     agenda: List[Tuple[Tuple[int, ...], int, int, int]] = [(idx_word, 1, 1, 0)]
     while agenda:
@@ -170,10 +182,19 @@ def _normal_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[in
                 sums[w] = (prev[0] * (common // prev[1]) + num * (common // den), common)
             continue
         x, y = w[k], w[k + 1]
-        head, tail = w[:k], w[k + 2:]
+        j = k + 2
+        if j <= last and w[j] == y:
+            while j <= last and w[j] == y:
+                j += 1
+            swapped = w[k + 1:j] + (x,)
+            terms = run_bracket(x, y, j - k - 1)
+        else:
+            swapped = (y, x)
+            terms = bracket(x, y)
+        head, tail = w[:k], w[j:]
         resume = k - 1 if k else 0
-        agenda.append((head + (y, x) + tail, num, den, resume))
-        for replacement, p, q in bracket(x, y):
+        agenda.append((head + swapped + tail, num, den, resume))
+        for replacement, p, q in terms:
             agenda.append((head + replacement + tail, num * p, den * q, resume))
     return {w: c for w, c in sums.items() if c[0]}
 

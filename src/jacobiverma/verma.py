@@ -148,7 +148,7 @@ class _CartanValues:
     of sp(n) that commutes with the Heisenberg part.
 
     Products of the values are cached per Cartan exponent for the life of
-    the object.
+    the object; the formal values are one object per algebra.
     """
 
     def __init__(self, values: Sequence[IntTerms], den: int):
@@ -157,8 +157,15 @@ class _CartanValues:
         self._products: Dict[Tuple[int, ...], IntTerms] = {}
 
     @classmethod
-    def formal(cls, n: int) -> "_CartanValues":
-        return cls([{tuple(int(i == j) for j in range(n)): 1} for i in range(n)], 1)
+    def formal(cls, alg: JacobiAlgebra) -> "_CartanValues":
+        """The values L_i themselves.  Built on first use and kept on the
+        algebra, so the products L^e are computed once per algebra."""
+        values = alg._formal_cartan
+        if values is None:
+            n = alg.n
+            values = cls([{tuple(int(i == j) for j in range(n)): 1} for i in range(n)], 1)
+            alg._formal_cartan = values
+        return values
 
     def cartan(self, exps: Tuple[int, ...]) -> IntTerms:
         """h^exps v0 as an integer polynomial over den ** sum(exps)."""
@@ -238,7 +245,7 @@ def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
     ix = alg.index[alg._check(x)]
     coeffs, den = _numerators(list(v.terms.values()))
     products = [((ix,) + m.word(), c) for m, c in zip(v.terms, coeffs)]
-    acc, scale = _apply_on_v0(alg, products, _CartanValues.formal(alg.n))
+    acc, scale = _apply_on_v0(alg, products, _CartanValues.formal(alg))
     return _to_vector(alg, acc, den * scale)
 
 
@@ -248,7 +255,7 @@ def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] 
     if coeff is None:
         coeff = PolyQ.one(alg.n)
     (ints,), den = _numerators([coeff])
-    acc, scale = _apply_on_v0(alg, [(_index_word(alg, word), ints)], _CartanValues.formal(alg.n))
+    acc, scale = _apply_on_v0(alg, [(_index_word(alg, word), ints)], _CartanValues.formal(alg))
     return _to_vector(alg, acc, den * scale)
 
 

@@ -273,10 +273,14 @@ class TestExitCodes:
         assert err == "error: zero vector has no weight\n"
 
     def test_verify_mixed_weight_vector_is_2(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--n", "2", "a+1 + K+[1,1]")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: vector mixes weights")
+        for vector, message in [
+            ("a+1 + K+[1,1]", "a+1 (weight 1,0) and b+1 (weight 2,0)"),
+            ("a+1 + a+2", "a+1 (weight 1,0) and a+2 (weight 0,1)"),
+        ]:
+            code, out, err = run_cli(capsys, "verify", "--n", "2", vector)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: vector mixes weights: {message}\n"
 
     def test_invalid_n_is_2(self, capsys):
         code, _, err = run_cli(capsys, "singular", "--n", "0", "--weight", "0,0")

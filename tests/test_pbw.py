@@ -26,6 +26,8 @@ from jacobiverma.pbw import (
     normal_order,
 )
 
+from jacobiverma.singular import enumerate_ansatz
+
 from oracles import insert_normal_order
 
 ALG = JacobiAlgebra(2)
@@ -120,6 +122,61 @@ def _words(draw):
     alg = _ALGEBRAS[draw(st.integers(1, 3))]
     letters = st.integers(0, len(alg.generators) - 1)
     return alg, tuple(draw(st.lists(letters, max_size=7)))
+
+
+def _oracle_agrees(alg, word):
+    assert {m.exps: c for m, c in normal_order(alg, word).terms.items()} == insert_normal_order(
+        alg, word
+    ), word
+
+
+class TestRunRule:
+    """``_normal_sums`` moves a letter x through a whole run y^b in one step,
+    x y^b = y^b x + sum_t C(b, t) y^(b-t) c_t with c_1 = [x, y] and
+    c_t = [c_(t-1), y], from ``JacobiAlgebra.run_bracket``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_letter_through_a_run(self, n):
+        alg = _ALGEBRAS[n]
+        for x, y in itertools.combinations(range(len(alg.generators)), 2):
+            for b in range(1, 9):
+                _oracle_agrees(alg, (y,) + (x,) * b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_run_before_a_letter(self, n):
+        alg = _ALGEBRAS[n]
+        for x, y in itertools.combinations(range(len(alg.generators)), 2):
+            for a in range(2, 6):
+                _oracle_agrees(alg, (y,) * a + (x,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_run_meets_a_run(self, n):
+        alg = _ALGEBRAS[n]
+        for x, y in itertools.combinations(range(len(alg.generators)), 2):
+            for a, b in itertools.product(range(2, 4), repeat=2):
+                _oracle_agrees(alg, (y,) * a + (x,) * b)
+
+    @pytest.mark.parametrize("weight", ["6,0", "4,4"])
+    def test_lowering_letter_on_the_ansatz(self, weight):
+        alg = _ALGEBRAS[2]
+        ansatz = enumerate_ansatz(alg, Weight.of(*map(int, weight.split(","))))
+        assert ansatz
+        for x in alg.negative:
+            for m in ansatz:
+                _oracle_agrees(alg, (alg.index[x],) + m.word())
+
+    def test_chain_past_the_first_bracket(self):
+        # K-11 (a+1)^2 = (a+1)^2 K-11 + 2 a+1 a-1 + 1: c_1 = a-1, c_2 = [a-1, a+1] = 1
+        alg = _ALGEBRAS[2]
+        x, y = alg.index[G(K_MINUS, 1, 1)], alg.index[G(A_PLUS, 1)]
+        a_minus = alg.index[G(A_MINUS, 1)]
+        assert sorted(alg.run_bracket(x, y, 2)) == [((), 1, 1), ((y, a_minus), 2, 1)]
+        # K-11 (K+11)^b: c_1 is in the Cartan part, c_2 a multiple of K+11, c_3 = 0
+        z = alg.index[G(K_PLUS, 1, 1)]
+        for b in range(2, 7):
+            terms = alg.run_bracket(x, z, b)
+            assert {len(word) for word, _, _ in terms} == {b, b - 1}
+            assert all(q & (q - 1) == 0 and (p % 2 or q == 1) for _, p, q in terms)
 
 
 class TestIntegerRewrite:
