@@ -8,15 +8,19 @@ in text and json, to
 ``tests/golden/cli/<name>.<format>``, as the exact bytes the command
 prints on stdout, so later versions can be diffed against them byte for byte
 (``tests/test_golden_reports.py``).  The arguments of every CLI file are
-recorded in ``tests/golden/cli/argv.json``.
+recorded in ``tests/golden/cli/argv.json``.  For the weight sweep (``SWEEP``)
+only the sha256 digests of the ``jv singular`` output in json and text are
+kept, in ``tests/golden/sweep.json``.
 
 Usage: PYTHONPATH=src python scripts/freeze_reports.py
 """
 
+import hashlib
 import json
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
+from itertools import product
 from pathlib import Path
 
 from jacobiverma.cli import main as jv_main
@@ -24,6 +28,7 @@ from jacobiverma.cli import main as jv_main
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 REPORTS = GOLDEN / "reports"
 CLI = GOLDEN / "cli"
+SWEEP_FILE = GOLDEN / "sweep.json"
 
 # The seven worked g_2 cases, four heavier g_2 weights and four g_3 weights.
 CASES = {
@@ -103,6 +108,20 @@ VERIFY_CASES = {
 }
 VERIFY_FORMATS = ("text", "json")
 
+# Every g_2 weight in [-1, 6]^2 with a + b <= 8 and every g_3 weight with
+# |w|_1 <= 4: 54 + 129 = 183 reports, each frozen as the digest of its json
+# and its text output.
+SWEEP = [(2, f"{a},{b}") for a, b in product(range(-1, 7), repeat=2) if a + b <= 8] + [
+    (3, ",".join(map(str, w))) for w in product(range(-4, 5), repeat=3) if sum(map(abs, w)) <= 4
+]
+SWEEP_FORMATS = ("json", "text")
+
+
+def sweep_digests(n: int, weight: str) -> dict:
+    """{format: sha256 hex digest of ``jv singular`` at (n, weight)}."""
+    argv = ["singular", "--n", str(n), f"--weight={weight}", "--format"]
+    return {fmt: hashlib.sha256(stdout_bytes(argv + [fmt])).hexdigest() for fmt in SWEEP_FORMATS}
+
 
 def stdout_bytes(argv) -> bytes:
     out = StringIO()
@@ -141,6 +160,9 @@ def main() -> int:
         print(f"wrote cli/{fname}")
     lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(argvs.items())]
     (CLI / "argv.json").write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="ascii")
+    rows = [json.dumps({"n": n, "weight": w, **sweep_digests(n, w)}) for n, w in SWEEP]
+    SWEEP_FILE.write_text("[\n" + ",\n".join(rows) + "\n]\n", encoding="ascii")
+    print(f"wrote sweep.json ({len(rows)} weights)")
     return 0
 
 

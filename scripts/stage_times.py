@@ -26,12 +26,19 @@ single run.  Times are in seconds, totals of the spans of each stage:
 * ``print``: making each lifted vector primitive (``_primitive``) and
   dividing it by its last nonzero coordinate for the printed kernel
   (``_ratios``);
+* ``reduce``: ``_reduce_poly``, the reduction of every matrix entry of each
+  explored case and of every lifted coordinate modulo the constraints;
+* ``factor``: ``_split_factors``, the vanishing-locus factors of every
+  non-constant pivot;
 * ``verify``: ``is_singular`` on every reported vector, which acts with
   every element of n- through the module kernel of ``verma``;
 * ``rewrite``: every call of the integer rewrite ``pbw._normal_sums``, with
   its call count; ``assemble_system`` and ``is_singular`` read it through
   the module kernel of ``verma``, and no stage calls ``act`` or
-  ``normal_order``.
+  ``normal_order``;
+* ``render``: ``textio.report_to_json`` on the report, the JSON view that
+  ``jv singular --format json`` prints; it runs after the search and is not
+  part of ``total``.
 
 The program is imported from this checkout's ``src/``.
 """
@@ -58,6 +65,9 @@ STAGES = {
     "print": "singular.print",
     "verify": "verma.is_singular",
     "rewrite": "pbw.rewrite",
+    "reduce": "singular.reduce",
+    "factor": "singular.factor",
+    "render": "textio.report_to_json",
 }
 
 # (module, attribute, span name) wrapped on top of the benchmark's layers.
@@ -68,6 +78,8 @@ WRAPPED = [
     ("singular", "_printed", "singular.print"),
     ("singular", "_eliminate", "singular.eliminate"),
     ("singular", "_kernel_from_pivots", "singular.kernel"),
+    ("singular", "_reduce_poly", "singular.reduce"),
+    ("singular", "_split_factors", "singular.factor"),
     ("pbw", "_normal_sums", "pbw.rewrite"),
     ("verma", "_normal_sums", "pbw.rewrite"),
 ]
@@ -81,7 +93,8 @@ def stage_times(prog, n: int, weight: str) -> dict:
         tracer.wrap(getattr(prog, module), attr, name)
     try:
         alg = prog.cli.JacobiAlgebra(n)
-        prog.cli.find_singular_vectors(alg, w)
+        report = prog.cli.find_singular_vectors(alg, w)
+        prog.cli.report_to_json(alg, report)
     finally:
         tracer.restore()
     total, _, calls = summarize(tracer.spans)
@@ -97,7 +110,7 @@ def median_stage_times(prog, n: int, weight: str, repeat: int) -> dict:
         out["repeat"] = repeat
     for key in runs[0]:
         value = statistics.median(run[key] for run in runs)
-        out[key] = round(value, 4) if key.endswith("_s") else value
+        out[key] = round(value, 5) if key.endswith("_s") else value
     return out
 
 

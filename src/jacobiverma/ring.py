@@ -1,30 +1,50 @@
 """Exact coefficient arithmetic: multivariate polynomials over Q.
 
 Polynomials live in Q[L1, ..., Ln] where Li stands for the formal lowest-weight
-value on the i-th Cartan generator.  Terms are stored sparsely as a map from
-exponent tuples to ``fractions.Fraction``.  The monomial order used throughout
+value on the i-th Cartan generator.  The monomial order used throughout
 (leading terms, canonical rendering) is graded lexicographic with the *last*
 variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 ``L2`` first.
 
-Rational numbers are plain ``fractions.Fraction``; the stdlib type already
-maintains the reduced-form invariants we need.  The fraction-free loops (the
-module action in ``verma``, the solver's elimination and back-substitution,
-and the lift) work on integer term maps instead, exponent tuple to int, and
-share one product, ``_mul_int_terms``, and one exact division,
-``_div_int_terms``; ``_numerators`` and ``PolyQ.from_int_terms`` convert at
-their boundaries.  ``PolyQ`` arithmetic runs on the same two: a product
-brings each factor to integer numerators over one denominator and makes each
-term of the result one reduced ``Fraction``, and ``PolyQ.try_divide`` divides
-the numerators by the primitive part of the divisor, which by Gauss's lemma
-is exact in Z[L] whenever the division is exact in Q[L].  ``RatFuncQ`` is
-not a field of fractions: it is the reduced quotient num/den that a report
-prints as a kernel coordinate, with no arithmetic of its own.
+A ``PolyQ`` is one integer numerator map ``num``, exponent tuple to nonzero
+int, over one positive integer denominator ``den``, kept canonical: the gcd
+of ``den`` and all the numerators is 1, and zero is the empty map over 1.
+Equal polynomials therefore store equal data, and equality and hashing
+compare it directly.  Every operation runs on integers and makes its result
+canonical with one gcd over its denominator and numerators: a sum brings
+the two maps to the lcm of the denominators, a product multiplies the maps
+(``_mul_int_terms``), and an exact division divides the numerators by the
+primitive part of the divisor (``_div_int_terms``), which by Gauss's lemma
+is exact in Z[L] whenever the division is exact in Q[L].  The fraction-free
+loops elsewhere (the module action in ``verma``, the solver's elimination,
+back-substitution and lift) read and make the same integer maps:
+``_numerators`` brings polynomials to one common denominator and
+``PolyQ.from_int_terms`` makes a canonical polynomial of a map and a
+denominator.
+
+The gcd machinery works on primitive integer polynomials only, since a gcd
+over Q is one up to a unit: contents in the main variable are chains of
+gcds that stop at the first constant, and the remainders of both the
+univariate Euclid (on dense coefficient lists) and the multivariate one are
+pseudo-remainders made primitive at every step (a primitive PRS).
+
+``fractions.Fraction`` appears only where rationals enter or leave: the
+constructor ``PolyQ(nvars, {exps: int | Fraction})`` and ``const`` read
+parsed input; ``terms`` is a view with one reduced ``Fraction`` per term,
+built on first access, for readers outside the package; ``leading``,
+``constant_value``, ``rational_content``, ``eval_all`` and
+``rational_roots`` return rationals; and the sort key of a polynomial with
+a denominator compares its coefficients as rationals.  Rendering forms each
+printed coefficient from its numerator and the denominator with one gcd.
+
+``RatFuncQ`` is not a field of fractions: it is the reduced quotient num/den
+that a report prints as a kernel coordinate, with no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -39,17 +59,6 @@ class RingError(ValueError):
 def _monomial_key(exps: tuple) -> tuple:
     # graded lex, later variables more significant
     return (sum(exps), tuple(reversed(exps)))
-
-
-def _mul_terms(t1: dict, t2: dict) -> dict:
-    """Product of two term maps, zero coefficients dropped.
-
-    The coefficients are brought to integer numerators over one
-    denominator per factor, the products of numerators are summed as
-    integers, and each result term becomes one reduced ``Fraction``."""
-    (n1,), d1 = _int_terms([t1])
-    (n2,), d2 = _int_terms([t2])
-    return _fraction_terms(_mul_int_terms(n1, n2), d1 * d2)
 
 
 # Integer term map: exponent tuple -> nonzero int, a polynomial's
@@ -67,108 +76,157 @@ def _mul_int_terms(t1: IntTerms, t2: IntTerms) -> IntTerms:
     return {e: c for e, c in res.items() if c}
 
 
+def _heap_key(exps: tuple) -> tuple:
+    # the graded-lex order reversed, for a min-heap, and the exponents
+    return (-sum(exps), tuple(-e for e in reversed(exps)), exps)
+
+
 def _div_int_terms(num: IntTerms, den: IntTerms) -> IntTerms:
     """The quotient num/den in Z[L]; ``RingError`` unless it exists.
 
     Long division by the graded-lex leading term of ``den`` on one remainder
     map; it fails at the first leading term of the remainder that the
-    leading term of ``den`` does not divide, as a monomial or over Z."""
+    leading term of ``den`` does not divide, as a monomial or over Z.
+    Every term a step adds is below the leading term it removes, so the
+    remainder's exponents wait in a heap, each pushed when it enters the
+    map; one that has left it again is skipped when popped."""
     d_exps = max(den, key=_monomial_key)
     d_lc = den[d_exps]
     rest = [(e, c) for e, c in den.items() if e != d_exps]
     rem = dict(num)
+    heap = [_heap_key(e) for e in rem]
+    heapify(heap)
     quo: IntTerms = {}
-    while rem:
-        r_exps = max(rem, key=_monomial_key)
+    while heap:
+        r_exps = heappop(heap)[2]
+        c = rem.pop(r_exps, 0)
+        if not c:
+            continue
         q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-        q, r = divmod(rem.pop(r_exps), d_lc)
+        q, r = divmod(c, d_lc)
         if r or min(q_exps) < 0:
             raise RingError("inexact division of integer polynomials")
         quo[q_exps] = q
         for e, c in rest:
             e = tuple(map(add, q_exps, e))
-            v = rem.get(e, 0) - q * c
-            if v:
-                rem[e] = v
+            v = rem.get(e)
+            if v is None:
+                rem[e] = -q * c
+                heappush(heap, _heap_key(e))
+            elif v == q * c:
+                del rem[e]
             else:
-                rem.pop(e, None)
+                rem[e] = v - q * c
     return quo
 
 
-def _int_terms(term_maps: Sequence[dict]) -> Tuple[List[IntTerms], int]:
-    """``Fraction`` term maps as integer numerators over one common
-    denominator."""
-    den = 1
-    for t in term_maps:
-        for c in t.values():
-            d = c.denominator
-            if den % d:
-                den = lcm(den, d)
-    return [{e: c.numerator * (den // c.denominator) for e, c in t.items()} for t in term_maps], den
+def _content(terms: IntTerms) -> int:
+    """The gcd of the coefficients, 0 for the empty map."""
+    g = 0
+    for c in terms.values():
+        g = int_gcd(g, c)
+        if g == 1:
+            break
+    return g
 
 
-def _fraction_terms(terms: IntTerms, den: int) -> dict:
-    """The integer term map divided by ``den``: one reduced ``Fraction`` per
-    nonzero coefficient."""
+def _canonical(num: IntTerms, den: int) -> Tuple[IntTerms, int]:
+    """num/den, num with nonzero values and den nonzero, as a canonical
+    pair: den positive and coprime to the numerators (1 for zero)."""
     if den == 1:
-        return {e: Fraction(c) for e, c in terms.items() if c}
-    return {e: Fraction(c, den) for e, c in terms.items() if c}
+        return num, 1
+    if den < 0:
+        den = -den
+        num = {e: -c for e, c in num.items()}
+    g = den
+    for c in num.values():
+        g = int_gcd(g, c)
+        if g == 1:
+            return num, den
+    return {e: c // g for e, c in num.items()}, den // g
 
 
 def _numerators(polys: Sequence["PolyQ"]) -> Tuple[List[IntTerms], int]:
-    """The coefficients of ``polys`` as integers over one common denominator."""
-    return _int_terms([p.terms for p in polys])
+    """The coefficients of ``polys`` as integers over one common
+    denominator, the lcm of theirs; a map already over it is shared."""
+    den = 1
+    for p in polys:
+        if den % p.den:
+            den = lcm(den, p.den)
+    return [p.num if p.den == den else {e: c * (den // p.den) for e, c in p.num.items()} for p in polys], den
 
 
-def _poly(nvars: int, terms: dict) -> "PolyQ":
-    """A PolyQ over a term map that is already clean: exponent tuples of
-    length ``nvars`` to nonzero ``Fraction``s.  No check is made."""
+def _poly(nvars: int, num: IntTerms, den: int = 1) -> "PolyQ":
+    """A PolyQ over data that is already canonical.  No check is made."""
     out = PolyQ.__new__(PolyQ)
     out.nvars = nvars
-    out.terms = terms
+    out.num = num
+    out.den = den
+    out._terms = None
     return out
 
 
-class PolyQ:
-    """Sparse multivariate polynomial over Q with a fixed number of variables."""
+def _make(nvars: int, num: IntTerms, den: int) -> "PolyQ":
+    """num/den made canonical; num has no zero value and den is nonzero."""
+    return _poly(nvars, *_canonical(num, den))
 
-    __slots__ = ("nvars", "terms")
+
+def _lead(terms: IntTerms) -> tuple:
+    """The graded-lex leading exponent tuple of a nonempty map."""
+    return max(terms, key=_monomial_key)
+
+
+class PolyQ:
+    """Sparse multivariate polynomial over Q with a fixed number of
+    variables: integer numerators ``num`` over the denominator ``den``."""
+
+    __slots__ = ("nvars", "num", "den", "_terms")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple, Scalar]] = None):
-        self.nvars = nvars
-        clean: dict = {}
+        coeffs = []
+        den = 1
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
+                if not c:
                     continue
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise RingError(f"exponent tuple {exps} has wrong length for {nvars} variables")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.terms = clean
+                coeffs.append((exps, c))
+                if den % c.denominator:
+                    den = lcm(den, c.denominator)
+        num: IntTerms = {}
+        for exps, c in coeffs:
+            num[exps] = num.get(exps, 0) + c.numerator * (den // c.denominator)
+        self.nvars = nvars
+        self.num, self.den = _canonical({e: c for e, c in num.items() if c}, den)
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "PolyQ":
-        return cls(nvars)
+        return _poly(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "PolyQ":
-        return cls(nvars, {(0,) * nvars: 1})
+        return _poly(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "PolyQ":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c:
+            return _poly(nvars, {})
+        return _poly(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def from_int_terms(cls, nvars: int, terms: IntTerms, den: int = 1) -> "PolyQ":
-        """The integer term map divided by ``den``: one reduced ``Fraction``
-        per nonzero coefficient, with no other check."""
-        return _poly(nvars, _fraction_terms(terms, den))
+        """The integer term map divided by ``den``, zero values dropped and
+        made canonical, with no other check."""
+        return _make(nvars, {e: c for e, c in terms.items() if c}, den)
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "PolyQ":
@@ -177,55 +235,55 @@ class PolyQ:
             raise RingError(f"variable index {i} out of range for {nvars} variables")
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return _poly(nvars, {tuple(e): 1})
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self) -> Dict[tuple, Fraction]:
+        """The coefficients as reduced ``Fraction``s, built on first access;
+        a view for readers outside the package, not to be modified."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(c, den) for e, c in self.num.items()}
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def is_constant(self) -> bool:
-        return not any(map(any, self.terms))
+        return _is_constant(self.num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_constant:
             raise RingError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.num.values())), self.den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         if self.is_zero:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.num))
 
     def degree_in(self, i: int) -> int:
         if self.is_zero:
             return -1
-        return max(exps[i] for exps in self.terms)
+        return max(exps[i] for exps in self.num)
 
     def variables(self) -> tuple:
         """Indices of variables that actually occur."""
-        seen = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    seen.add(i)
-        return tuple(sorted(seen))
+        return tuple(sorted(_variables(self.num)))
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the graded-lex leading term."""
         if self.is_zero:
             raise RingError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_monomial_key)
-        return exps, self.terms[exps]
-
-    def sorted_terms(self) -> list:
-        """Terms in descending graded-lex order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]), reverse=True)
+        exps = _lead(self.num)
+        return exps, Fraction(self.num[exps], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -242,23 +300,26 @@ class PolyQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
-        for exps, c in other.terms.items():
-            prev = res.get(exps)
-            if prev is None:
-                res[exps] = c
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            k1 = k2 = 1
+            res = dict(self.num)
+        else:
+            g = int_gcd(d1, d2)
+            k1, k2 = d2 // g, d1 // g
+            res = {e: c * k1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            c = res.get(e, 0) + c * k2
+            if c:
+                res[e] = c
             else:
-                c += prev
-                if c:
-                    res[exps] = c
-                else:
-                    del res[exps]
-        return _poly(self.nvars, res)
+                del res[e]
+        return _make(self.nvars, res, d1 * k1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -273,7 +334,7 @@ class PolyQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _poly(self.nvars, _mul_terms(self.terms, other.terms))
+        return _make(self.nvars, _mul_int_terms(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -289,18 +350,24 @@ class PolyQ:
             k >>= 1
         return out
 
+    def scale(self, num: int, den: int = 1) -> "PolyQ":
+        """The polynomial times num/den, for integers num and den != 0."""
+        if not num:
+            return PolyQ.zero(self.nvars)
+        return _make(self.nvars, {e: c * num for e, c in self.num.items()}, self.den * den)
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(self.nvars, other)
         if not isinstance(other, PolyQ):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.nvars, tuple(self.sorted_terms())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __repr__(self):
         return f"PolyQ({self.to_text()})"
@@ -310,56 +377,68 @@ class PolyQ:
     def subs(self, assignment: Mapping[int, Union[Scalar, "PolyQ"]]) -> "PolyQ":
         """Simultaneously substitute values (rationals or PolyQ) for variable indices.
 
-        A polynomial free of every substituted variable is returned as is."""
+        A polynomial free of every substituted variable is returned as is.
+        Each term is expanded over the numerators of the values; a variable
+        whose value has denominator d and occurs to the power e in a term,
+        at most top times, multiplies it by d^(top - e) so that all terms
+        are over one denominator."""
         values = {}
         for i, v in assignment.items():
             if not 0 <= i < self.nvars:
                 raise RingError(f"variable index {i} out of range")
             values[i] = v if isinstance(v, PolyQ) else PolyQ.const(self.nvars, v)
-        if not any(exps[i] for exps in self.terms for i in values):
+        top = {i: max(exps[i] for exps in self.num) for i in values} if self.num else {}
+        top = {i: t for i, t in top.items() if t}
+        if not top:
             return self
-        powers: dict = {}
-        res: dict = {}
-        for exps, c in self.terms.items():
-            term = {tuple(0 if i in values else e for i, e in enumerate(exps)): c}
-            for i, e in enumerate(exps):
-                if e and i in values:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[(i, e)] = (values[i] ** e).terms
-                    term = _mul_terms(term, pw)
-            for e, v in term.items():
-                v += res.get(e, 0)
-                if v:
-                    res[e] = v
+        one = {(0,) * self.nvars: 1}
+        powers = {i: [one] for i in top}
+        res: IntTerms = {}
+        for exps, c in self.num.items():
+            term = {tuple(0 if i in top else e for i, e in enumerate(exps)): c}
+            for i, t in top.items():
+                e = exps[i]
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(_mul_int_terms(pw[-1], values[i].num))
+                if e:
+                    term = _mul_int_terms(term, pw[e])
+                d = values[i].den
+                if d != 1 and e < t:
+                    term = {x: a * d ** (t - e) for x, a in term.items()}
+            for e, a in term.items():
+                a += res.get(e, 0)
+                if a:
+                    res[e] = a
                 else:
-                    res.pop(e, None)
-        return _poly(self.nvars, res)
+                    del res[e]
+        den = self.den
+        for i, t in top.items():
+            den *= values[i].den ** t
+        return _make(self.nvars, res, den)
 
     def eval_all(self, point: Iterable[Scalar]) -> Fraction:
-        """Evaluate at a full rational point."""
-        point = list(point)
+        """Evaluate at a full rational point, on integers: each coordinate
+        p/q occurring at most top times multiplies a term with p^e q^(top - e)."""
+        point = [Fraction(x) for x in point]
         if len(point) != self.nvars:
             raise RingError("point has wrong length")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
+        if self.is_zero:
+            return Fraction(0)
+        top = [max(exps[i] for exps in self.num) for i in range(self.nvars)]
+        total = 0
+        for exps, c in self.num.items():
+            for x, e, t in zip(point, exps, top):
+                if t:
+                    c *= x.numerator ** e * x.denominator ** (t - e)
+            total += c
+        den = self.den
+        for x, t in zip(point, top):
+            den *= x.denominator ** t
+        return Fraction(total, den)
 
     def derivative(self, i: int) -> "PolyQ":
-        res: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            de = list(exps)
-            de[i] = e - 1
-            res[tuple(de)] = c * e
-        return PolyQ(self.nvars, res)
+        return _make(self.nvars, _derivative(self.num, i), self.den)
 
     # -- normalization -----------------------------------------------------
 
@@ -367,23 +446,17 @@ class PolyQ:
         """Divide by the graded-lex leading coefficient (zero stays zero)."""
         if self.is_zero:
             return self
-        _, lc = self.leading()
-        if lc == 1:
+        lc = self.num[_lead(self.num)]
+        if lc == self.den:
             return self
-        return _poly(self.nvars, {e: c / lc for e, c in self.terms.items()})
+        return _make(self.nvars, self.num, lc)
 
     def rational_content(self) -> Fraction:
         """gcd of the coefficients, signed like the leading coefficient."""
         if self.is_zero:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        content = Fraction(num, den)
-        _, lc = self.leading()
-        return content if lc > 0 else -content
+        content = Fraction(_content(self.num), self.den)
+        return content if self.num[_lead(self.num)] > 0 else -content
 
     # -- division ----------------------------------------------------------
 
@@ -391,24 +464,23 @@ class PolyQ:
         """Exact multivariate division; None if the division is not exact.
 
         Scaling for a constant divisor; otherwise ``_div_int_terms`` of the
-        integer numerators by the divisor's primitive part, which divides
-        them in Z[L] exactly when the divisor divides in Q[L] (Gauss's
-        lemma), and the quotient is scaled back."""
+        numerators by the divisor's primitive part, which divides them in
+        Z[L] exactly when the divisor divides in Q[L] (Gauss's lemma), and
+        the quotient is scaled back."""
         if divisor.is_zero:
             raise RingError("division by zero polynomial")
         if self.is_zero:
             return PolyQ.zero(self.nvars)
         if divisor.is_constant:
-            c = divisor.constant_value()
-            return PolyQ(self.nvars, {e: v / c for e, v in self.terms.items()})
-        (num,), num_den = _int_terms([self.terms])
-        (div,), div_den = _int_terms([divisor.terms])
-        content = int_gcd(*div.values())
+            (c,) = divisor.num.values()
+            return self.scale(divisor.den, c)
+        content = _content(divisor.num)
+        primitive = divisor.num if content == 1 else {e: v // content for e, v in divisor.num.items()}
         try:
-            quo = _div_int_terms(num, {e: v // content for e, v in div.items()})
+            quo = _div_int_terms(self.num, primitive)
         except RingError:
             return None
-        return PolyQ.from_int_terms(self.nvars, {e: v * div_den for e, v in quo.items()}, num_den * content)
+        return _make(self.nvars, {e: v * divisor.den for e, v in quo.items()}, self.den * content)
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         q = self.try_divide(other)
@@ -421,21 +493,24 @@ class PolyQ:
     def to_text(self, varnames: Optional[list] = None) -> str:
         if varnames is None:
             varnames = [f"L{i + 1}" for i in range(self.nvars)]
-        return self._render(varnames, "{}^{}", frac_text)
+        return self._render(varnames, "{}^{}", _ratio_text)
 
     def to_latex(self) -> str:
         names = [f"\\Lambda(H_{i + 1})" for i in range(self.nvars)]
-        return self._render(names, "{}^{{{}}}", frac_latex)
+        return self._render(names, "{}^{{{}}}", _ratio_latex)
 
     def _render(self, names: list, power: str, number) -> str:
         """The signed terms in descending order, each its absolute
-        coefficient as ``number`` renders it (left out when 1 before
-        factors) and the variables from the last one down, a power as
+        coefficient, numerator and denominator in lowest terms, as
+        ``number`` renders them (left out when 1 before factors) and the
+        variables from the last one down, a power as
         ``power.format(name, e)``."""
         if self.is_zero:
             return "0"
+        den = self.den
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps in sorted(self.num, key=_monomial_key, reverse=True):
+            c = self.num[exps]
             factors = []
             for i in range(self.nvars - 1, -1, -1):
                 e = exps[i]
@@ -443,12 +518,14 @@ class PolyQ:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(power.format(names[i], e))
-            if not factors:
-                body = number(abs(c))
-            elif abs(c) == 1:
+            a = abs(c)
+            if factors and a == den:
                 body = " ".join(factors)
             else:
-                body = number(abs(c)) + " " + " ".join(factors)
+                g = int_gcd(a, den)
+                body = number(a // g, den // g)
+                if factors:
+                    body += " " + " ".join(factors)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -456,104 +533,233 @@ class PolyQ:
         return " ".join(parts)
 
 
+def _ratio_text(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _ratio_latex(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"\\tfrac{{{num}}}{{{den}}}"
+
+
 def frac_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
 
 
 def frac_latex(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    if q < 0 and q.denominator != 1:
+        return "-" + _ratio_latex(-q.numerator, q.denominator)
+    return _ratio_latex(q.numerator, q.denominator)
 
 
 # -- gcd and squarefree machinery -------------------------------------------
+#
+# These work on nonzero integer term maps and give results up to a nonzero
+# integer factor, primitive (content 1); the PolyQ functions make them monic.
 
 
-def _coeffs_in(p: PolyQ, x: int) -> dict:
-    """View p as a univariate polynomial in variable x: degree -> PolyQ coefficient."""
-    out: dict = {}
-    for exps, c in p.terms.items():
+def _variables(terms: IntTerms) -> set:
+    return {i for i, column in enumerate(zip(*terms)) if any(column)}
+
+
+def _is_constant(terms: IntTerms) -> bool:
+    return not any(map(any, terms))
+
+
+def _one_like(terms: IntTerms) -> IntTerms:
+    return {(0,) * len(next(iter(terms))): 1}
+
+
+def _primitive_terms(terms: IntTerms) -> IntTerms:
+    g = _content(terms)
+    return terms if g == 1 else {e: c // g for e, c in terms.items()}
+
+
+def _derivative(terms: IntTerms, i: int) -> IntTerms:
+    res: IntTerms = {}
+    for exps, c in terms.items():
+        e = exps[i]
+        if e:
+            res[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+    return res
+
+
+def _monic(nvars: int, terms: IntTerms) -> PolyQ:
+    return _make(nvars, terms, terms[_lead(terms)])
+
+
+def _in_x(terms: IntTerms, x: int) -> Dict[int, IntTerms]:
+    """The map as a polynomial in variable x: degree -> coefficient, an
+    integer map with the x exponent zeroed."""
+    out: Dict[int, IntTerms] = {}
+    for exps, c in terms.items():
         out.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1:]] = c
-    return {e: _poly(p.nvars, t) for e, t in out.items()}
+    return out
 
 
-def content_in(p: PolyQ, x: int) -> PolyQ:
-    """gcd of the Q[rest]-coefficients of p viewed in the variable x."""
-    coeffs = list(_coeffs_in(p, x).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd(g, c)
-        if g.is_constant:
-            break
-    return g.monic()
+def _from_x(coeffs: Mapping[int, IntTerms], x: int) -> IntTerms:
+    return {exps[:x] + (d,) + exps[x + 1:]: c for d, t in coeffs.items() for exps, c in t.items()}
 
 
-def _pseudo_rem(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
-    """Pseudo-remainder of a by b, both viewed as univariate in x.
+def _gcd_chain(g: Optional[IntTerms], polys: Iterable[IntTerms]) -> IntTerms:
+    """A primitive gcd of g (when given) and the nonzero maps ``polys``,
+    folded from the fewest terms up, stopping at the first constant."""
+    for p in sorted(polys, key=len):
+        g = _primitive_terms(p) if g is None else _gcd_terms(g, p)
+        if _is_constant(g):
+            return _one_like(g)
+    return g
 
-    The result is only needed up to units, so the rational content is
-    stripped after every reduction step to keep coefficients small.
-    """
-    db = b.degree_in(x)
-    cb = _coeffs_in(b, x)
-    lb = cb[db]
+
+def _content_in(terms: IntTerms, x: int) -> IntTerms:
+    """A primitive gcd of the coefficients of the map viewed in x."""
+    return _gcd_chain(None, _in_x(terms, x).values())
+
+
+def _gcd_terms(a: IntTerms, b: IntTerms) -> IntTerms:
+    """A primitive gcd in Z[L] of two nonzero integer polynomials.
+
+    The main variable x is the largest one that occurs.  When only one
+    argument has it, the gcd divides the other argument and every
+    coefficient of that one in x, and the chain starts at the other
+    argument.  Otherwise the contents in x split off, their gcd recurses,
+    and the primitive parts go through a primitive PRS in x."""
+    va, vb = _variables(a), _variables(b)
+    if not va or not vb:
+        return _one_like(a)
+    x = max(va | vb)
+    if x not in va:
+        a, b, va, vb = b, a, vb, va
+    if x not in vb:
+        return _gcd_chain(b, _in_x(a, x).values())
+    if len(va) == 1 and len(vb) == 1:
+        return _univariate_gcd(a, b, x)
+    ca, cb = _content_in(a, x), _content_in(b, x)
+    pa = a if _is_constant(ca) else _div_int_terms(a, ca)
+    pb = b if _is_constant(cb) else _div_int_terms(b, cb)
+    g = _from_x(_primitive_prs(_in_x(pa, x), _in_x(pb, x)), x)
+    if _is_constant(ca) or _is_constant(cb):
+        return g
+    return _mul_int_terms(_gcd_terms(ca, cb), g)
+
+
+def _pseudo_rem(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, IntTerms]:
+    """The pseudo-remainder of a by b, both degree -> coefficient maps in
+    one variable, up to an integer factor: each step is lb a - la x^k b for
+    the leading coefficients lb and la, with the integer content of the
+    result divided out."""
+    db = max(b)
+    lb = b[db]
+    rest = [(d, c) for d, c in b.items() if d != db]
     r = a
-    while not r.is_zero and r.degree_in(x) >= db:
-        dr = r.degree_in(x)
-        cr = _coeffs_in(r, x)
-        lr = cr[dr]
-        shift = PolyQ.var(a.nvars, x) ** (dr - db)
-        r = lb * r - lr * shift * b
-        if not r.is_zero:
-            c = r.rational_content()
-            if c != 1:
-                r = PolyQ(r.nvars, {e: v / c for e, v in r.terms.items()})
+    while r and max(r) >= db:
+        dr = max(r)
+        lr = r[dr]
+        out = {d: _mul_int_terms(lb, c) for d, c in r.items() if d != dr}
+        for d, c in rest:
+            d += dr - db
+            t = out.setdefault(d, {})
+            for e, v in _mul_int_terms(lr, c).items():
+                v = t.get(e, 0) - v
+                if v:
+                    t[e] = v
+                else:
+                    del t[e]
+        r = {d: c for d, c in out.items() if c}
+        g = 0
+        for c in r.values():
+            g = int_gcd(g, _content(c))
+            if g == 1:
+                break
+        if g > 1:
+            r = {d: {e: v // g for e, v in c.items()} for d, c in r.items()}
     return r
 
 
-def _euclid_gcd_univariate(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
-    """Monic Euclidean algorithm for univariate polynomials over Q, b nonzero.
+def _primitive_prs(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, IntTerms]:
+    """The gcd of two polynomials in one variable over Z[other variables],
+    each primitive in that variable: the last nonzero term of the primitive
+    PRS, made primitive over Z."""
+    if max(b) > max(a):
+        a, b = b, a
+    while b:
+        if not max(b):
+            return {0: _one_like(b[0])}
+        r = _pseudo_rem(a, b)
+        if r:
+            content = _gcd_chain(None, r.values())
+            if not _is_constant(content):
+                r = {d: _div_int_terms(c, content) for d, c in r.items()}
+        a, b = b, r
+    g = 0
+    for c in a.values():
+        g = int_gcd(g, _content(c))
+    return {d: {e: v // g for e, v in c.items()} for d, c in a.items()}
 
-    Runs on dense coefficient lists indexed by degree in x, with no
-    trailing zero, and builds one PolyQ from the last divisor, which is
-    monic, at the end."""
 
-    def dense(p: PolyQ) -> list:
-        out = [Fraction(0)] * (p.degree_in(x) + 1)
-        for exps, c in p.terms.items():
+def _univariate_gcd(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
+    """A primitive gcd of two nonzero integer polynomials in x alone, by the
+    primitive PRS on dense coefficient lists indexed by degree."""
+
+    def dense(t: IntTerms) -> list:
+        out = [0] * (max(exps[x] for exps in t) + 1)
+        for exps, c in t.items():
             out[exps[x]] = c
         return out
 
-    u, v = dense(a), dense(b)
-    while v:
+    def primitive(u: list) -> list:
+        g = 0
+        for c in u:
+            g = int_gcd(g, c)
+            if g == 1:
+                return u
+        return [c // g for c in u]
+
+    u, v = primitive(dense(a)), primitive(dense(b))
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
         lc = v[-1]
-        v = [c / lc for c in v]
         dv = len(v) - 1
         while len(u) > dv:
             q = u.pop()
             if q:
+                g = int_gcd(lc, q)
+                if lc != g:
+                    m = lc // g
+                    u = [c * m for c in u]
+                q //= g
                 shift = len(u) - dv
                 for k in range(dv):
                     u[shift + k] -= q * v[k]
             while u and not u[-1]:
                 u.pop()
-        u, v = v, u
-    terms = {}
-    for d, c in enumerate(u):
-        if c:
-            exps = [0] * a.nvars
-            exps[x] = d
-            terms[tuple(exps)] = c
-    return _poly(a.nvars, terms)
+        if not u:
+            break
+        u, v = v, primitive(u)
+    if len(v) == 1:
+        v = [1]
+    zero = next(iter(a))
+    return {zero[:x] + (d,) + zero[x + 1:]: c for d, c in enumerate(v) if c}
+
+
+def content_in(p: PolyQ, x: int) -> PolyQ:
+    """gcd of the Q[rest]-coefficients of p viewed in the variable x, monic."""
+    return _monic(p.nvars, _content_in(p.num, x))
+
+
+def _euclid_gcd_univariate(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
+    """Monic gcd of two polynomials in the variable x alone, b nonzero: the
+    univariate case of ``poly_gcd``."""
+    if a.is_zero:
+        return b.monic()
+    return _monic(a.nvars, _univariate_gcd(a.num, b.num, x))
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """gcd up to unit, normalized monic under graded-lex.
 
-    Recursive primitive-PRS algorithm; exact over Q for any degree, tuned for
-    the low-degree constraint polynomials arising here.
-    """
+    ``_gcd_terms`` on the numerators: a primitive gcd over Z[L] is a gcd
+    over Q[L]."""
     if a.nvars != b.nvars:
         raise RingError("mixed variable counts")
     if a.is_zero and b.is_zero:
@@ -564,69 +770,49 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
         return a.monic()
     if a.is_constant or b.is_constant:
         return PolyQ.one(a.nvars)
-    avars, bvars = a.variables(), b.variables()
-    x = max(max(avars), max(bvars))
-    if x not in avars or x not in bvars:
-        # x occurs in only one argument: gcd divides the other's x-content
-        if x in avars:
-            a, b = b, a
-        return poly_gcd(a, content_in(b, x))
-    if len(avars) == 1 and len(bvars) == 1:
-        return _euclid_gcd_univariate(a, b, x)
-    ca, cb = content_in(a, x), content_in(b, x)
-    pa, pb = a // ca, b // cb
-    cg = poly_gcd(ca, cb) if not (ca.is_constant and cb.is_constant) else PolyQ.one(a.nvars)
-    if pb.degree_in(x) > pa.degree_in(x):
-        pa, pb = pb, pa
-    while not pb.is_zero:
-        r = _pseudo_rem(pa, pb, x)
-        if r.is_zero:
-            pa, pb = pb, r
-        else:
-            pa, pb = pb, (r // content_in(r, x)).monic()
-    if pa.degree_in(x) == 0:
-        return cg.monic()
-    return (cg * (pa // content_in(pa, x))).monic()
+    return _monic(a.nvars, _gcd_terms(a.num, b.num))
 
 
 def squarefree_part(p: PolyQ) -> PolyQ:
-    """Product of the distinct irreducible factors of p, monic."""
+    """Product of the distinct irreducible factors of p, monic.  A
+    polynomial of degree 1 is its own."""
     if p.is_zero:
         raise RingError("squarefree part of zero")
     if p.is_constant:
         return PolyQ.one(p.nvars)
-    x = max(p.variables())
-    c = content_in(p, x)
-    q = p // c
-    g = poly_gcd(q, q.derivative(x))
-    sf = q // g
-    if c.is_constant:
-        return sf.monic()
-    return (squarefree_part(c) * sf).monic()
+    if p.total_degree() == 1:
+        return p.monic()
+    return _monic(p.nvars, _squarefree_terms(p.num))
+
+
+def _squarefree_terms(terms: IntTerms) -> IntTerms:
+    """The squarefree part of a nonconstant integer polynomial, primitive:
+    in the largest variable x, the primitive part q over the content c
+    divided by gcd(q, dq/dx), times the squarefree part of c."""
+    x = max(_variables(terms))
+    c = _content_in(terms, x)
+    q = _primitive_terms(terms if _is_constant(c) else _div_int_terms(terms, c))
+    g = _gcd_terms(q, _derivative(q, x))
+    sf = q if _is_constant(g) else _div_int_terms(q, g)
+    if _is_constant(c):
+        return sf
+    return _mul_int_terms(_squarefree_terms(c), sf)
 
 
 def rational_roots(p: PolyQ) -> list:
-    """All rational roots (with multiplicity collapsed) of a univariate PolyQ."""
+    """All rational roots (with multiplicity collapsed) of a univariate PolyQ.
+
+    Candidates are ±s/t for s dividing the lowest and t the leading
+    coefficient of the numerators, tested on integers."""
     vs = p.variables()
     if len(vs) != 1:
         raise RingError("rational_roots needs a univariate polynomial")
     x = vs[0]
-    coeffs = _coeffs_in(p, x)
+    coeffs = {exps[x]: c for exps, c in p.num.items()}
     deg = max(coeffs)
-    ints = {}
-    den = 1
-    for e, c in coeffs.items():
-        q = c.constant_value()
-        den = den * q.denominator // int_gcd(den, q.denominator)
-    for e, c in coeffs.items():
-        ints[e] = int(c.constant_value() * den)
-    roots = []
-    # factor out x^k first
-    low = min(ints)
-    if low > 0:
-        roots.append(Fraction(0))
-    c0 = ints[low]
-    cd = ints[deg]
+    low = min(coeffs)
+    roots = [Fraction(0)] if low > 0 else []
+
     def divisors(m: int) -> list:
         m = abs(m)
         out = []
@@ -637,23 +823,26 @@ def rational_roots(p: PolyQ) -> list:
                 out.append(m // d)
             d += 1
         return sorted(set(out))
-    for pnum in divisors(c0):
-        for qden in divisors(cd):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                if cand not in roots and p.eval_all(_unit_point(p.nvars, x, cand)) == 0:
+
+    for s in divisors(coeffs[low]):
+        for t in divisors(coeffs[deg]):
+            for cand in (Fraction(s, t), Fraction(-s, t)):
+                n, d = cand.numerator, cand.denominator
+                if cand not in roots and not sum(c * n ** k * d ** (deg - k) for k, c in coeffs.items()):
                     roots.append(cand)
     return sorted(roots)
 
 
-def _unit_point(nvars: int, x: int, value: Fraction) -> list:
-    pt = [Fraction(0)] * nvars
-    pt[x] = value
-    return pt
-
-
 def poly_sort_key(p: PolyQ) -> tuple:
-    """Total order on polynomials for canonical listings."""
-    return (p.total_degree(), tuple(sorted(p.terms.items())))
+    """Total order on polynomials for canonical listings: the total degree,
+    then the terms in ascending exponent order with their rational
+    coefficients."""
+    den = p.den
+    if den == 1:
+        terms = sorted(p.num.items())
+    else:
+        terms = [(e, Fraction(c, den)) for e, c in sorted(p.num.items())]
+    return (p.total_degree(), tuple(terms))
 
 
 class RatFuncQ:
@@ -677,12 +866,15 @@ class RatFuncQ:
             den = PolyQ.one(num.nvars)
         else:
             if not den.is_constant and not num.is_constant:
-                g = poly_gcd(num, den)
-                if not g.is_constant:
-                    num, den = num // g, den // g
-            _, lc = den.leading()
-            if lc != 1:
-                num = num * PolyQ.const(num.nvars, Fraction(1) / lc)
+                # g is primitive, so each quotient over the old
+                # denominator is canonical
+                g = _gcd_terms(num.num, den.num)
+                if not _is_constant(g):
+                    num = _poly(num.nvars, _div_int_terms(num.num, g), num.den)
+                    den = _poly(num.nvars, _div_int_terms(den.num, g), den.den)
+            lc = den.num[_lead(den.num)]
+            if lc != den.den:
+                num = num.scale(den.den, lc)
                 den = den.monic()
         self.num = num
         self.den = den
@@ -696,7 +888,8 @@ class RatFuncQ:
         return self.num.is_zero
 
     def is_polynomial(self) -> bool:
-        return self.den == PolyQ.one(self.nvars)
+        # den is monic, so a constant den is 1
+        return self.den.is_constant
 
     def as_poly(self) -> PolyQ:
         if not self.is_polynomial():

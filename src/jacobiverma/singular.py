@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd
 from operator import itemgetter
@@ -246,9 +245,9 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     aplus, _, _ = _positive_layout(alg)
     columns = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
     n = alg.n
-    quarter = PolyQ.const(n, Fraction(1, 4))
-    shifted = _CartanValues(*_numerators([PolyQ.var(n, i) - quarter for i in range(n)]))
     one = {(0,) * n: 1}
+    # L_i - 1/4 = (4 L_i - 1) / 4
+    shifted = _CartanValues([{tuple(int(i == j) for j in range(n)): 4, (0,) * n: -1} for i in range(n)], 4)
     zero = PolyQ.zero(n)
     words = [m.word() for m in columns]
     order = itemgetter(*_ansatz_signature(alg))
@@ -291,12 +290,13 @@ def _reduce_poly(p: PolyQ, constraints: ConstraintSet) -> PolyQ:
     while changed and not p.is_zero:
         changed = False
         for eq in constraints.equations:
-            d_exps, d_lc = eq.leading()
-            for exps in sorted(p.terms, key=lambda e: (sum(e), tuple(reversed(e))), reverse=True):
+            d_exps = max(eq.num, key=_monomial_key)
+            for exps in sorted(p.num, key=_monomial_key, reverse=True):
                 q_exps = tuple(a - b for a, b in zip(exps, d_exps))
                 if all(e >= 0 for e in q_exps):
-                    c = p.terms[exps]
-                    p = p - PolyQ(p.nvars, {q_exps: c / d_lc}) * eq
+                    # the term of p over the leading term of eq
+                    quotient = PolyQ.from_int_terms(p.nvars, {q_exps: p.num[exps] * eq.den}, p.den * eq.num[d_exps])
+                    p = p - quotient * eq
                     changed = True
                     break
             if changed:
@@ -331,7 +331,7 @@ def _try_affine_factor(p: PolyQ, x: int) -> Optional[PolyQ]:
     others = [v for v in p.variables() if v != x]
     dx = p.degree_in(x)
     for shift in range(len(_PROBE_BASES)):
-        base = {v: Fraction(_PROBE_BASES[(k + shift) % len(_PROBE_BASES)]) for k, v in enumerate(others)}
+        base = {v: _PROBE_BASES[(k + shift) % len(_PROBE_BASES)] for k, v in enumerate(others)}
         p0 = p.subs(base)
         if p0.degree_in(x) != dx:
             continue
@@ -580,10 +580,11 @@ def _primitive(vec: List[PolyQ]) -> List[PolyQ]:
     if not g.is_constant:
         vec = [p // g for p in vec]
         nonzero = [p for p in vec if not p.is_zero]
-    _, lc = nonzero[-1].leading()
-    if lc == 1:
+    last = nonzero[-1]
+    lc = last.num[max(last.num, key=_monomial_key)]
+    if lc == last.den:
         return vec
-    return [PolyQ(p.nvars, {e: c / lc for e, c in p.terms.items()}) for p in vec]
+    return [p.scale(last.den, lc) for p in vec]
 
 
 def _ratios(vec: List[PolyQ]) -> List[RatFuncQ]:

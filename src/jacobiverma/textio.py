@@ -371,7 +371,10 @@ def _parse_poly_term(toks: _Tokens, nvars: int) -> PolyQ:
 def _parse_poly_factor(toks: _Tokens, nvars: int) -> PolyQ:
     kind, text = toks.next()
     if kind == "num":
-        base = PolyQ.const(nvars, Fraction(text))
+        try:
+            base = PolyQ.const(nvars, Fraction(text))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}") from None
     elif kind == "lvar":
         idx = int(text[1:])
         if not 1 <= idx <= nvars:
@@ -467,11 +470,11 @@ def _format_term(
 ) -> str:
     """One rendered summand with its sign prefix: coefficient then monomial."""
     if isinstance(coeff, PolyQ):
-        negative = len(coeff.terms) == 1 and next(iter(coeff.terms.values())) < 0
+        negative = len(coeff.num) == 1 and next(iter(coeff.num.values())) < 0
         if negative:
             coeff = -coeff
         body = coeff.to_latex() if latex else coeff.to_text()
-        need_parens = len(coeff.terms) > 1
+        need_parens = len(coeff.num) > 1
     else:
         negative = coeff < 0
         body = (frac_latex if latex else frac_text)(abs(coeff))

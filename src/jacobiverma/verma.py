@@ -18,18 +18,17 @@ for it, and in the others h^e multiplies the coefficient by the value's
 product, so every term adds integers and no ``Fraction``, ``PbwMonomial``
 or enveloping-algebra element is formed per term.  At the formal weight
 the values are the variables L_i themselves, so h^e multiplies by L^e:
-``act`` and ``apply_word_to_v0`` run the kernel there and make one reduced
-``Fraction`` per term of the result.  ``is_singular`` runs it at a
-branch's weight, the values of the branch's solved form, and tests the
-integer sums for zero; the assembly runs it at the shifted values
-L_i - 1/4.
+``act`` and ``apply_word_to_v0`` run the kernel there and make each
+coordinate of the result one canonical ``PolyQ`` of its integer sums.
+``is_singular`` runs it at a branch's weight, the values of the branch's
+solved form, and tests the integer sums for zero; the assembly runs it at
+the shifted values L_i - 1/4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -239,8 +238,8 @@ def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
 
     The coefficients of v are turned into integers over one common
     denominator, and the module kernel adds integers for x m v0 over the
-    terms m of v, at Cartan values L_i; each term of the result becomes one
-    reduced ``Fraction`` at the end.
+    terms m of v, at Cartan values L_i; each coordinate of the result
+    becomes one canonical ``PolyQ`` at the end.
     """
     ix = alg.index[alg._check(x)]
     coeffs, den = _numerators(list(v.terms.values()))
@@ -382,14 +381,9 @@ def _affine_solve(nvars: int, eqs: Sequence[PolyQ]) -> Optional[Tuple[Tuple[int,
         if p.is_constant:
             raise InconsistentConstraintsError("constraints are inconsistent")
         target = max(p.variables())
-        coeff = Fraction(0)
-        rest = PolyQ.zero(nvars)
-        for exps, c in p.terms.items():
-            if exps[target] == 1:
-                coeff = c
-            else:
-                rest = rest + PolyQ(nvars, {exps: c})
-        expr = rest * PolyQ.const(nvars, Fraction(-1) / coeff)
+        # p = (coeff L_target + rest) / den, so L_target = -rest / coeff
+        coeff = next(c for exps, c in p.num.items() if exps[target] == 1)
+        expr = PolyQ.from_int_terms(nvars, {e: -c for e, c in p.num.items() if not e[target]}, coeff)
         solved = [(v, e.subs({target: expr})) for v, e in solved]
         solved.append((target, expr))
         pending = [q.subs({target: expr}) for q in pending]

@@ -16,6 +16,10 @@ Nothing here shares an algorithm with the package code it checks:
   K' = K minus its oscillator realization.
 * ``fraction_kernel`` computes exact kernels of rational matrices by plain
   row-reduced Gaussian elimination.
+* ``FracPoly`` is a polynomial kept as a plain map from exponent tuples to
+  ``Fraction``s, with schoolbook arithmetic, substitution by expansion,
+  long division over Q and its own rendering, the reference for the
+  integer representation of ``PolyQ``.
 """
 
 from __future__ import annotations
@@ -326,3 +330,130 @@ def same_span(basis_a: List[List[Fraction]], basis_b: List[List[Fraction]], ncol
     return all(in_span(v, basis_b) for v in basis_a) and all(
         in_span(v, basis_a) for v in basis_b
     )
+
+
+# -- reference polynomials over Q ----------------------------------------------
+
+
+def _grlex(exps: tuple) -> tuple:
+    """Graded lex with the last variable most significant."""
+    return (sum(exps), exps[::-1])
+
+
+class FracPoly:
+    """Polynomial over Q as a map exponent tuple -> nonzero ``Fraction``."""
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms: Dict[tuple, Fraction] = {}
+        for e, c in (terms or {}).items():
+            self.terms[tuple(e)] = self.terms.get(tuple(e), Fraction(0)) + Fraction(c)
+        self.terms = {e: c for e, c in self.terms.items() if c != 0}
+
+    @classmethod
+    def of(cls, p: PolyQ) -> "FracPoly":
+        """The reference copy of a PolyQ, read from its integer data."""
+        return cls(p.nvars, {e: Fraction(c, p.den) for e, c in p.num.items()})
+
+    def __add__(self, other: "FracPoly") -> "FracPoly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return FracPoly(self.nvars, out)
+
+    def __neg__(self) -> "FracPoly":
+        return FracPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "FracPoly") -> "FracPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FracPoly") -> "FracPoly":
+        out: Dict[tuple, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return FracPoly(self.nvars, out)
+
+    def __pow__(self, k: int) -> "FracPoly":
+        out = FracPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FracPoly) and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def leading(self) -> tuple:
+        e = max(self.terms, key=_grlex)
+        return e, self.terms[e]
+
+    def subs(self, values: Dict[int, "FracPoly"]) -> "FracPoly":
+        """Each substituted variable replaced by its value, term by term."""
+        out = FracPoly(self.nvars)
+        for e, c in self.terms.items():
+            term = FracPoly(self.nvars, {tuple(0 if i in values else x for i, x in enumerate(e)): c})
+            for i, v in values.items():
+                term = term * v ** e[i]
+            out = out + term
+        return out
+
+    def eval(self, point: Sequence[Fraction]) -> Fraction:
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                c *= Fraction(x) ** k
+            total += c
+        return total
+
+    def divmod(self, divisor: "FracPoly") -> Tuple["FracPoly", "FracPoly"]:
+        """Long division over Q by the leading term of the divisor: a term
+        of the dividend it does not divide goes to the remainder."""
+        d_exps, d_lc = divisor.leading()
+        quo, rem, rest = FracPoly(self.nvars), FracPoly(self.nvars), self
+        while not rest.is_zero():
+            e, c = rest.leading()
+            q = tuple(a - b for a, b in zip(e, d_exps))
+            lead = FracPoly(self.nvars, {e: c})
+            if min(q) < 0:
+                rem, rest = rem + lead, rest - lead
+            else:
+                t = FracPoly(self.nvars, {q: c / d_lc})
+                quo, rest = quo + t, rest - t * divisor
+        return quo, rem
+
+    def render(self, names: List[str], power: str, number) -> str:
+        """Signed terms in descending order, a coefficient of absolute value
+        1 left out before variables, the last variable first."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=_grlex, reverse=True):
+            c = self.terms[e]
+            factors = [
+                names[i] if e[i] == 1 else power.format(names[i], e[i])
+                for i in range(self.nvars - 1, -1, -1)
+                if e[i]
+            ]
+            if factors and abs(c) == 1:
+                body = " ".join(factors)
+            else:
+                body = " ".join([number(abs(c))] + factors)
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + body)
+        return " ".join(parts)
+
+    def to_text(self) -> str:
+        names = [f"L{i + 1}" for i in range(self.nvars)]
+        return self.render(names, "{}^{}", str)
+
+    def to_latex(self) -> str:
+        names = [f"\\Lambda(H_{i + 1})" for i in range(self.nvars)]
+        return self.render(
+            names,
+            "{}^{{{}}}",
+            lambda q: str(q) if q.denominator == 1 else f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}",
+        )

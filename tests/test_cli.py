@@ -282,6 +282,20 @@ class TestExitCodes:
             assert out == ""
             assert err == f"error: vector mixes weights: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "2", "1/0 a+1"],
+            ["verify", "--n", "2", "a+1", "--constraints", "L1 = 1/0"],
+        ],
+        ids=["vector", "constraint"],
+    )
+    def test_zero_denominator_is_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: zero denominator in '1/0'\n"
+
     def test_invalid_n_is_2(self, capsys):
         code, _, err = run_cli(capsys, "singular", "--n", "0", "--weight", "0,0")
         assert code == 2

@@ -6,8 +6,11 @@ one ``jv singular --format json`` run, and the weight to rerun is read back
 from the report itself.  Each file under ``golden/cli/`` holds the exact
 stdout of one ``jv normal-order``, ``jv act``, ``jv singular`` or ``jv verify``
 run, whose arguments are listed in ``golden/cli/argv.json``.
-``scripts/freeze_reports.py`` writes both."""
+``golden/sweep.json`` holds the sha256 digests of ``jv singular`` in json and
+text at every weight of a sweep over g_2 and g_3.
+``scripts/freeze_reports.py`` writes all three."""
 
+import hashlib
 import json
 from contextlib import redirect_stdout
 from io import StringIO
@@ -22,6 +25,7 @@ REPORTS = GOLDEN_DIR / "reports"
 CLI = GOLDEN_DIR / "cli"
 GOLDEN = sorted(REPORTS.glob("*.json"))
 CLI_ARGV = json.loads((CLI / "argv.json").read_text(encoding="ascii"))
+SWEEP = json.loads((GOLDEN_DIR / "sweep.json").read_text(encoding="ascii"))
 
 CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
     pytest.param(CLI / name, argv, id="cli/" + name) for name, argv in sorted(CLI_ARGV.items())
@@ -32,6 +36,7 @@ def test_corpus_present():
     assert len(GOLDEN) == 15
     assert len(CLI_ARGV) == 36
     assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
+    assert len(SWEEP) == 183
 
 
 @pytest.mark.parametrize("path, argv", CASES)
@@ -40,8 +45,22 @@ def test_report_matches_golden(path, argv):
     if argv is None:
         weight = json.loads(expected)["weight"]
         argv = ["singular", "--n", str(len(weight)), "--weight=" + ",".join(weight), "--format", "json"]
+    assert _stdout(argv) == expected
+
+
+def test_sweep_matches_digests():
+    changed = []
+    for row in SWEEP:
+        for fmt in ("json", "text"):
+            argv = ["singular", "--n", str(row["n"]), "--weight=" + row["weight"], "--format", fmt]
+            if hashlib.sha256(_stdout(argv)).hexdigest() != row[fmt]:
+                changed.append(f"g_{row['n']} ({row['weight']}) {fmt}")
+    assert not changed, f"{len(changed)} sweep outputs differ: " + ", ".join(changed)
+
+
+def _stdout(argv) -> bytes:
     out = StringIO()
     with redirect_stdout(out):
         code = jv_main(argv)
     assert code == 0
-    assert out.getvalue().encode("ascii") == expected
+    return out.getvalue().encode("ascii")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from jacobiverma.ring import (
     rational_roots,
     squarefree_part,
 )
+
+from oracles import FracPoly
 
 
 def L(i, nvars=2):
@@ -374,3 +377,177 @@ class TestRendering:
     def test_latex(self):
         p = L(1) - const(Fraction(3, 4))
         assert p.to_latex() == "\\Lambda(H_1) - \\tfrac{3}{4}"
+
+
+# -- the integer representation against a dict-of-Fraction reference ----------
+
+
+@st.composite
+def pairs(draw, nvars=2, max_deg=3, max_terms=4):
+    """One drawn term map as a PolyQ and as the reference ``FracPoly``."""
+    terms = draw(
+        st.dictionaries(
+            keys=st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)]),
+            values=fractions_st,
+            max_size=max_terms,
+        )
+    )
+    return PolyQ(nvars, terms), FracPoly(nvars, terms)
+
+
+@st.composite
+def affine_pairs(draw, nvars=3):
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    keys = st.sampled_from([(0,) * nvars] + units)
+    terms = draw(st.dictionaries(keys=keys, values=fractions_st, max_size=nvars + 1))
+    return PolyQ(nvars, terms), FracPoly(nvars, terms)
+
+
+def ref(p: PolyQ) -> FracPoly:
+    return FracPoly.of(p)
+
+
+def assert_canonical(p: PolyQ):
+    """The stored form: denominator at least 1 (1 for zero), no zero
+    numerator, and no common factor of the denominator and all numerators."""
+    assert isinstance(p.den, int) and p.den >= 1
+    assert all(isinstance(c, int) and c != 0 for c in p.num.values())
+    assert all(len(e) == p.nvars for e in p.num)
+    g = p.den
+    for c in p.num.values():
+        g = gcd(g, c)
+    assert g == 1
+    if not p.num:
+        assert p.den == 1
+
+
+def divides(d: FracPoly, p: FracPoly) -> bool:
+    return p.divmod(d)[1].is_zero()
+
+
+class TestIntegerRepresentation:
+    @given(pairs(nvars=3), pairs(nvars=3), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, a, b, k):
+        (pa, ra), (pb, rb) = a, b
+        for got, want in [
+            (pa + pb, ra + rb),
+            (pa - pb, ra - rb),
+            (-pa, -ra),
+            (pa * pb, ra * rb),
+            (pa ** k, ra ** k),
+        ]:
+            assert_canonical(got)
+            assert ref(got) == want
+            assert got.terms == want.terms
+
+    @given(
+        pairs(nvars=3),
+        st.lists(st.one_of(fractions_st, affine_pairs()), min_size=3, max_size=3),
+        st.sets(st.integers(0, 2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_subs_rational_and_affine(self, p, values, subset):
+        pp, rp = p
+        assignment, expected = {}, {}
+        for i in subset:
+            v = values[i]
+            if isinstance(v, tuple):
+                assignment[i], expected[i] = v
+            else:
+                assignment[i], expected[i] = v, FracPoly(3, {(0, 0, 0): v})
+        got = pp.subs(assignment)
+        assert_canonical(got)
+        assert ref(got) == rp.subs(expected)
+
+    @given(pairs(), pairs(), pairs(max_terms=3))
+    @settings(max_examples=80, deadline=None)
+    def test_division(self, a, b, r):
+        (pa, ra), (pb, rb), (pr, rr) = a, b, r
+        if pb.is_zero:
+            return
+        for p, rp in [(pa * pb, ra * rb), (pa * pb + pr, ra * rb + rr), (pa, ra)]:
+            quo, rem = rp.divmod(rb)
+            q = p.try_divide(pb)
+            if rem.is_zero():
+                assert_canonical(q)
+                assert ref(q) == quo
+                assert p // pb == q
+            else:
+                assert q is None
+                with pytest.raises(RingError):
+                    p // pb
+
+    @given(pairs(max_deg=2, max_terms=3), pairs(max_deg=2, max_terms=3), pairs(max_deg=2, max_terms=3))
+    @settings(max_examples=60, deadline=None)
+    def test_gcd(self, f, u, v):
+        (pf, rf), (pu, ru), (pv, rv) = f, u, v
+        a, b = pf * pu, pf * pv
+        if a.is_zero or b.is_zero:
+            return
+        g = poly_gcd(a, b)
+        assert_canonical(g)
+        assert ref(g).leading()[1] == 1
+        assert divides(ref(g), rf * ru) and divides(ref(g), rf * rv)
+        assert divides(rf, ref(g))
+        assert poly_gcd(a // g, b // g) == PolyQ.one(2)
+
+    @given(pairs(max_deg=1, max_terms=3), pairs(max_deg=1, max_terms=3))
+    @settings(max_examples=60, deadline=None)
+    def test_squarefree_part(self, f, h):
+        # with degree at most 1 in each variable, f and h have no repeated
+        # factor, so no factor of f^2 h occurs more than three times
+        (pf, rf), (ph, rh) = f, h
+        p = pf ** 2 * ph
+        if p.is_zero:
+            return
+        sf = squarefree_part(p)
+        assert_canonical(sf)
+        assert ref(sf).leading()[1] == 1
+        assert divides(ref(sf), rf ** 2 * rh)
+        assert divides(rf ** 2 * rh, ref(sf) ** 3)
+        assert squarefree_part(sf) == sf
+        assert squarefree_part(pf * ph) == sf
+
+    @given(pairs(nvars=3), points(nvars=3))
+    @settings(max_examples=80, deadline=None)
+    def test_monic_content_and_evaluation(self, p, pt):
+        pp, rp = p
+        assert pp.eval_all(pt) == rp.eval(pt)
+        if pp.is_zero:
+            assert pp.monic().is_zero and pp.rational_content() == 0
+            return
+        _, lc = rp.leading()
+        m = pp.monic()
+        assert_canonical(m)
+        assert ref(m) == rp * FracPoly(3, {(0, 0, 0): 1 / lc})
+        content = pp.rational_content()
+        scaled = [c / content for c in rp.terms.values()]
+        assert all(c.denominator == 1 for c in scaled)
+        assert gcd(*(int(c) for c in scaled)) == 1
+        assert rp.leading()[1] / content > 0
+
+    @given(pairs(nvars=3))
+    @settings(max_examples=80, deadline=None)
+    def test_rendering(self, p):
+        pp, rp = p
+        assert pp.to_text() == rp.to_text()
+        assert pp.to_latex() == rp.to_latex()
+
+    @given(pairs(), pairs(), pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_and_hash_by_different_routes(self, a, b, c):
+        (pa, _), (pb, _), (pc, _) = a, b, c
+        ab = pa * pb
+        routes = [
+            pb * pa,
+            PolyQ(2, ab.terms),
+            PolyQ.from_int_terms(2, {e: 6 * v for e, v in ab.num.items()}, -6 * ab.den).scale(-1),
+            (ab + pc) - pc,
+        ]
+        if not pc.is_zero:
+            routes.append((ab * pc) // pc)
+        for p in routes:
+            assert_canonical(p)
+            assert p == ab
+            assert hash(p) == hash(ab)
