@@ -738,8 +738,8 @@ def _univariate_gcd(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
         u, v = v, primitive(u)
     if len(v) == 1:
         v = [1]
-    zero = next(iter(a))
-    return {zero[:x] + (d,) + zero[x + 1:]: c for d, c in enumerate(v) if c}
+    exps = next(iter(a))  # zero but in x
+    return {exps[:x] + (d,) + exps[x + 1:]: c for d, c in enumerate(v) if c}
 
 
 def content_in(p: PolyQ, x: int) -> PolyQ:
