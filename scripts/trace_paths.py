@@ -17,10 +17,11 @@ Then it prints, for each function and method of ``src/jacobiverma`` (found
 with ``ast``), the first lines of the statements of its body that never
 ran, or ``never called``; functions whose every statement ran are not
 listed.  A nested function is listed under ``outer.<locals>.inner`` and its
-statements are not counted in the outer one.  The last line is a summary.
+statements are not counted in the outer one.  The last line is a summary,
+with the total line count of ``src/jacobiverma/*.py`` (as ``wc -l``).
 Exits 1 if any check failed.  ``perfbench/workloads.py`` is imported
 read-only, as in ``scripts/stage_times.py``, and the program from this
-checkout's ``src/``.  About 50 s on a 2-vCPU VM.
+checkout's ``src/``.  About 13–18 s on a 2-vCPU VM (Python 3.11).
 """
 
 import ast
@@ -135,8 +136,9 @@ def main() -> int:
                          ignoredirs=[sys.prefix, sys.exec_prefix, str(ROOT / "perfbench")])
     failures = tracer.runfunc(checked_runs, prog)
     counts = tracer.results().counts
-    total = never = partly = 0
+    total = never = partly = size = 0
     for path in sorted(PACKAGE.glob("*.py")):
+        size += path.read_text(encoding="utf-8").count("\n")
         ran = {line for (fname, line) in counts if Path(fname).resolve() == path}
         for name, lines in functions(path):
             total += 1
@@ -149,7 +151,8 @@ def main() -> int:
             else:
                 partly += 1
                 print(f"{path.name}:{name}: {ranges(missed)}")
-    print(f"{total} functions: {never} never called, {partly} with lines that never ran")
+    print(f"{size} lines, {total} functions: {never} never called, "
+          f"{partly} with lines that never ran")
     for f in failures:
         print(f"CHECK FAILED: {f}", file=sys.stderr)
     return 1 if failures else 0

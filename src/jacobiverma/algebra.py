@@ -20,8 +20,11 @@ kernel value into a ``BracketResult`` of ``Fraction``s.
 Weights are recorded in the delta-basis normalized by delta_i(h_j) =
 (1/2) delta_ij; equivalently, the j-th weight coordinate of a generator g is
 twice the eigenvalue of ad h_j on g.  With that convention a^+_i has weight
-delta_i and K^+_{ij} has weight delta_i + delta_j, and gradings of lowering
-generators are the negatives of their raising mirrors.
+delta_i, K^+_{ij} has weight delta_i + delta_j and K^0_{ij} has weight
+delta_i - delta_j, and gradings of lowering generators are the negatives of
+their raising mirrors.  ``JacobiAlgebra`` states this grading, and the Lie
+generators a^-_n, K^-_{nn}, K^0_{i+1,i} of n-, in closed form; the tests tie
+both to ``half_bracket``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Dict, List, Tuple
 
 A_PLUS = "a+"
@@ -307,6 +309,18 @@ def _ordered_basis(n: int) -> List[Generator]:
     return pos + cartan + neg
 
 
+def _raising_weight(g: Generator, n: int) -> Weight:
+    """delta_i for a^+_i, delta_i + delta_j for K^+_{ij}, delta_i - delta_j
+    for K^0_{ij}."""
+    coords = [0] * n
+    coords[g.i - 1] += 1
+    if g.family == K_PLUS:
+        coords[g.j - 1] += 1
+    elif g.family == K_ZERO:
+        coords[g.j - 1] -= 1
+    return Weight.of(*coords)
+
+
 class JacobiAlgebra:
     """The Jacobi algebra g_n with its canonical ordered basis.
 
@@ -314,13 +328,14 @@ class JacobiAlgebra:
     a+ (by index), K+ (index-lex), raising K0 (index-lex), and negatives
     mirror the positives in the same sequence.  This is the factor order used
     for PBW normal forms, chosen so that words acting on a lowest-weight
-    vector end in annihilators.
+    vector end in annihilators.  ``aplus``, ``kplus`` and ``kzero_raising``
+    are the index ranges of the three positive blocks.
 
-    Weights and the Lie generators of n- are read from ``half_bracket`` at
-    construction.  The integer bracket table and the run table of x y^b
-    that normal ordering reads are filled from the same kernel on first use
-    of each pair or run, so an algebra costs only what its computation
-    touches.
+    The grading and the Lie generators of n- are closed forms, which the
+    tests check against ``half_bracket``.  The integer bracket table and the
+    run table of x y^b that normal ordering reads are filled from the kernel
+    on first use of each pair or run, so an algebra costs only what its
+    computation touches.
     """
 
     def __init__(self, n: int):
@@ -330,6 +345,9 @@ class JacobiAlgebra:
         self.generators: List[Generator] = _ordered_basis(n)
         self.index: Dict[Generator, int] = {g: k for k, g in enumerate(self.generators)}
         self.num_positive = (len(self.generators) - n) // 2
+        self.aplus = range(0, n)
+        self.kplus = range(n, n + n * (n + 1) // 2)
+        self.kzero_raising = range(self.kplus.stop, self.num_positive)
         self.positive = self.generators[: self.num_positive]
         self.cartan = self.generators[self.num_positive : self.num_positive + n]
         self.negative = self.generators[self.num_positive + n :]
@@ -340,8 +358,18 @@ class JacobiAlgebra:
         # the module's formal Cartan values (``verma._CartanValues.formal``),
         # built there on first use
         self._formal_cartan = None
-        self._weights: List[Weight] = [self._weight_from_kernel(key) for key in self._keys]
-        self.lowering_generators: List[Generator] = self._lie_generators_of_negative()
+        raising = [_raising_weight(g, n) for g in self.positive]
+        self._weights: List[Weight] = raising + [Weight.zero(n)] * n + [-w for w in raising]
+        # a^-_n, K^-_{nn} and the K^0_{i+1,i}, in ``negative`` order: n- has
+        # one basis element per root space, and these are the ones no bracket
+        # of two negatives reaches, so they lift a basis of n-/[n-, n-] and
+        # generate the nilpotent n-.  A vector killed by each of them is
+        # killed by all of n-.
+        self.lowering_generators: List[Generator] = [
+            Generator(A_MINUS, n),
+            Generator(K_MINUS, n, n),
+            *(Generator(K_ZERO, i + 1, i) for i in range(1, n)),
+        ]
 
     # -- membership --------------------------------------------------------
 
@@ -349,9 +377,6 @@ class JacobiAlgebra:
         if g not in self.index:
             raise DimensionMismatchError(f"{g} is not a basis element of g_{self.n}")
         return g
-
-    def __len__(self):
-        return len(self.generators)
 
     # -- operations --------------------------------------------------------
 
@@ -427,32 +452,6 @@ class JacobiAlgebra:
 
     def weight(self, g: Generator) -> Weight:
         return self._weights[self.index[self._check(g)]]
-
-    def _weight_from_kernel(self, key: Key) -> Weight:
-        # the j-th coordinate is twice the ad h_j eigenvalue, i.e. the
-        # coefficient of the element itself in [h_j, -] in units of 1/2
-        coords = []
-        for j in range(1, self.n + 1):
-            scalar, terms = half_bracket((K_ZERO, j, j), key)
-            if scalar or any(k != key for k, _ in terms):
-                raise RuntimeError(f"{key} is not an eigenvector of ad h_{j}")
-            coords.append(Fraction(terms[0][1] if terms else 0))
-        return Weight(tuple(coords))
-
-    def _lie_generators_of_negative(self) -> List[Generator]:
-        """The negatives outside [n-, n-], in ``negative`` order.
-
-        Every root space of n- is spanned by one basis element, so [n-, n-] is
-        spanned by the basis elements that occur in some bracket of two
-        negatives.  The others lift a basis of n-/[n-, n-], and since n- is
-        nilpotent they generate n- as a Lie algebra: a^-_n, K^-_{nn} and the
-        K^0_{i+1,i}.  A vector killed by each of them is killed by all of n-.
-        """
-        keys = self._keys[len(self.generators) - len(self.negative) :]
-        derived = set()
-        for x, y in combinations(keys, 2):
-            derived.update(key for key, _ in half_bracket(x, y)[1])
-        return [g for g, key in zip(self.negative, keys) if key not in derived]
 
     @property
     def sp_lowering_generators(self) -> List[Generator]:

@@ -30,9 +30,9 @@ pseudo-remainders made primitive at every step (a primitive PRS).
 
 ``fractions.Fraction`` appears only where rationals enter or leave: the
 constructor ``PolyQ(nvars, {exps: int | Fraction})`` and ``const`` read
-parsed input; ``terms`` is a view with one reduced ``Fraction`` per term,
-built on first access, for readers outside the package; ``leading``,
-``constant_value``, ``rational_content``, ``eval_all`` and
+parsed input; ``terms`` is a dict with one reduced ``Fraction`` per term,
+built on each access, for readers outside the package; ``leading``,
+``rational_content``, ``eval_all`` (of ``PolyQ`` and ``RatFuncQ``) and
 ``rational_roots`` return rationals; and the sort key of a polynomial with
 a denominator compares its coefficients as rationals.  Rendering forms each
 printed coefficient from its numerator and the denominator with one gcd.
@@ -162,7 +162,6 @@ def _poly(nvars: int, num: IntTerms, den: int = 1) -> "PolyQ":
     out.nvars = nvars
     out.num = num
     out.den = den
-    out._terms = None
     return out
 
 
@@ -180,7 +179,7 @@ class PolyQ:
     """Sparse multivariate polynomial over Q with a fixed number of
     variables: integer numerators ``num`` over the denominator ``den``."""
 
-    __slots__ = ("nvars", "num", "den", "_terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple, Scalar]] = None):
         coeffs = []
@@ -202,7 +201,6 @@ class PolyQ:
             num[exps] = num.get(exps, 0) + c.numerator * (den // c.denominator)
         self.nvars = nvars
         self.num, self.den = _canonical({e: c for e, c in num.items() if c}, den)
-        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
@@ -241,12 +239,10 @@ class PolyQ:
 
     @property
     def terms(self) -> Dict[tuple, Fraction]:
-        """The coefficients as reduced ``Fraction``s, built on first access;
-        a view for readers outside the package, not to be modified."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {e: Fraction(c, den) for e, c in self.num.items()}
-        return self._terms
+        """The coefficients as reduced ``Fraction``s, built on each access,
+        for readers outside the package."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -255,13 +251,6 @@ class PolyQ:
     @property
     def is_constant(self) -> bool:
         return _is_constant(self.num)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise RingError(f"{self} is not constant")
-        return Fraction(next(iter(self.num.values())), self.den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -437,9 +426,6 @@ class PolyQ:
             den *= x.denominator ** t
         return Fraction(total, den)
 
-    def derivative(self, i: int) -> "PolyQ":
-        return _make(self.nvars, _derivative(self.num, i), self.den)
-
     # -- normalization -----------------------------------------------------
 
     def monic(self) -> "PolyQ":
@@ -490,10 +476,9 @@ class PolyQ:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_text(self, varnames: Optional[list] = None) -> str:
-        if varnames is None:
-            varnames = [f"L{i + 1}" for i in range(self.nvars)]
-        return self._render(varnames, "{}^{}", _ratio_text)
+    def to_text(self) -> str:
+        names = [f"L{i + 1}" for i in range(self.nvars)]
+        return self._render(names, "{}^{}", _ratio_text)
 
     def to_latex(self) -> str:
         names = [f"\\Lambda(H_{i + 1})" for i in range(self.nvars)]
@@ -747,14 +732,6 @@ def content_in(p: PolyQ, x: int) -> PolyQ:
     return _monic(p.nvars, _content_in(p.num, x))
 
 
-def _euclid_gcd_univariate(a: PolyQ, b: PolyQ, x: int) -> PolyQ:
-    """Monic gcd of two polynomials in the variable x alone, b nonzero: the
-    univariate case of ``poly_gcd``."""
-    if a.is_zero:
-        return b.monic()
-    return _monic(a.nvars, _univariate_gcd(a.num, b.num, x))
-
-
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """gcd up to unit, normalized monic under graded-lex.
 
@@ -917,12 +894,7 @@ class RatFuncQ:
             raise RingError("denominator vanishes at evaluation point")
         return self.num.eval_all(point) / d
 
-    def to_text(self, varnames: Optional[list] = None) -> str:
+    def to_text(self) -> str:
         if self.is_polynomial():
-            return self.num.to_text(varnames)
-        return f"({self.num.to_text(varnames)}) / ({self.den.to_text(varnames)})"
-
-    def to_latex(self) -> str:
-        if self.is_polynomial():
-            return self.num.to_latex()
-        return f"\\frac{{{self.num.to_latex()}}}{{{self.den.to_latex()}}}"
+            return self.num.to_text()
+        return f"({self.num.to_text()}) / ({self.den.to_text()})"

@@ -53,7 +53,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .algebra import K_PLUS, Generator, JacobiAlgebra, Weight
+from .algebra import Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial
 from .ring import (
     IntTerms,
@@ -126,19 +126,10 @@ class BranchBudgetExceededError(RuntimeError):
 # -- ansatz enumeration ------------------------------------------------------
 
 
-def _positive_layout(alg: JacobiAlgebra) -> Tuple[range, range, range]:
-    """Index ranges of the a+, K+ and raising-K0 blocks among the positives."""
-    n = alg.n
-    a_end = n
-    k_end = n + n * (n + 1) // 2
-    return range(0, a_end), range(a_end, k_end), range(k_end, alg.num_positive)
-
-
 def _ansatz_signature(alg: JacobiAlgebra) -> List[int]:
     """The positive indices from most to least significant in the ansatz
     order: K+, then a+, then raising K0."""
-    aplus, kplus, kzero = _positive_layout(alg)
-    return [*kplus, *aplus, *kzero]
+    return [*alg.kplus, *alg.aplus, *alg.kzero_raising]
 
 
 def ansatz_sort_key(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
@@ -178,8 +169,7 @@ def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
         raise ValueError(f"weight has {len(w.coords)} coordinates, expected {n}")
     if any(c.denominator != 1 for c in w.coords):
         return []
-    _, kplus, kzero = _positive_layout(alg)
-    sp = [*kplus, *kzero]
+    sp = [*alg.kplus, *alg.kzero_raising]
     drops = [list(accumulate(int(c) for c in alg.weight(alg.positive[k]).coords)) for k in sp]
     found: List[PbwMonomial] = []
     exps = [0] * alg.num_positive
@@ -189,7 +179,7 @@ def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
         if d == len(sp):
             rem = [b - a for a, b in zip([0] + prefix, prefix)]
             if min(rem) >= 0:
-                exps[:n] = rem  # a+_i is positive i
+                exps[alg.aplus.start : alg.aplus.stop] = rem
                 found.append(PbwMonomial(tuple(exps) + tail))
             return
         while min(prefix) >= 0:
@@ -242,8 +232,7 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     those values for the h_i, as it builds every action.
     """
     ansatz = enumerate_ansatz(alg, w)
-    aplus, _, _ = _positive_layout(alg)
-    columns = [m for m in ansatz if not any(m.exps[i] for i in aplus)]
+    columns = [m for m in ansatz if not any(m.exps[i] for i in alg.aplus)]
     n = alg.n
     one = {(0,) * n: 1}
     # L_i - 1/4 = (4 L_i - 1) / 4
@@ -304,20 +293,6 @@ def _reduce_poly(p: PolyQ, constraints: ConstraintSet) -> PolyQ:
     return p
 
 
-def _univariate_linear_factors(p: PolyQ, x: int) -> List[PolyQ]:
-    factors: List[PolyQ] = []
-    rest = p
-    for r in rational_roots(p):
-        lin = PolyQ.var(p.nvars, x) - PolyQ.const(p.nvars, r)
-        q = rest.try_divide(lin)
-        if q is not None:
-            factors.append(lin)
-            rest = q
-    if not rest.is_constant:
-        factors.append(rest.monic())
-    return factors or [p]
-
-
 _PROBE_BASES = [2, 3, 5, 7, 11, 13, 17, 19]
 
 
@@ -326,7 +301,9 @@ def _try_affine_factor(p: PolyQ, x: int) -> Optional[PolyQ]:
 
     Any such divisor specializes to a rational root of p at every rational
     point of the other variables, so candidates are interpolated from roots
-    at a base point and unit bumps, then validated by exact division.
+    at a base point and unit bumps, then validated by exact division.  With
+    no other variables the candidates are x - r for the rational roots r of
+    p, and the first one is returned.
     """
     others = [v for v in p.variables() if v != x]
     dx = p.degree_in(x)
@@ -371,9 +348,11 @@ def _try_affine_factor(p: PolyQ, x: int) -> Optional[PolyQ]:
 def _split_factors(p: PolyQ) -> List[PolyQ]:
     """Vanishing-locus factors to branch on.
 
-    Splits off rational content (variable-disjoint products), univariate
-    rational linear factors, and multivariate affine factors; whatever
-    remains is kept whole as a single (non-affine) constraint."""
+    Splits off content in its last variable (variable-disjoint products)
+    and affine factors, univariate rational roots among them; whatever
+    remains is kept whole as a single (non-affine) constraint.  The list is
+    sorted by ``poly_sort_key``, so it does not depend on the order in
+    which the factors were split off."""
     factors: List[PolyQ] = []
     stack = [squarefree_part(p).monic()]
     while stack:
@@ -383,11 +362,7 @@ def _split_factors(p: PolyQ) -> List[PolyQ]:
         if q.total_degree() <= 1:
             factors.append(q.monic())
             continue
-        vs = q.variables()
-        if len(vs) == 1:
-            factors.extend(_univariate_linear_factors(q, vs[0]))
-            continue
-        x = max(vs)
+        x = max(q.variables())
         content = content_in(q, x)
         if not content.is_constant:
             stack.append(content)
@@ -742,11 +717,8 @@ def _lift_table(alg: JacobiAlgebra, system: AnsatzSystem) -> Tuple[List[List[Tup
     all over 2^top, and top.
     """
     index = {m.exps: k for k, m in enumerate(system.ansatz)}
-    kplus = [
-        (alg.index[g], g.i - 1, g.j - 1)  # a+_i is positive i - 1
-        for g in alg.positive
-        if g.family == K_PLUS
-    ]
+    aplus, generators = alg.aplus, alg.generators
+    kplus = [(k, aplus[generators[k].i - 1], aplus[generators[k].j - 1]) for k in alg.kplus]
     top = max((sum(m.exps[k] for k, _, _ in kplus) for m in system.columns), default=0)
     table = []
     for m in system.columns:

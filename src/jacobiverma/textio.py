@@ -10,7 +10,8 @@ Text grammar (round-trips exactly):
 * polynomials: ``L1``, ``L2``, ... with ``+ - * ^`` and rational constants;
   juxtaposition multiplies, e.g. ``2 L2^2 - 4 L2 L1``.
 * weights: rational vectors ``2,0`` / ``3/2,0`` or symbolic ``2d1``,
-  ``d1+d2``, ``d1-d2``, ``3d2``.
+  ``d1+d2``, ``d1 - d2``, ``3d2``; every term after the first needs its
+  sign, so ``d1d2`` is rejected.
 * vectors: sum of terms ``[coefficient] monomial`` where a non-numeric
   coefficient is parenthesized, e.g. ``(a+2)^2 - 2 b+2`` or
   ``(2 L1 - 3/2) a+1 a+2``.
@@ -280,7 +281,9 @@ def render_monomial(
 
 # -- weights -------------------------------------------------------------------
 
-_SYMBOLIC_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*d(\d+)")
+# one term of a symbolic weight: its sign, which every term but the first
+# needs, may have spaces around it
+_SYMBOLIC_TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*d(\d+)")
 
 
 def parse_weight(s: str, n: int) -> Weight:
@@ -300,7 +303,7 @@ def parse_weight(s: str, n: int) -> Weight:
         pos = 0
         while pos < len(s):
             m = _SYMBOLIC_TERM_RE.match(s, pos)
-            if m is None or (m.start() != pos):
+            if m is None or (pos and not m.group(1)):
                 raise ParseError(f"cannot read weight term at {s[pos:]!r}")
             sign = -1 if m.group(1) == "-" else 1
             coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
@@ -551,14 +554,12 @@ def render_solved_form(cs: ConstraintSet, latex: bool = False) -> List[str]:
 # -- JSON views ---------------------------------------------------------------
 
 
-def vector_to_json(
-    alg: JacobiAlgebra, v: Union[VermaVector, UElement], short: Optional[bool] = None
-) -> list:
+def vector_to_json(alg: JacobiAlgebra, v: Union[VermaVector, UElement]) -> list:
     """Terms of a module vector or an enveloping-algebra element, in display order."""
     order = display_factor_order(alg)
     return [
         {
-            "monomial": render_monomial(alg, m, short=short, order=order),
+            "monomial": render_monomial(alg, m, order=order),
             "coeff": c.to_text() if isinstance(c, PolyQ) else frac_text(c),
         }
         for m, c in _display_sorted(v, order)
@@ -575,7 +576,7 @@ def constraints_to_json(cs: ConstraintSet) -> dict:
     }
 
 
-def report_to_json(alg: JacobiAlgebra, report, short: Optional[bool] = None) -> dict:
+def report_to_json(alg: JacobiAlgebra, report) -> dict:
     """The singular-search report in its published JSON shape."""
     branches = []
     for br in report.branches:
@@ -590,7 +591,7 @@ def report_to_json(alg: JacobiAlgebra, report, short: Optional[bool] = None) -> 
     order = display_factor_order(alg)
     return {
         "weight": [frac_text(c) for c in report.weight.coords],
-        "monomials": [render_monomial(alg, m, short=short, order=order) for m in report.monomials],
+        "monomials": [render_monomial(alg, m, order=order) for m in report.monomials],
         "branches": branches,
         "trivial": bool(report.trivial),
     }

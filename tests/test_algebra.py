@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from jacobiverma import algebra
 from jacobiverma.algebra import (
     A_MINUS,
     A_PLUS,
@@ -40,6 +41,14 @@ class TestBasis:
         gens = generators(n)
         assert len(gens) == 2 * n + n * (n + 1) + n * n == count
         assert len(set(gens)) == len(gens)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_positive_blocks(self, n):
+        # a+, K+ and raising K0 blocks tile the positives in that order
+        alg = JacobiAlgebra(n)
+        assert [*alg.aplus, *alg.kplus, *alg.kzero_raising] == list(range(alg.num_positive))
+        for block, family in [(alg.aplus, A_PLUS), (alg.kplus, K_PLUS), (alg.kzero_raising, K_ZERO)]:
+            assert all(alg.generators[k].family == family for k in block)
 
     def test_n1_names(self):
         names = {str(g) for g in generators(1)}
@@ -305,6 +314,21 @@ class TestWeights:
         for g, w in expected.items():
             assert alg.weight(g) == w, g
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_construction_reads_no_bracket(self, n, monkeypatch):
+        # the grading and the Lie generators of n- are closed forms, and the
+        # bracket tables fill on first use, so building the algebra brackets
+        # nothing
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return half_bracket(x, y)
+
+        monkeypatch.setattr(algebra, "half_bracket", counted)
+        JacobiAlgebra(n)
+        assert calls == []
+
     def test_cartan_weight_zero(self):
         alg = JacobiAlgebra(3)
         for h in alg.cartan:
@@ -353,16 +377,17 @@ class TestStructureProperties:
             if br.scalar != 0:
                 assert wsum.is_zero
 
-    @small_n
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cartan_eigenspaces(self, n):
+        # the closed-form grading against the kernel: every basis element is
+        # an ad h_j eigenvector with eigenvalue half its j-th weight coordinate
         alg = JacobiAlgebra(n)
-        for h in alg.cartan:
+        for j, h in enumerate(alg.cartan):
             for g in alg.generators:
-                if alg.classify(g) is GenClass.CARTAN:
-                    continue
                 br = alg.bracket(h, g)
-                assert br.scalar == 0
-                assert set(br.terms) <= {g}
+                assert br.scalar == 0, (h, g)
+                assert set(br.terms) <= {g}, (h, g)
+                assert br.terms.get(g, 0) == alg.weight(g).coords[j] / 2, (h, g)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bracket_table_against_weyl_realization(self, n):

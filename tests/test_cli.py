@@ -48,13 +48,16 @@ class TestParseWeight:
             ("3/2,0", (Fraction(3, 2), 0)),
             ("d2", (0, 1)),
             ("2d1-3d2", (2, -3)),
+            ("d1 + d2", (1, 1)),
+            (" 2d1 - 3d2 ", (2, -3)),
         ],
     )
     def test_examples(self, text, coords):
         assert parse_weight(text, 2) == Weight.of(*coords)
 
     def test_malformed(self):
-        for bad in ("", "2x1", "d3", "1,2,3", "1/0,0"):
+        # juxtaposed terms would read as a product, not a sum
+        for bad in ("", "2x1", "d3", "1,2,3", "1/0,0", "d1d2", "2d1 d2"):
             with pytest.raises(ParseError):
                 parse_weight(bad, 2)
 
@@ -242,6 +245,12 @@ class TestExitCodes:
     def test_weight_parse_error_is_2(self, capsys):
         code, _, err = run_cli(capsys, "singular", "--n", "2", "--weight", "kaboom")
         assert code == 2
+
+    def test_juxtaposed_weight_terms_are_2(self, capsys):
+        code, out, err = run_cli(capsys, "singular", "--n", "2", "--weight", "d1d2")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: cannot read weight term at 'd2'\n"
 
     def test_budget_exhaustion_is_3(self, capsys):
         code, _, err = run_cli(

@@ -10,7 +10,6 @@ from jacobiverma.ring import (
     RatFuncQ,
     RingError,
     _div_int_terms,
-    _euclid_gcd_univariate,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -302,8 +301,9 @@ def split_linear_factors(draw):
 
 
 class TestUnivariateEuclid:
-    """gcd of products of known distinct linear factors in one variable,
-    which is the product of the shared factors, exactly."""
+    """``poly_gcd`` of products of known distinct linear factors in one
+    variable, where it runs the univariate Euclid: the product of the
+    shared factors, exactly."""
 
     @staticmethod
     def product(nvars, x, roots, scale=1):
@@ -324,20 +324,19 @@ class TestUnivariateEuclid:
         a = self.product(nvars, x, [r for r, k in factors if k in "ca"], sa)
         b = self.product(nvars, x, [r for r, k in factors if k in "cb"], sb)
         expected = self.product(nvars, x, [r for r, k in factors if k == "c"])
-        assert _euclid_gcd_univariate(a, b, x) == expected
-        assert _euclid_gcd_univariate(b, a, x) == expected
         assert poly_gcd(a, b) == expected
+        assert poly_gcd(b, a) == expected
 
     def test_repeated_and_coprime_factors(self):
         x = L(1, 1)
         a = (x - const(Fraction(1, 2), 1)) ** 3 * (x + const(2, 1))
         b = (x - const(Fraction(1, 2), 1)) ** 2 * (x - const(3, 1)) * const(-6, 1)
-        assert _euclid_gcd_univariate(a, b, 0) == (x - const(Fraction(1, 2), 1)) ** 2
-        assert _euclid_gcd_univariate(a, x - const(3, 1), 0) == const(1, 1)
+        assert poly_gcd(a, b) == (x - const(Fraction(1, 2), 1)) ** 2
+        assert poly_gcd(a, x - const(3, 1)) == const(1, 1)
 
     def test_divisor_is_its_own_gcd(self):
         a = (L(2) - const(1)) * (L(2) + const(Fraction(3, 4)))
-        assert _euclid_gcd_univariate(a * const(-3), a * (L(2) - const(5)), 1) == a
+        assert poly_gcd(a * const(-3), a * (L(2) - const(5))) == a
 
 
 class TestRatFunc:

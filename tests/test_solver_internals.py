@@ -60,6 +60,23 @@ class TestSplitFactors:
             L(2) - const(Fraction(5, 4)),
         }
 
+    def test_univariate_roots_and_quadratic_exact_list(self):
+        # three rational roots split off one at a time as affine factors,
+        # the irreducible quadratic kept whole, in ``poly_sort_key`` order
+        p = (
+            const(3)
+            * (L(2) - const(Fraction(1, 2)))
+            * (L(2) + const(2))
+            * (L(2) - const(Fraction(5, 3)))
+            * (L(2) ** 2 + L(2) + const(1))
+        )
+        assert _split_factors(p) == [
+            L(2) - const(Fraction(5, 3)),
+            L(2) - const(Fraction(1, 2)),
+            L(2) + const(2),
+            L(2) ** 2 + L(2) + const(1),
+        ]
+
     def test_univariate_irrational_cofactor_kept(self):
         p = (L(1) - const(2)) * (L(1) ** 2 - const(2))
         fs = _split_factors(p)
