@@ -67,10 +67,11 @@ class PbwMonomial:
         return cls.from_word(alg, [alg.index[g] for g in gens])
 
     def word(self) -> Tuple[int, ...]:
-        out: List[int] = []
+        out: Tuple[int, ...] = ()
         for idx, e in enumerate(self.exps):
-            out.extend([idx] * e)
-        return tuple(out)
+            if e:
+                out += (idx,) * e
+        return out
 
     @property
     def is_unit(self) -> bool:

@@ -6,21 +6,37 @@ value on the i-th Cartan generator.  The monomial order used throughout
 variable most significant, so that e.g. ``L2 - L1`` is monic and prints with
 ``L2`` first.
 
-A ``PolyQ`` is one integer numerator map ``num``, exponent tuple to nonzero
-int, over one positive integer denominator ``den``, kept canonical: the gcd
-of ``den`` and all the numerators is 1, and zero is the empty map over 1.
-Equal polynomials therefore store equal data, and equality and hashing
-compare it directly.  Every operation runs on integers and makes its result
-canonical with one gcd over its denominator and numerators: a sum brings
-the two maps to the lcm of the denominators, a product multiplies the maps
-(``_mul_int_terms``), and an exact division divides the numerators by the
-primitive part of the divisor (``_div_int_terms``), which by Gauss's lemma
-is exact in Z[L] whenever the division is exact in Q[L].  The fraction-free
-loops elsewhere (the module action in ``verma``, the solver's elimination,
-back-substitution and lift) read and make the same integer maps:
-``_numerators`` brings polynomials to one common denominator and
+A ``PolyQ`` is one integer numerator map ``num``, packed monomial key to
+nonzero int, over one positive integer denominator ``den``, kept canonical:
+the gcd of ``den`` and all the numerators is 1, and zero is the empty map
+over 1.  Equal polynomials therefore store equal data, and equality and
+hashing compare it directly.  Every operation runs on integers and makes its
+result canonical with one gcd over its denominator and numerators: a sum
+brings the two maps to the lcm of the denominators, a product multiplies the
+maps (``_mul_int_terms``), and an exact division divides the numerators by
+the primitive part of the divisor (``_div_int_terms``), which by Gauss's
+lemma is exact in Z[L] whenever the division is exact in Q[L].  The
+fraction-free loops elsewhere (the module action in ``verma``, the solver's
+elimination, back-substitution and lift) read and make the same integer
+maps: ``_numerators`` brings polynomials to one common denominator and
 ``PolyQ.from_int_terms`` makes a canonical polynomial of a map and a
 denominator.
+
+A monomial L1^e1 ... Ln^en is keyed by one int: the total degree in the top
+field and, below it, the exponents from the last variable down in 32-bit
+fields, en in bits 32(n-1) to 32n - 1 and e1 in bits 0 to 31.  Integer order
+on keys is therefore the graded-lex order above, a product of monomials is
+the sum of their keys, and the key of L_{i+1} is ``_unit(n, i)``.  Every
+monomial's total degree is kept below 2^31 (``_DEGREE_LIMIT``), so each
+field holds its exponent with its top bit clear: a difference of two keys
+has none of those guard bits set (``_guard``) exactly when the first
+monomial is divisible by the second, and it is then the key of the
+quotient.  The constructor raises ``RingError`` on a monomial outside that
+range, and so does every product whose leading keys add up to degree 2^31
+or more (one comparison per product, ``_bound``).  Exponent tuples appear
+only at the edges: the constructor ``PolyQ(nvars, {exps: c})``, ``terms``
+and ``leading``, and ``poly_sort_key``, which orders terms by tuple with
+the first variable most significant.
 
 The gcd machinery works on primitive integer polynomials only, since a gcd
 over Q is one up to a unit: contents in the main variable are chains of
@@ -46,7 +62,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm
-from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -56,63 +71,111 @@ class RingError(ValueError):
     pass
 
 
-def _monomial_key(exps: tuple) -> tuple:
-    # graded lex, later variables more significant
-    return (sum(exps), tuple(reversed(exps)))
+# -- packed monomials ---------------------------------------------------------
 
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+_DEGREE_LIMIT = 1 << (_FIELD - 1)
 
-# Integer term map: exponent tuple -> nonzero int, a polynomial's
+# Integer term map: packed monomial key -> nonzero int, a polynomial's
 # numerators over a denominator its user keeps.
-IntTerms = Dict[tuple, int]
+IntTerms = Dict[int, int]
 
 
-def _mul_int_terms(t1: IntTerms, t2: IntTerms) -> IntTerms:
-    """Product of two integer term maps, zero coefficients dropped."""
+def _pack(exps: Sequence[int]) -> int:
+    """The key of an exponent tuple; ``RingError`` unless every exponent is
+    nonnegative and the total degree is below 2^31."""
+    key = sum(exps)
+    if key >= _DEGREE_LIMIT or min(exps, default=0) < 0:
+        raise RingError(f"exponent tuple {tuple(exps)} is out of range: exponents must be nonnegative "
+                        f"with a total degree below 2^31")
+    for e in reversed(exps):
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    return tuple(key >> (_FIELD * i) & _MASK for i in range(nvars))
+
+
+def _exponent(key: int, i: int) -> int:
+    """The exponent of L_{i+1} in a key."""
+    return key >> (_FIELD * i) & _MASK
+
+
+def _degree(key: int, nvars: int) -> int:
+    """The total degree of a key."""
+    return key >> (_FIELD * nvars)
+
+
+def _unit(nvars: int, i: int) -> int:
+    """The key of L_{i+1}: each power of it adds this to a key."""
+    return 1 << (_FIELD * nvars) | 1 << (_FIELD * i)
+
+
+def _bound(nvars: int) -> int:
+    """The least key of total degree 2^31."""
+    return _DEGREE_LIMIT << (_FIELD * nvars)
+
+
+def _guard(nvars: int) -> int:
+    """The top bit of every exponent field."""
+    return (1 << (_FIELD * nvars)) // _MASK << (_FIELD - 1)
+
+
+def _mul_int_terms(t1: IntTerms, t2: IntTerms, nvars: int) -> IntTerms:
+    """Product of two integer term maps, zero coefficients dropped.  A
+    product by one term is a shift of the keys, with nothing to cancel."""
+    if max(t1, default=0) + max(t2, default=0) >= _bound(nvars):
+        raise RingError("total degree 2^31 or more")
+    if len(t1) == 1:
+        t1, t2 = t2, t1
+    if len(t2) == 1:
+        ((e2, c2),) = t2.items()
+        return {e1 + e2: c1 * c2 for e1, c1 in t1.items()}
     res: IntTerms = {}
+    get = res.get
     for e1, c1 in t1.items():
         for e2, c2 in t2.items():
-            e = tuple(map(add, e1, e2))
-            res[e] = res.get(e, 0) + c1 * c2
+            e = e1 + e2
+            res[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in res.items() if c}
 
 
-def _heap_key(exps: tuple) -> tuple:
-    # the graded-lex order reversed, for a min-heap, and the exponents
-    return (-sum(exps), tuple(-e for e in reversed(exps)), exps)
-
-
-def _div_int_terms(num: IntTerms, den: IntTerms) -> IntTerms:
+def _div_int_terms(num: IntTerms, den: IntTerms, nvars: int) -> IntTerms:
     """The quotient num/den in Z[L]; ``RingError`` unless it exists.
 
     Long division by the graded-lex leading term of ``den`` on one remainder
     map; it fails at the first leading term of the remainder that the
-    leading term of ``den`` does not divide, as a monomial or over Z.
-    Every term a step adds is below the leading term it removes, so the
-    remainder's exponents wait in a heap, each pushed when it enters the
-    map; one that has left it again is skipped when popped."""
-    d_exps = max(den, key=_monomial_key)
-    d_lc = den[d_exps]
-    rest = [(e, c) for e, c in den.items() if e != d_exps]
+    leading term of ``den`` does not divide, as a monomial (a guard bit set
+    in the difference of the keys) or over Z.  Every term a step adds is
+    below the leading term it removes, so the remainder's keys wait negated
+    in a min-heap, each pushed when it enters the map; one that has left it
+    again is skipped when popped."""
+    d_key = max(den)
+    d_lc = den[d_key]
+    rest = [(e, c) for e, c in den.items() if e != d_key]
+    guard = _guard(nvars)
     rem = dict(num)
-    heap = [_heap_key(e) for e in rem]
+    heap = [-e for e in rem]
     heapify(heap)
     quo: IntTerms = {}
     while heap:
-        r_exps = heappop(heap)[2]
-        c = rem.pop(r_exps, 0)
+        r_key = -heappop(heap)
+        c = rem.pop(r_key, 0)
         if not c:
             continue
-        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
+        q_key = r_key - d_key
         q, r = divmod(c, d_lc)
-        if r or min(q_exps) < 0:
+        if r or q_key & guard:
             raise RingError("inexact division of integer polynomials")
-        quo[q_exps] = q
+        quo[q_key] = q
         for e, c in rest:
-            e = tuple(map(add, q_exps, e))
+            e += q_key
             v = rem.get(e)
             if v is None:
                 rem[e] = -q * c
-                heappush(heap, _heap_key(e))
+                heappush(heap, -e)
             elif v == q * c:
                 del rem[e]
             else:
@@ -170,11 +233,6 @@ def _make(nvars: int, num: IntTerms, den: int) -> "PolyQ":
     return _poly(nvars, *_canonical(num, den))
 
 
-def _lead(terms: IntTerms) -> tuple:
-    """The graded-lex leading exponent tuple of a nonempty map."""
-    return max(terms, key=_monomial_key)
-
-
 class PolyQ:
     """Sparse multivariate polynomial over Q with a fixed number of
     variables: integer numerators ``num`` over the denominator ``den``."""
@@ -193,12 +251,12 @@ class PolyQ:
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise RingError(f"exponent tuple {exps} has wrong length for {nvars} variables")
-                coeffs.append((exps, c))
+                coeffs.append((_pack(exps), c))
                 if den % c.denominator:
                     den = lcm(den, c.denominator)
         num: IntTerms = {}
-        for exps, c in coeffs:
-            num[exps] = num.get(exps, 0) + c.numerator * (den // c.denominator)
+        for key, c in coeffs:
+            num[key] = num.get(key, 0) + c.numerator * (den // c.denominator)
         self.nvars = nvars
         self.num, self.den = _canonical({e: c for e, c in num.items() if c}, den)
 
@@ -210,7 +268,7 @@ class PolyQ:
 
     @classmethod
     def one(cls, nvars: int) -> "PolyQ":
-        return _poly(nvars, {(0,) * nvars: 1})
+        return _poly(nvars, {0: 1})
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "PolyQ":
@@ -218,7 +276,7 @@ class PolyQ:
             c = Fraction(c)
         if not c:
             return _poly(nvars, {})
-        return _poly(nvars, {(0,) * nvars: c.numerator}, c.denominator)
+        return _poly(nvars, {0: c.numerator}, c.denominator)
 
     @classmethod
     def from_int_terms(cls, nvars: int, terms: IntTerms, den: int = 1) -> "PolyQ":
@@ -231,9 +289,7 @@ class PolyQ:
         """The variable L_{i+1} (0-based index i)."""
         if not 0 <= i < nvars:
             raise RingError(f"variable index {i} out of range for {nvars} variables")
-        e = [0] * nvars
-        e[i] = 1
-        return _poly(nvars, {tuple(e): 1})
+        return _poly(nvars, {_unit(nvars, i): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -241,8 +297,8 @@ class PolyQ:
     def terms(self) -> Dict[tuple, Fraction]:
         """The coefficients as reduced ``Fraction``s, built on each access,
         for readers outside the package."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.num.items()}
+        den, nvars = self.den, self.nvars
+        return {_unpack(k, nvars): Fraction(c, den) for k, c in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -256,23 +312,23 @@ class PolyQ:
         """Maximum total degree; -1 for the zero polynomial."""
         if self.is_zero:
             return -1
-        return max(map(sum, self.num))
+        return _degree(max(self.num), self.nvars)
 
     def degree_in(self, i: int) -> int:
         if self.is_zero:
             return -1
-        return max(exps[i] for exps in self.num)
+        return max(_exponent(k, i) for k in self.num)
 
     def variables(self) -> tuple:
         """Indices of variables that actually occur."""
-        return tuple(sorted(_variables(self.num)))
+        return tuple(sorted(_variables(self.num, self.nvars)))
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the graded-lex leading term."""
         if self.is_zero:
             raise RingError("zero polynomial has no leading term")
-        exps = _lead(self.num)
-        return exps, Fraction(self.num[exps], self.den)
+        key = max(self.num)
+        return _unpack(key, self.nvars), Fraction(self.num[key], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -323,20 +379,23 @@ class PolyQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(self.nvars, _mul_int_terms(self.num, other.num), self.den * other.den)
+        return _make(self.nvars, _mul_int_terms(self.num, other.num, self.nvars), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise RingError("negative power of a polynomial")
+        if self.total_degree() * k >= _DEGREE_LIMIT:
+            raise RingError("total degree 2^31 or more")
         out = PolyQ.one(self.nvars)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, num: int, den: int = 1) -> "PolyQ":
@@ -371,27 +430,32 @@ class PolyQ:
         whose value has denominator d and occurs to the power e in a term,
         at most top times, multiplies it by d^(top - e) so that all terms
         are over one denominator."""
-        values = {}
-        for i, v in assignment.items():
-            if not 0 <= i < self.nvars:
+        nvars = self.nvars
+        occurring = 0
+        for k in self.num:
+            occurring |= k
+        top = {}
+        for i in assignment:
+            if not 0 <= i < nvars:
                 raise RingError(f"variable index {i} out of range")
-            values[i] = v if isinstance(v, PolyQ) else PolyQ.const(self.nvars, v)
-        top = {i: max(exps[i] for exps in self.num) for i in values} if self.num else {}
-        top = {i: t for i, t in top.items() if t}
+            if _exponent(occurring, i):
+                top[i] = max(_exponent(k, i) for k in self.num)
         if not top:
             return self
-        one = {(0,) * self.nvars: 1}
-        powers = {i: [one] for i in top}
+        values = {i: v if isinstance(v, PolyQ) else PolyQ.const(nvars, v) for i, v in assignment.items() if i in top}
+        powers = {i: [{0: 1}] for i in top}
+        units = {i: _unit(nvars, i) for i in top}
         res: IntTerms = {}
-        for exps, c in self.num.items():
-            term = {tuple(0 if i in top else e for i, e in enumerate(exps)): c}
+        for key, c in self.num.items():
+            exps = {i: _exponent(key, i) for i in top}
+            term = {key - sum(e * units[i] for i, e in exps.items()): c}
             for i, t in top.items():
                 e = exps[i]
                 pw = powers[i]
                 while len(pw) <= e:
-                    pw.append(_mul_int_terms(pw[-1], values[i].num))
+                    pw.append(_mul_int_terms(pw[-1], values[i].num, nvars))
                 if e:
-                    term = _mul_int_terms(term, pw[e])
+                    term = _mul_int_terms(term, pw[e], nvars)
                 d = values[i].den
                 if d != 1 and e < t:
                     term = {x: a * d ** (t - e) for x, a in term.items()}
@@ -414,10 +478,10 @@ class PolyQ:
             raise RingError("point has wrong length")
         if self.is_zero:
             return Fraction(0)
-        top = [max(exps[i] for exps in self.num) for i in range(self.nvars)]
+        top = [max(_exponent(k, i) for k in self.num) for i in range(self.nvars)]
         total = 0
-        for exps, c in self.num.items():
-            for x, e, t in zip(point, exps, top):
+        for key, c in self.num.items():
+            for x, e, t in zip(point, _unpack(key, self.nvars), top):
                 if t:
                     c *= x.numerator ** e * x.denominator ** (t - e)
             total += c
@@ -432,7 +496,7 @@ class PolyQ:
         """Divide by the graded-lex leading coefficient (zero stays zero)."""
         if self.is_zero:
             return self
-        lc = self.num[_lead(self.num)]
+        lc = self.num[max(self.num)]
         if lc == self.den:
             return self
         return _make(self.nvars, self.num, lc)
@@ -442,7 +506,7 @@ class PolyQ:
         if self.is_zero:
             return Fraction(0)
         content = Fraction(_content(self.num), self.den)
-        return content if self.num[_lead(self.num)] > 0 else -content
+        return content if self.num[max(self.num)] > 0 else -content
 
     # -- division ----------------------------------------------------------
 
@@ -463,7 +527,7 @@ class PolyQ:
         content = _content(divisor.num)
         primitive = divisor.num if content == 1 else {e: v // content for e, v in divisor.num.items()}
         try:
-            quo = _div_int_terms(self.num, primitive)
+            quo = _div_int_terms(self.num, primitive, self.nvars)
         except RingError:
             return None
         return _make(self.nvars, {e: v * divisor.den for e, v in quo.items()}, self.den * content)
@@ -494,11 +558,11 @@ class PolyQ:
             return "0"
         den = self.den
         parts = []
-        for exps in sorted(self.num, key=_monomial_key, reverse=True):
-            c = self.num[exps]
+        for key in sorted(self.num, reverse=True):
+            c = self.num[key]
             factors = []
             for i in range(self.nvars - 1, -1, -1):
-                e = exps[i]
+                e = _exponent(key, i)
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
@@ -542,16 +606,17 @@ def frac_latex(q: Fraction) -> str:
 # integer factor, primitive (content 1); the PolyQ functions make them monic.
 
 
-def _variables(terms: IntTerms) -> set:
-    return {i for i, column in enumerate(zip(*terms)) if any(column)}
+def _variables(terms: IntTerms, nvars: int) -> set:
+    # a field of the bitwise or of the keys is nonzero where some key's is
+    occurring = 0
+    for k in terms:
+        occurring |= k
+    return {i for i in range(nvars) if _exponent(occurring, i)}
 
 
 def _is_constant(terms: IntTerms) -> bool:
-    return not any(map(any, terms))
-
-
-def _one_like(terms: IntTerms) -> IntTerms:
-    return {(0,) * len(next(iter(terms))): 1}
+    # the constant monomial is the key 0
+    return not any(terms)
 
 
 def _primitive_terms(terms: IntTerms) -> IntTerms:
@@ -559,48 +624,52 @@ def _primitive_terms(terms: IntTerms) -> IntTerms:
     return terms if g == 1 else {e: c // g for e, c in terms.items()}
 
 
-def _derivative(terms: IntTerms, i: int) -> IntTerms:
+def _derivative(terms: IntTerms, i: int, nvars: int) -> IntTerms:
+    unit = _unit(nvars, i)
     res: IntTerms = {}
-    for exps, c in terms.items():
-        e = exps[i]
+    for k, c in terms.items():
+        e = _exponent(k, i)
         if e:
-            res[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+            res[k - unit] = c * e
     return res
 
 
 def _monic(nvars: int, terms: IntTerms) -> PolyQ:
-    return _make(nvars, terms, terms[_lead(terms)])
+    return _make(nvars, terms, terms[max(terms)])
 
 
-def _in_x(terms: IntTerms, x: int) -> Dict[int, IntTerms]:
+def _in_x(terms: IntTerms, x: int, nvars: int) -> Dict[int, IntTerms]:
     """The map as a polynomial in variable x: degree -> coefficient, an
     integer map with the x exponent zeroed."""
+    unit = _unit(nvars, x)
     out: Dict[int, IntTerms] = {}
-    for exps, c in terms.items():
-        out.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1:]] = c
+    for k, c in terms.items():
+        d = _exponent(k, x)
+        out.setdefault(d, {})[k - d * unit] = c
     return out
 
 
-def _from_x(coeffs: Mapping[int, IntTerms], x: int) -> IntTerms:
-    return {exps[:x] + (d,) + exps[x + 1:]: c for d, t in coeffs.items() for exps, c in t.items()}
+def _from_x(coeffs: Mapping[int, IntTerms], x: int, nvars: int) -> IntTerms:
+    unit = _unit(nvars, x)
+    return {k + d * unit: c for d, t in coeffs.items() for k, c in t.items()}
 
 
-def _gcd_chain(g: Optional[IntTerms], polys: Iterable[IntTerms]) -> IntTerms:
+def _gcd_chain(g: Optional[IntTerms], polys: Iterable[IntTerms], nvars: int) -> IntTerms:
     """A primitive gcd of g (when given) and the nonzero maps ``polys``,
     folded from the fewest terms up, stopping at the first constant."""
     for p in sorted(polys, key=len):
-        g = _primitive_terms(p) if g is None else _gcd_terms(g, p)
+        g = _primitive_terms(p) if g is None else _gcd_terms(g, p, nvars)
         if _is_constant(g):
-            return _one_like(g)
+            return {0: 1}
     return g
 
 
-def _content_in(terms: IntTerms, x: int) -> IntTerms:
+def _content_in(terms: IntTerms, x: int, nvars: int) -> IntTerms:
     """A primitive gcd of the coefficients of the map viewed in x."""
-    return _gcd_chain(None, _in_x(terms, x).values())
+    return _gcd_chain(None, _in_x(terms, x, nvars).values(), nvars)
 
 
-def _gcd_terms(a: IntTerms, b: IntTerms) -> IntTerms:
+def _gcd_terms(a: IntTerms, b: IntTerms, nvars: int) -> IntTerms:
     """A primitive gcd in Z[L] of two nonzero integer polynomials.
 
     The main variable x is the largest one that occurs.  When only one
@@ -608,26 +677,26 @@ def _gcd_terms(a: IntTerms, b: IntTerms) -> IntTerms:
     coefficient of that one in x, and the chain starts at the other
     argument.  Otherwise the contents in x split off, their gcd recurses,
     and the primitive parts go through a primitive PRS in x."""
-    va, vb = _variables(a), _variables(b)
+    va, vb = _variables(a, nvars), _variables(b, nvars)
     if not va or not vb:
-        return _one_like(a)
+        return {0: 1}
     x = max(va | vb)
     if x not in va:
         a, b, va, vb = b, a, vb, va
     if x not in vb:
-        return _gcd_chain(b, _in_x(a, x).values())
+        return _gcd_chain(b, _in_x(a, x, nvars).values(), nvars)
     if len(va) == 1 and len(vb) == 1:
-        return _univariate_gcd(a, b, x)
-    ca, cb = _content_in(a, x), _content_in(b, x)
-    pa = a if _is_constant(ca) else _div_int_terms(a, ca)
-    pb = b if _is_constant(cb) else _div_int_terms(b, cb)
-    g = _from_x(_primitive_prs(_in_x(pa, x), _in_x(pb, x)), x)
+        return _univariate_gcd(a, b, x, nvars)
+    ca, cb = _content_in(a, x, nvars), _content_in(b, x, nvars)
+    pa = a if _is_constant(ca) else _div_int_terms(a, ca, nvars)
+    pb = b if _is_constant(cb) else _div_int_terms(b, cb, nvars)
+    g = _from_x(_primitive_prs(_in_x(pa, x, nvars), _in_x(pb, x, nvars), nvars), x, nvars)
     if _is_constant(ca) or _is_constant(cb):
         return g
-    return _mul_int_terms(_gcd_terms(ca, cb), g)
+    return _mul_int_terms(_gcd_terms(ca, cb, nvars), g, nvars)
 
 
-def _pseudo_rem(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, IntTerms]:
+def _pseudo_rem(a: Dict[int, IntTerms], b: Dict[int, IntTerms], nvars: int) -> Dict[int, IntTerms]:
     """The pseudo-remainder of a by b, both degree -> coefficient maps in
     one variable, up to an integer factor: each step is lb a - la x^k b for
     the leading coefficients lb and la, with the integer content of the
@@ -639,11 +708,11 @@ def _pseudo_rem(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, Int
     while r and max(r) >= db:
         dr = max(r)
         lr = r[dr]
-        out = {d: _mul_int_terms(lb, c) for d, c in r.items() if d != dr}
+        out = {d: _mul_int_terms(lb, c, nvars) for d, c in r.items() if d != dr}
         for d, c in rest:
             d += dr - db
             t = out.setdefault(d, {})
-            for e, v in _mul_int_terms(lr, c).items():
+            for e, v in _mul_int_terms(lr, c, nvars).items():
                 v = t.get(e, 0) - v
                 if v:
                     t[e] = v
@@ -660,7 +729,7 @@ def _pseudo_rem(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, Int
     return r
 
 
-def _primitive_prs(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, IntTerms]:
+def _primitive_prs(a: Dict[int, IntTerms], b: Dict[int, IntTerms], nvars: int) -> Dict[int, IntTerms]:
     """The gcd of two polynomials in one variable over Z[other variables],
     each primitive in that variable: the last nonzero term of the primitive
     PRS, made primitive over Z."""
@@ -668,12 +737,12 @@ def _primitive_prs(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, 
         a, b = b, a
     while b:
         if not max(b):
-            return {0: _one_like(b[0])}
-        r = _pseudo_rem(a, b)
+            return {0: {0: 1}}
+        r = _pseudo_rem(a, b, nvars)
         if r:
-            content = _gcd_chain(None, r.values())
+            content = _gcd_chain(None, r.values(), nvars)
             if not _is_constant(content):
-                r = {d: _div_int_terms(c, content) for d, c in r.items()}
+                r = {d: _div_int_terms(c, content, nvars) for d, c in r.items()}
         a, b = b, r
     g = 0
     for c in a.values():
@@ -681,14 +750,14 @@ def _primitive_prs(a: Dict[int, IntTerms], b: Dict[int, IntTerms]) -> Dict[int, 
     return {d: {e: v // g for e, v in c.items()} for d, c in a.items()}
 
 
-def _univariate_gcd(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
+def _univariate_gcd(a: IntTerms, b: IntTerms, x: int, nvars: int) -> IntTerms:
     """A primitive gcd of two nonzero integer polynomials in x alone, by the
     primitive PRS on dense coefficient lists indexed by degree."""
 
     def dense(t: IntTerms) -> list:
-        out = [0] * (max(exps[x] for exps in t) + 1)
-        for exps, c in t.items():
-            out[exps[x]] = c
+        out = [0] * (max(_exponent(k, x) for k in t) + 1)
+        for k, c in t.items():
+            out[_exponent(k, x)] = c
         return out
 
     def primitive(u: list) -> list:
@@ -723,13 +792,13 @@ def _univariate_gcd(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
         u, v = v, primitive(u)
     if len(v) == 1:
         v = [1]
-    exps = next(iter(a))  # zero but in x
-    return {exps[:x] + (d,) + exps[x + 1:]: c for d, c in enumerate(v) if c}
+    unit = _unit(nvars, x)
+    return {d * unit: c for d, c in enumerate(v) if c}
 
 
 def content_in(p: PolyQ, x: int) -> PolyQ:
     """gcd of the Q[rest]-coefficients of p viewed in the variable x, monic."""
-    return _monic(p.nvars, _content_in(p.num, x))
+    return _monic(p.nvars, _content_in(p.num, x, p.nvars))
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
@@ -747,7 +816,7 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
         return a.monic()
     if a.is_constant or b.is_constant:
         return PolyQ.one(a.nvars)
-    return _monic(a.nvars, _gcd_terms(a.num, b.num))
+    return _monic(a.nvars, _gcd_terms(a.num, b.num, a.nvars))
 
 
 def squarefree_part(p: PolyQ) -> PolyQ:
@@ -759,21 +828,21 @@ def squarefree_part(p: PolyQ) -> PolyQ:
         return PolyQ.one(p.nvars)
     if p.total_degree() == 1:
         return p.monic()
-    return _monic(p.nvars, _squarefree_terms(p.num))
+    return _monic(p.nvars, _squarefree_terms(p.num, p.nvars))
 
 
-def _squarefree_terms(terms: IntTerms) -> IntTerms:
+def _squarefree_terms(terms: IntTerms, nvars: int) -> IntTerms:
     """The squarefree part of a nonconstant integer polynomial, primitive:
     in the largest variable x, the primitive part q over the content c
     divided by gcd(q, dq/dx), times the squarefree part of c."""
-    x = max(_variables(terms))
-    c = _content_in(terms, x)
-    q = _primitive_terms(terms if _is_constant(c) else _div_int_terms(terms, c))
-    g = _gcd_terms(q, _derivative(q, x))
-    sf = q if _is_constant(g) else _div_int_terms(q, g)
+    x = max(_variables(terms, nvars))
+    c = _content_in(terms, x, nvars)
+    q = _primitive_terms(terms if _is_constant(c) else _div_int_terms(terms, c, nvars))
+    g = _gcd_terms(q, _derivative(q, x, nvars), nvars)
+    sf = q if _is_constant(g) else _div_int_terms(q, g, nvars)
     if _is_constant(c):
         return sf
-    return _mul_int_terms(_squarefree_terms(c), sf)
+    return _mul_int_terms(_squarefree_terms(c, nvars), sf, nvars)
 
 
 def rational_roots(p: PolyQ) -> list:
@@ -785,7 +854,7 @@ def rational_roots(p: PolyQ) -> list:
     if len(vs) != 1:
         raise RingError("rational_roots needs a univariate polynomial")
     x = vs[0]
-    coeffs = {exps[x]: c for exps, c in p.num.items()}
+    coeffs = {_exponent(k, x): c for k, c in p.num.items()}
     deg = max(coeffs)
     low = min(coeffs)
     roots = [Fraction(0)] if low > 0 else []
@@ -812,13 +881,11 @@ def rational_roots(p: PolyQ) -> list:
 
 def poly_sort_key(p: PolyQ) -> tuple:
     """Total order on polynomials for canonical listings: the total degree,
-    then the terms in ascending exponent order with their rational
+    then the terms in ascending order of their exponent tuples (the first
+    variable most significant, not the key order) with their rational
     coefficients."""
-    den = p.den
-    if den == 1:
-        terms = sorted(p.num.items())
-    else:
-        terms = [(e, Fraction(c, den)) for e, c in sorted(p.num.items())]
+    den, nvars = p.den, p.nvars
+    terms = sorted((_unpack(k, nvars), c if den == 1 else Fraction(c, den)) for k, c in p.num.items())
     return (p.total_degree(), tuple(terms))
 
 
@@ -845,11 +912,12 @@ class RatFuncQ:
             if not den.is_constant and not num.is_constant:
                 # g is primitive, so each quotient over the old
                 # denominator is canonical
-                g = _gcd_terms(num.num, den.num)
+                nvars = num.nvars
+                g = _gcd_terms(num.num, den.num, nvars)
                 if not _is_constant(g):
-                    num = _poly(num.nvars, _div_int_terms(num.num, g), num.den)
-                    den = _poly(num.nvars, _div_int_terms(den.num, g), den.den)
-            lc = den.num[_lead(den.num)]
+                    num = _poly(nvars, _div_int_terms(num.num, g, nvars), num.den)
+                    den = _poly(nvars, _div_int_terms(den.num, g, nvars), den.den)
+            lc = den.num[max(den.num)]
             if lc != den.den:
                 num = num.scale(den.den, lc)
                 den = den.monic()

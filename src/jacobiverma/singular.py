@@ -59,10 +59,14 @@ from .ring import (
     IntTerms,
     PolyQ,
     RatFuncQ,
+    RingError,
+    _bound,
+    _degree,
     _div_int_terms,
-    _monomial_key,
+    _guard,
     _mul_int_terms,
     _numerators,
+    _unit,
     content_in,
     poly_gcd,
     poly_sort_key,
@@ -234,9 +238,9 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     ansatz = enumerate_ansatz(alg, w)
     columns = [m for m in ansatz if not any(m.exps[i] for i in alg.aplus)]
     n = alg.n
-    one = {(0,) * n: 1}
+    one = {0: 1}
     # L_i - 1/4 = (4 L_i - 1) / 4
-    shifted = _CartanValues([{tuple(int(i == j) for j in range(n)): 4, (0,) * n: -1} for i in range(n)], 4)
+    shifted = _CartanValues(alg, [{_unit(n, i): 4, 0: -1} for i in range(n)], 4)
     zero = PolyQ.zero(n)
     words = [m.word() for m in columns]
     order = itemgetter(*_ansatz_signature(alg))
@@ -275,16 +279,17 @@ def _reduce_poly(p: PolyQ, constraints: ConstraintSet) -> PolyQ:
         return constraints.substitute(p)
     if not constraints.equations:
         return p
+    guard = _guard(p.nvars)
     changed = True
     while changed and not p.is_zero:
         changed = False
         for eq in constraints.equations:
-            d_exps = max(eq.num, key=_monomial_key)
-            for exps in sorted(p.num, key=_monomial_key, reverse=True):
-                q_exps = tuple(a - b for a, b in zip(exps, d_exps))
-                if all(e >= 0 for e in q_exps):
+            d_key = max(eq.num)
+            for key in sorted(p.num, reverse=True):
+                q_key = key - d_key
+                if not q_key & guard:
                     # the term of p over the leading term of eq
-                    quotient = PolyQ.from_int_terms(p.nvars, {q_exps: p.num[exps] * eq.den}, p.den * eq.num[d_exps])
+                    quotient = PolyQ.from_int_terms(p.nvars, {q_key: p.num[key] * eq.den}, p.den * eq.num[d_key])
                     p = p - quotient * eq
                     changed = True
                     break
@@ -428,8 +433,9 @@ def _eliminate(
     non-constant pivot polynomials in order of use).
     """
     rows = [_content_free(_numerators(row)[0]) for row in matrix if any(not e.is_zero for e in row)]
-    constant = (0,) * nvars
-    one = {constant: 1}
+    # the constant monomial is the key 0
+    one = {0: 1}
+    bound = _bound(nvars)
     pivots: List[Tuple[List[IntTerms], int]] = []
     used: Set[int] = set()
     nonconstant: List[PolyQ] = []
@@ -441,13 +447,13 @@ def _eliminate(
                 for c in range(ncols)
                 if c not in used
                 for ri, row in enumerate(rows)
-                if len(row[c]) == 1 and constant in row[c]
+                if len(row[c]) == 1 and 0 in row[c]
             ),
             None,
         )
         if best is None:
             best = min(
-                ((max(map(sum, e)), c, ri) for ri, row in enumerate(rows) for c, e in enumerate(row) if e),
+                ((_degree(max(e), nvars), c, ri) for ri, row in enumerate(rows) for c, e in enumerate(row) if e),
                 default=None,
             )
         if best is None:
@@ -455,13 +461,16 @@ def _eliminate(
         _, c, ri = best
         prow = rows.pop(ri)
         p = prow[c]
-        if p[max(p, key=_monomial_key)] < 0:
+        if p[max(p)] < 0:
             prow = [{e: -a for e, a in t.items()} for t in prow]
             p = prow[c]
-        if any(map(any, p)):
+        if any(p):
             nonconstant.append(PolyQ.from_int_terms(nvars, p))
         used.add(c)
         support = [j for j in range(ncols) if prow[j] and j != c]
+        # with the largest key of f, one comparison guards the degree limit
+        # of every product f prow[j] that the update subtracts term by term
+        reach = max(max(prow[j]) for j in support) if support else 0
         content = gcd(*p.values())
         primitive = {e: a // content for e, a in p.items()}
         divide = prev != one
@@ -474,17 +483,22 @@ def _eliminate(
                 continue
             g = gcd(content, *f.values())
             k = primitive if g == content else {e: a // g for e, a in p.items()}
-            row = list(row) if k == one else [_mul_int_terms(k, t) if t else t for t in row]
+            row = list(row) if k == one else [_mul_int_terms(k, t, nvars) if t else t for t in row]
             row[c] = {}
             if f:
                 f = {e: a // g for e, a in f.items()}
+                if max(f) + reach >= bound:
+                    raise RingError("total degree 2^31 or more")
                 for j in support:
                     t = dict(row[j])
-                    for e, a in _mul_int_terms(f, prow[j]).items():
-                        t[e] = t.get(e, 0) - a
+                    get = t.get
+                    for e1, a1 in f.items():
+                        for e2, a2 in prow[j].items():
+                            e = e1 + e2
+                            t[e] = get(e, 0) - a1 * a2
                     row[j] = {e: a for e, a in t.items() if a}
             if divide:
-                row = [_div_int_terms(t, prev) if t else t for t in row]
+                row = [_div_int_terms(t, prev, nvars) if t else t for t in row]
             if any(row):
                 remaining.append(_content_free(row))
         rows = remaining
@@ -510,7 +524,7 @@ def _kernel_from_pivots(
     ``PolyQ`` once, for ``_primitive``.
     """
     free = [c for c in range(ncols) if c not in used]
-    one = {(0,) * nvars: 1}
+    one = {0: 1}
     vectors: List[List[PolyQ]] = []
     for f in free:
         v: List[Optional[IntTerms]] = [None] * ncols
@@ -523,13 +537,13 @@ def _kernel_from_pivots(
                     continue
                 if v[j] is None:
                     raise AssertionError("back-substitution order violated")
-                for e, a in _mul_int_terms(t, v[j]).items():
+                for e, a in _mul_int_terms(t, v[j], nvars).items():
                     s[e] = s.get(e, 0) + a
             p = prow[c]
             g = gcd(*p.values(), *s.values())
             p = {e: a // g for e, a in p.items()}
             if p != one:
-                v = [_mul_int_terms(x, p) if x else x for x in v]
+                v = [_mul_int_terms(x, p, nvars) if x else x for x in v]
             v[c] = {e: -a // g for e, a in s.items() if a}
         vectors.append(_primitive([PolyQ.from_int_terms(nvars, t) for t in v]))
     return vectors
@@ -556,7 +570,7 @@ def _primitive(vec: List[PolyQ]) -> List[PolyQ]:
         vec = [p // g for p in vec]
         nonzero = [p for p in vec if not p.is_zero]
     last = nonzero[-1]
-    lc = last.num[max(last.num, key=_monomial_key)]
+    lc = last.num[max(last.num)]
     if lc == last.den:
         return vec
     return [p.scale(last.den, lc) for p in vec]

@@ -14,10 +14,15 @@ the coefficients integer polynomials over one common denominator, and the
 values of the Cartan generators on v0 (``_CartanValues``).  Each word is
 rewritten by the integer rewrite ``pbw._normal_sums``; a sorted word that
 ends in a lowering letter kills v0 and is skipped before anything is built
-for it, and in the others h^e multiplies the coefficient by the value's
-product, so every term adds integers and no ``Fraction``, ``PbwMonomial``
-or enveloping-algebra element is formed per term.  At the formal weight
-the values are the variables L_i themselves, so h^e multiplies by L^e:
+for it.  In the others the Cartan letters are the sorted tail after the
+raising prefix, and the coefficient is multiplied by the product of the
+values over that tail, which ``_CartanValues`` keeps per tail as packed
+integer terms (``ring``) with its largest key: each monomial product is
+one addition of keys, and one comparison of the largest keys per
+surviving word guards the degree limit.  Every term adds integers, and no
+``Fraction``, ``PbwMonomial``, exponent tuple or enveloping-algebra
+element is formed per term.  At the formal weight the values are the
+variables L_i themselves, so h^e multiplies by L^e:
 ``act`` and ``apply_word_to_v0`` run the kernel there and make each
 coordinate of the result one canonical ``PolyQ`` of its integer sums.
 ``is_singular`` runs it at a branch's weight, the values of the branch's
@@ -29,14 +34,24 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
 # ``normal_order`` is not called here any more; it stays importable from this
 # module, where perfbench/workloads.py wraps it.
 from .pbw import PbwMonomial, _index_word, _normal_sums, monomial_weight, normal_order  # noqa: F401
-from .ring import IntTerms, PolyQ, _mul_int_terms, _numerators, poly_sort_key, squarefree_part
+from .ring import (
+    IntTerms,
+    PolyQ,
+    RingError,
+    _bound,
+    _exponent,
+    _mul_int_terms,
+    _numerators,
+    _unit,
+    poly_sort_key,
+    squarefree_part,
+)
 
 
 VECTOR_JSON_SCHEMA = {
@@ -132,9 +147,9 @@ class VermaVector:
         return "VermaVector(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
 
 
-# Module vector under construction: raising word -> L-exponent -> integer
-# numerator over the denominator of the call.
-_Accumulator = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+# Module vector under construction: raising word -> packed L-monomial ->
+# integer numerator over the denominator of the call.
+_Accumulator = Dict[Tuple[int, ...], IntTerms]
 
 
 class _CartanValues:
@@ -146,14 +161,19 @@ class _CartanValues:
     ``singular.assemble_system`` the shifted values L_i - 1/4 of the copy
     of sp(n) that commutes with the Heisenberg part.
 
-    Products of the values are cached per Cartan exponent for the life of
-    the object; the formal values are one object per algebra.
+    The products are kept per Cartan tail, the sorted run of Cartan
+    indices that ends a word of the normal form, each with its largest
+    key, for the life of the object; a tail's product is its prefix's
+    times one value.  The formal values are one object per algebra.
     """
 
-    def __init__(self, values: Sequence[IntTerms], den: int):
+    def __init__(self, alg: JacobiAlgebra, values: Sequence[IntTerms], den: int):
         self.values = values
         self.den = den
-        self._products: Dict[Tuple[int, ...], IntTerms] = {}
+        self.first = alg.num_positive
+        self.nvars = alg.n
+        self.bound = _bound(alg.n)
+        self._products: Dict[Tuple[int, ...], Tuple[IntTerms, int]] = {(): ({0: 1}, 0)}
 
     @classmethod
     def formal(cls, alg: JacobiAlgebra) -> "_CartanValues":
@@ -161,20 +181,17 @@ class _CartanValues:
         algebra, so the products L^e are computed once per algebra."""
         values = alg._formal_cartan
         if values is None:
-            n = alg.n
-            values = cls([{tuple(int(i == j) for j in range(n)): 1} for i in range(n)], 1)
+            values = cls(alg, [{_unit(alg.n, i): 1} for i in range(alg.n)], 1)
             alg._formal_cartan = values
         return values
 
-    def cartan(self, exps: Tuple[int, ...]) -> IntTerms:
-        """h^exps v0 as an integer polynomial over den ** sum(exps)."""
-        out = self._products.get(exps)
+    def cartan(self, tail: Tuple[int, ...]) -> Tuple[IntTerms, int]:
+        """h^tail v0 as an integer polynomial over den ** len(tail), and its
+        largest key (0 when it is zero)."""
+        out = self._products.get(tail)
         if out is None:
-            out = {(0,) * len(exps): 1}
-            for value, e in zip(self.values, exps):
-                for _ in range(e):
-                    out = _mul_int_terms(out, value)
-            self._products[exps] = out
+            terms = _mul_int_terms(self.cartan(tail[:-1])[0], self.values[tail[-1] - self.first], self.nvars)
+            out = self._products[tail] = (terms, max(terms, default=0))
         return out
 
 
@@ -186,10 +203,11 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
     One ``pbw._normal_sums`` call per word, and one pass over the sorted
     words it returns: a sorted word has its lowering letters last, so the
     words that end in one kill v0 and are skipped; in the others the Cartan
-    letters are the run after the raising prefix, and h^e multiplies c by
-    ``weight.cartan(e)``, while the raising prefix is kept as the key.  The
-    rewrite's denominators are powers of 2, and the Cartan values' powers
-    of ``weight.den``; both are brought to their largest power in the call,
+    letters are the tail after the raising prefix, and h^tail multiplies c
+    by ``weight.cartan(tail)``, each monomial product one addition of keys,
+    while the raising prefix is kept as the key.  The rewrite's
+    denominators are powers of 2, and the Cartan values' powers of
+    ``weight.den``; both are brought to their largest power in the call,
     so every term adds integers.  Returns the sums and the denominator by
     which they are to be divided, besides that of the c.
     """
@@ -199,31 +217,34 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
     top = 1
     depth = 0
     for word, coeff in products:
+        cmax = max(coeff, default=0)
         for w, (num, den) in _normal_sums(alg, word).items():
             if w and w[-1] >= low:
                 continue
             k = bisect_left(w, npos)
-            cartan = [0] * alg.n
-            for i in w[k:]:
-                cartan[i - npos] += 1
-            degree = len(w) - k
-            leaves.append((w[:k], tuple(cartan), degree, num, den, coeff))
+            tail = w[k:]
+            leaves.append((w[:k], tail, num, den, coeff, cmax))
             if den > top:
                 top = den
-            if degree > depth:
-                depth = degree
+            if len(tail) > depth:
+                depth = len(tail)
+    cartan, bound, wden = weight.cartan, weight.bound, weight.den
     acc: _Accumulator = {}
-    for raising, cartan, degree, num, den, coeff in leaves:
+    for raising, tail, num, den, coeff, cmax in leaves:
         slot = acc.get(raising)
         if slot is None:
             slot = acc[raising] = {}
-        f = num * (top // den) * weight.den ** (depth - degree)
-        value = weight.cartan(cartan)
+        value, vmax = cartan(tail)
+        if cmax + vmax >= bound:
+            raise RingError("total degree 2^31 or more")
+        f = num * (top // den) * wden ** (depth - len(tail))
+        get = slot.get
         for e1, a in coeff.items():
+            a *= f
             for e2, b in value.items():
-                e = tuple(map(add, e1, e2))
-                slot[e] = slot.get(e, 0) + f * a * b
-    return acc, top * weight.den ** depth
+                e = e1 + e2
+                slot[e] = get(e, 0) + a * b
+    return acc, top * wden ** depth
 
 
 def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
@@ -382,8 +403,8 @@ def _affine_solve(nvars: int, eqs: Sequence[PolyQ]) -> Optional[Tuple[Tuple[int,
             raise InconsistentConstraintsError("constraints are inconsistent")
         target = max(p.variables())
         # p = (coeff L_target + rest) / den, so L_target = -rest / coeff
-        coeff = next(c for exps, c in p.num.items() if exps[target] == 1)
-        expr = PolyQ.from_int_terms(nvars, {e: -c for e, c in p.num.items() if not e[target]}, coeff)
+        coeff = next(c for k, c in p.num.items() if _exponent(k, target) == 1)
+        expr = PolyQ.from_int_terms(nvars, {k: -c for k, c in p.num.items() if not _exponent(k, target)}, coeff)
         solved = [(v, e.subs({target: expr})) for v, e in solved]
         solved.append((target, expr))
         pending = [q.subs({target: expr}) for q in pending]
@@ -425,7 +446,7 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
             message="constraints have no affine solved form; cannot verify",
         )
     nvars = constraints.nvars
-    weight = _CartanValues(*_numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]))
+    weight = _CartanValues(alg, *_numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]))
     coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
     words = [m.word() for m in v.terms]
     report = SingularityReport()

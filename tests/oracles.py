@@ -352,8 +352,8 @@ class FracPoly:
 
     @classmethod
     def of(cls, p: PolyQ) -> "FracPoly":
-        """The reference copy of a PolyQ, read from its integer data."""
-        return cls(p.nvars, {e: Fraction(c, p.den) for e, c in p.num.items()})
+        """The reference copy of a PolyQ, read through its exponent-tuple view."""
+        return cls(p.nvars, p.terms)
 
     def __add__(self, other: "FracPoly") -> "FracPoly":
         out = dict(self.terms)

@@ -252,6 +252,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "parse error: cannot read weight term at 'd2'\n"
 
+    def test_exponent_past_the_monomial_limit_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "act", "--n", "2", "a-[1]", "(L1^99999999999) a+[1]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        code, out, _ = run_cli(capsys, "act", "--n", "2", "a-[1]", "(L1^99999) a+[1]")
+        assert code == 0
+        assert out.strip() == "L1^99999"
+        # the module kernel multiplies by L1 past the limit
+        code, _, err = run_cli(capsys, "act", "--n", "2", "b-1", "(L1^2147483647) b+1")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_budget_exhaustion_is_3(self, capsys):
         code, _, err = run_cli(
             capsys,

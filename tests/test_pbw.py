@@ -301,3 +301,15 @@ class TestWeights:
                 if m.is_unit and not total.is_zero:
                     pytest.fail(f"scalar term from word of weight {total}")
                 assert monomial_weight(ALG, m) == total
+
+
+class TestWords:
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_word_of_word_is_the_monomial(self, n, data):
+        alg = JacobiAlgebra(n)
+        exps = data.draw(st.tuples(*[st.integers(0, 3)] * len(alg.generators)))
+        m = PbwMonomial(exps)
+        word = m.word()
+        assert list(word) == sorted(word) and len(word) == sum(exps)
+        assert PbwMonomial.from_word(alg, word) == m

@@ -10,7 +10,11 @@ from jacobiverma.ring import (
     RatFuncQ,
     RingError,
     _div_int_terms,
+    _guard,
+    _pack,
+    _unpack,
     poly_gcd,
+    poly_sort_key,
     rational_roots,
     squarefree_part,
 )
@@ -149,6 +153,13 @@ class TestArithmetic:
         assert (a + b).eval_all(pt) == a.eval_all(pt) + b.eval_all(pt)
 
 
+def _int_terms(terms, nvars=2):
+    """The integer term map of integer coefficients given by exponent tuple."""
+    p = PolyQ(nvars, terms)
+    assert p.den == 1
+    return p.num
+
+
 def _no_zero_coefficient(p):
     return all(c != 0 for c in p.terms.values())
 
@@ -202,21 +213,21 @@ class TestProductsAndDivision:
 
     def test_integer_quotient(self):
         # (2 L1 + 3 L2)(L1 - L2) / (2 L1 + 3 L2), all in Z[L]
-        num = {(2, 0): 2, (1, 1): 1, (0, 2): -3}
-        assert _div_int_terms(num, {(1, 0): 2, (0, 1): 3}) == {(1, 0): 1, (0, 1): -1}
+        num = _int_terms({(2, 0): 2, (1, 1): 1, (0, 2): -3})
+        assert _div_int_terms(num, _int_terms({(1, 0): 2, (0, 1): 3}), 2) == _int_terms({(1, 0): 1, (0, 1): -1})
 
     def test_integer_division_with_a_remainder_raises(self):
         # L1^2 + 1 = (L1 + 1)(L1 - 1) + 2
         with pytest.raises(RingError):
-            _div_int_terms({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})
+            _div_int_terms(_int_terms({(2, 0): 1, (0, 0): 1}), _int_terms({(1, 0): 1, (0, 0): 1}), 2)
 
     def test_integer_division_by_a_leading_term_that_does_not_divide_raises(self):
         # over Q, L1^2 / (2 L1) = L1/2, which is not in Z[L]
         with pytest.raises(RingError):
-            _div_int_terms({(2, 0): 1}, {(1, 0): 2})
+            _div_int_terms(_int_terms({(2, 0): 1}), _int_terms({(1, 0): 2}), 2)
         # L2 is not divisible by the leading monomial L1
         with pytest.raises(RingError):
-            _div_int_terms({(0, 1): 1}, {(1, 0): 1})
+            _div_int_terms(_int_terms({(0, 1): 1}), _int_terms({(1, 0): 1}), 2)
 
     def test_divisor_that_is_not_primitive(self):
         assert L(1) ** 2 // (2 * L(1)) == Fraction(1, 2) * L(1)
@@ -411,7 +422,7 @@ def assert_canonical(p: PolyQ):
     numerator, and no common factor of the denominator and all numerators."""
     assert isinstance(p.den, int) and p.den >= 1
     assert all(isinstance(c, int) and c != 0 for c in p.num.values())
-    assert all(len(e) == p.nvars for e in p.num)
+    assert all(len(e) == p.nvars for e in p.terms)
     g = p.den
     for c in p.num.values():
         g = gcd(g, c)
@@ -550,3 +561,68 @@ class TestIntegerRepresentation:
             assert_canonical(p)
             assert p == ab
             assert hash(p) == hash(ab)
+
+
+# -- packed monomial keys -------------------------------------------------------
+
+
+@st.composite
+def exponent_tuples(draw, size=2):
+    """``size`` exponent tuples in as many variables, each of total degree
+    below 2^30, so that every sum of two is a valid monomial too."""
+    nvars = draw(st.integers(1, 4))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, (1 << 30) // nvars - 1))
+    return [draw(st.tuples(*[exponent] * nvars)) for _ in range(size)]
+
+
+class TestPackedMonomials:
+    @given(exponent_tuples())
+    @settings(max_examples=200, deadline=None)
+    def test_key_order_is_graded_lex_with_the_last_variable_first(self, tuples):
+        a, b = tuples
+        assert (_pack(a) < _pack(b)) == ((sum(a), a[::-1]) < (sum(b), b[::-1]))
+        assert (_pack(a) == _pack(b)) == (a == b)
+
+    @given(exponent_tuples())
+    @settings(max_examples=200, deadline=None)
+    def test_the_key_of_a_product_is_the_sum_of_the_keys(self, tuples):
+        a, b = tuples
+        assert _pack(tuple(x + y for x, y in zip(a, b))) == _pack(a) + _pack(b)
+
+    @given(exponent_tuples(size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_unpacking_gives_the_tuple_back(self, tuples):
+        (a,) = tuples
+        assert _unpack(_pack(a), len(a)) == a
+
+    @given(exponent_tuples())
+    @settings(max_examples=200, deadline=None)
+    def test_the_guard_mask_tests_divisibility(self, tuples):
+        a, b = tuples
+        q = _pack(a) - _pack(b)
+        divides = all(x >= y for x, y in zip(a, b))
+        assert (not q & _guard(len(a))) == divides
+        if divides:
+            assert q == _pack(tuple(x - y for x, y in zip(a, b)))
+
+    def test_the_constructor_rejects_monomials_out_of_range(self):
+        for exps in [(1 << 31, 0), (1 << 30, 1 << 30), (-1, 2)]:
+            with pytest.raises(RingError):
+                PolyQ(2, {exps: 1})
+        assert PolyQ(2, {((1 << 31) - 1, 0): 1}).total_degree() == (1 << 31) - 1
+
+    def test_products_and_powers_past_the_limit_raise(self):
+        top = PolyQ(2, {((1 << 31) - 1, 0): 1})
+        assert top * const(3) == 3 * top
+        with pytest.raises(RingError):
+            top * L(2)
+        with pytest.raises(RingError):
+            L(1) ** (1 << 31)
+        with pytest.raises(RingError):
+            (L(1) + L(2)) ** 99999999999
+        assert (L(1) ** 99999).leading() == ((99999, 0), 1)
+        assert (L(1) ** ((1 << 31) - 1)).total_degree() == (1 << 31) - 1
+
+    def test_sort_key_orders_by_exponent_tuple_not_by_key(self):
+        # the keys put L1^2 below L2^2; the tuples (0, 2) < (2, 0) put L2^2 first
+        assert sorted([L(1) ** 2, L(2) ** 2], key=poly_sort_key) == [L(2) ** 2, L(1) ** 2]

@@ -248,9 +248,9 @@ class TestEliminate:
         ]
         divisors = []
 
-        def spy(num, den):
-            divisors.append(PolyQ.from_int_terms(2, den))
-            return _div_int_terms(num, den)
+        def spy(num, den, nvars):
+            divisors.append(PolyQ.from_int_terms(nvars, den))
+            return _div_int_terms(num, den, nvars)
 
         monkeypatch.setattr(singular, "_div_int_terms", spy)
         pivots, used, nonconstant = _eliminate(matrix, 4, 2)

@@ -1,4 +1,5 @@
-"""The names that the benchmark and the stage timer wrap exist in the package.
+"""The names that the benchmark and the stage timer wrap exist in the package,
+and ``scripts/ab_rungs.py`` compares two checkouts.
 
 ``perfbench/run.py --trace 1`` wraps every ``(module, attr)`` of
 ``perfbench/workloads.TRACED`` with ``getattr``, and
@@ -12,6 +13,10 @@ script's source.
 import ast
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +56,30 @@ def test_traced_modules_are_the_package_modules():
 @pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
 def test_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"jacobiverma.{module}"), attr))
+
+
+def _ab_rungs(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_rungs.py"), "--rounds", "2", *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_ab_rungs_reports_each_rung(tmp_path):
+    run = _ab_rungs(ROOT, ROOT, 2, "2d1", "d1")
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [line["weight"] for line in lines] == ["2d1", "d1"]
+    assert all(line["parent_wins"] + line["change_wins"] == 2 for line in lines)
+
+
+def test_ab_rungs_stops_when_the_outputs_differ(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    ring = tmp_path / "src" / "jacobiverma" / "ring.py"
+    text = ring.read_text(encoding="utf-8")
+    assert 'f"{num}/{den}"' in text
+    ring.write_text(text.replace('f"{num}/{den}"', 'f"{num} / {den}"'), encoding="utf-8")
+    run = _ab_rungs(ROOT, tmp_path, 2, "2d1")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "outputs differ" in run.stderr
