@@ -33,10 +33,12 @@ has none of those guard bits set (``_guard``) exactly when the first
 monomial is divisible by the second, and it is then the key of the
 quotient.  The constructor raises ``RingError`` on a monomial outside that
 range, and so does every product whose leading keys add up to degree 2^31
-or more (one comparison per product, ``_bound``).  Exponent tuples appear
-only at the edges: the constructor ``PolyQ(nvars, {exps: c})``, ``terms``
-and ``leading``, and ``poly_sort_key``, which orders terms by tuple with
-the first variable most significant.
+or more: ``_check_degree``, one comparison per product, is the one test of
+that limit, in this module and in the solver's and module kernel's loops.
+Exponent tuples appear only at the edges: the constructor
+``PolyQ(nvars, {exps: c})``, ``terms`` and ``leading``, and
+``poly_sort_key``, which orders terms by tuple with the first variable most
+significant.
 
 The gcd machinery works on primitive integer polynomials only, since a gcd
 over Q is one up to a unit: contents in the main variable are chains of
@@ -113,9 +115,12 @@ def _unit(nvars: int, i: int) -> int:
     return 1 << (_FIELD * nvars) | 1 << (_FIELD * i)
 
 
-def _bound(nvars: int) -> int:
-    """The least key of total degree 2^31."""
-    return _DEGREE_LIMIT << (_FIELD * nvars)
+def _check_degree(key: int, nvars: int) -> None:
+    """``RingError`` unless ``key`` has total degree below 2^31.  ``key`` may
+    be a sum of keys, such as the sum of the largest keys of two factors,
+    which is the largest key of their product."""
+    if key >= _DEGREE_LIMIT << (_FIELD * nvars):
+        raise RingError("total degree 2^31 or more")
 
 
 def _guard(nvars: int) -> int:
@@ -124,15 +129,8 @@ def _guard(nvars: int) -> int:
 
 
 def _mul_int_terms(t1: IntTerms, t2: IntTerms, nvars: int) -> IntTerms:
-    """Product of two integer term maps, zero coefficients dropped.  A
-    product by one term is a shift of the keys, with nothing to cancel."""
-    if max(t1, default=0) + max(t2, default=0) >= _bound(nvars):
-        raise RingError("total degree 2^31 or more")
-    if len(t1) == 1:
-        t1, t2 = t2, t1
-    if len(t2) == 1:
-        ((e2, c2),) = t2.items()
-        return {e1 + e2: c1 * c2 for e1, c1 in t1.items()}
+    """Product of two integer term maps, zero coefficients dropped."""
+    _check_degree(max(t1, default=0) + max(t2, default=0), nvars)
     res: IntTerms = {}
     get = res.get
     for e1, c1 in t1.items():
@@ -386,8 +384,9 @@ class PolyQ:
     def __pow__(self, k: int):
         if k < 0:
             raise RingError("negative power of a polynomial")
-        if self.total_degree() * k >= _DEGREE_LIMIT:
-            raise RingError("total degree 2^31 or more")
+        # k times the largest key is the largest key of the power when that
+        # has degree below 2^31, and has degree 2^31 or more otherwise
+        _check_degree(max(self.num, default=0) * k, self.nvars)
         out = PolyQ.one(self.nvars)
         base = self
         while k:

@@ -59,8 +59,7 @@ from .ring import (
     IntTerms,
     PolyQ,
     RatFuncQ,
-    RingError,
-    _bound,
+    _check_degree,
     _degree,
     _div_int_terms,
     _guard,
@@ -435,7 +434,6 @@ def _eliminate(
     rows = [_content_free(_numerators(row)[0]) for row in matrix if any(not e.is_zero for e in row)]
     # the constant monomial is the key 0
     one = {0: 1}
-    bound = _bound(nvars)
     pivots: List[Tuple[List[IntTerms], int]] = []
     used: Set[int] = set()
     nonconstant: List[PolyQ] = []
@@ -487,8 +485,7 @@ def _eliminate(
             row[c] = {}
             if f:
                 f = {e: a // g for e, a in f.items()}
-                if max(f) + reach >= bound:
-                    raise RingError("total degree 2^31 or more")
+                _check_degree(max(f) + reach, nvars)
                 for j in support:
                     t = dict(row[j])
                     get = t.get

@@ -43,8 +43,7 @@ from .pbw import PbwMonomial, _index_word, _normal_sums, monomial_weight, normal
 from .ring import (
     IntTerms,
     PolyQ,
-    RingError,
-    _bound,
+    _check_degree,
     _exponent,
     _mul_int_terms,
     _numerators,
@@ -163,8 +162,11 @@ class _CartanValues:
 
     The products are kept per Cartan tail, the sorted run of Cartan
     indices that ends a word of the normal form, each with its largest
-    key, for the life of the object; a tail's product is its prefix's
-    times one value.  The formal values are one object per algebra.
+    key, for the life of the object.  A tail's product is that of its
+    longest kept prefix times the values of the remaining letters, one at a
+    time; only the tails asked for are kept, so a long tail costs its own
+    length in memory, not that of all its prefixes.  The formal values are
+    one object per algebra.
     """
 
     def __init__(self, alg: JacobiAlgebra, values: Sequence[IntTerms], den: int):
@@ -172,7 +174,6 @@ class _CartanValues:
         self.den = den
         self.first = alg.num_positive
         self.nvars = alg.n
-        self.bound = _bound(alg.n)
         self._products: Dict[Tuple[int, ...], Tuple[IntTerms, int]] = {(): ({0: 1}, 0)}
 
     @classmethod
@@ -188,10 +189,16 @@ class _CartanValues:
     def cartan(self, tail: Tuple[int, ...]) -> Tuple[IntTerms, int]:
         """h^tail v0 as an integer polynomial over den ** len(tail), and its
         largest key (0 when it is zero)."""
-        out = self._products.get(tail)
+        products = self._products
+        out = products.get(tail)
         if out is None:
-            terms = _mul_int_terms(self.cartan(tail[:-1])[0], self.values[tail[-1] - self.first], self.nvars)
-            out = self._products[tail] = (terms, max(terms, default=0))
+            k = len(tail) - 1
+            while tail[:k] not in products:
+                k -= 1
+            terms = products[tail[:k]][0]
+            for i in tail[k:]:
+                terms = _mul_int_terms(terms, self.values[i - self.first], self.nvars)
+            out = products[tail] = (terms, max(terms, default=0))
         return out
 
 
@@ -213,9 +220,11 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
     """
     npos = alg.num_positive
     low = npos + alg.n
+    cartan = weight.cartan
     leaves = []
     top = 1
     depth = 0
+    reach = 0
     for word, coeff in products:
         cmax = max(coeff, default=0)
         for w, (num, den) in _normal_sums(alg, word).items():
@@ -223,21 +232,22 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
                 continue
             k = bisect_left(w, npos)
             tail = w[k:]
-            leaves.append((w[:k], tail, num, den, coeff, cmax))
+            value, vmax = cartan(tail)
+            leaves.append((w[:k], len(tail), value, num, den, coeff))
             if den > top:
                 top = den
             if len(tail) > depth:
                 depth = len(tail)
-    cartan, bound, wden = weight.cartan, weight.bound, weight.den
+            if cmax + vmax > reach:
+                reach = cmax + vmax
+    _check_degree(reach, alg.n)
+    wden = weight.den
     acc: _Accumulator = {}
-    for raising, tail, num, den, coeff, cmax in leaves:
+    for raising, length, value, num, den, coeff in leaves:
         slot = acc.get(raising)
         if slot is None:
             slot = acc[raising] = {}
-        value, vmax = cartan(tail)
-        if cmax + vmax >= bound:
-            raise RingError("total degree 2^31 or more")
-        f = num * (top // den) * wden ** (depth - len(tail))
+        f = num * (top // den) * wden ** (depth - length)
         get = slot.get
         for e1, a in coeff.items():
             a *= f

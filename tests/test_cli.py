@@ -265,6 +265,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_cartan_tail_past_the_recursion_limit_is_0(self, capsys):
+        # h1^k v0 = L1^k v0, its Cartan tail k letters long
+        code, out, _ = run_cli(capsys, "act", "--n", "2", "a+[1]", "h1^5000")
+        assert code == 0
+        assert out.strip() == "L1^5000 a+1"
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "h1^1500")
+        assert code == 0
+        assert out.strip().endswith("singular: yes")
+
     def test_budget_exhaustion_is_3(self, capsys):
         code, _, err = run_cli(
             capsys,

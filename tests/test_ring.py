@@ -418,11 +418,13 @@ def ref(p: PolyQ) -> FracPoly:
 
 
 def assert_canonical(p: PolyQ):
-    """The stored form: denominator at least 1 (1 for zero), no zero
-    numerator, and no common factor of the denominator and all numerators."""
+    """The stored form: denominator at least 1 (1 for zero), every key well
+    formed (its degree field the sum of its exponent fields, which is below
+    2^31), no zero numerator, and no common factor of the denominator and
+    all numerators."""
     assert isinstance(p.den, int) and p.den >= 1
+    assert all(_pack(_unpack(k, p.nvars)) == k for k in p.num)
     assert all(isinstance(c, int) and c != 0 for c in p.num.values())
-    assert all(len(e) == p.nvars for e in p.terms)
     g = p.den
     for c in p.num.values():
         g = gcd(g, c)
