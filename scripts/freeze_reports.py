@@ -2,9 +2,9 @@
 """Freeze ``jv`` outputs as golden files.
 
 Each ``jv singular --format json`` report is written to
-``tests/golden/reports/<name>.json``, and each ``jv normal-order``/``jv act``
-output, ``jv singular`` in the formats that render vectors and ``jv verify``
-in text and json, to
+``tests/golden/reports/<name>.json``, and each ``jv bracket``/``jv normal-order``/
+``jv act`` output, ``jv singular`` in the formats that render vectors,
+``jv verify`` in text and json and LaTeX with ``--short-names``, to
 ``tests/golden/cli/<name>.<format>``, as the exact bytes the command
 prints on stdout, so later versions can be diffed against them byte for byte
 (``tests/test_golden_reports.py``).  The arguments of every CLI file are
@@ -70,6 +70,24 @@ RUN_CASES = {
     "g2_run3": ["normal-order", "--n", "2", "K-[1,1]^3 K+[1,1]^2"],
 }
 RUN_FORMATS = ("json",)
+
+# Brackets with a scalar, a generator, several Cartan terms, and at n = 3 a
+# raising-lowering pair, each frozen in every output format.
+BRACKET_CASES = {
+    "g2_bracket_dd": ["bracket", "d-", "d+"],
+    "g2_bracket_aa": ["bracket", "a-1", "a+1"],
+    "g3_bracket_kk": ["bracket", "--n", "3", "K-[1,2]", "K+[1,2]"],
+    "g3_bracket_ka": ["bracket", "--n", "3", "K0[2,1]", "a+[1]"],
+}
+
+# LaTeX output with ``--short-names``, frozen as ``<name>.short.latex``.
+SHORT_CASES = {
+    "g2_word1": CLI_CASES["g2_word1"],
+    "g2_word2": CLI_CASES["g2_word2"],
+    "g2_word3": CLI_CASES["g2_word3"],
+    "g2_act1": CLI_CASES["g2_act1"],
+    "g2_singular_5,3": ["singular", "--n", "2", "--weight", "5,3"],
+}
 
 # Reports in the formats that render the singular vectors themselves; the
 # JSON form of the same report is under ``reports/``.
@@ -155,6 +173,11 @@ def main() -> int:
     for name, argv in VERIFY_CASES.items():
         for fmt in VERIFY_FORMATS:
             argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in BRACKET_CASES.items():
+        for fmt in FORMATS:
+            argvs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in SHORT_CASES.items():
+        argvs[f"{name}.short.latex"] = argv + ["--format", "latex", "--short-names"]
     for fname, argv in argvs.items():
         (CLI / fname).write_bytes(stdout_bytes(argv))
         print(f"wrote cli/{fname}")

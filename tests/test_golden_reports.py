@@ -4,8 +4,8 @@ Criterion 10 compares two runs of the same code; these files compare across
 code versions.  Each file under ``golden/reports/`` holds the exact stdout of
 one ``jv singular --format json`` run, and the weight to rerun is read back
 from the report itself.  Each file under ``golden/cli/`` holds the exact
-stdout of one ``jv normal-order``, ``jv act``, ``jv singular`` or ``jv verify``
-run, whose arguments are listed in ``golden/cli/argv.json``.
+stdout of one ``jv bracket``, ``jv normal-order``, ``jv act``, ``jv singular`` or
+``jv verify`` run, whose arguments are listed in ``golden/cli/argv.json``.
 ``golden/sweep.json`` holds the sha256 digests of ``jv singular`` in json and
 text at every weight of a sweep over g_2 and g_3.
 ``scripts/freeze_reports.py`` writes all three."""
@@ -34,7 +34,7 @@ CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
 
 def test_corpus_present():
     assert len(GOLDEN) == 15
-    assert len(CLI_ARGV) == 36
+    assert len(CLI_ARGV) == 53
     assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
     assert len(SWEEP) == 183
 
