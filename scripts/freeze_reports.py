@@ -80,13 +80,15 @@ BRACKET_CASES = {
     "g3_bracket_ka": ["bracket", "--n", "3", "K0[2,1]", "a+[1]"],
 }
 
-# LaTeX output with ``--short-names``, frozen as ``<name>.short.latex``.
+# LaTeX output with ``--short-names``, frozen as ``<name>.short.latex``; the
+# short names exist for n = 2 only, so a g_3 word keeps its K names.
 SHORT_CASES = {
     "g2_word1": CLI_CASES["g2_word1"],
     "g2_word2": CLI_CASES["g2_word2"],
     "g2_word3": CLI_CASES["g2_word3"],
     "g2_act1": CLI_CASES["g2_act1"],
     "g2_singular_5,3": ["singular", "--n", "2", "--weight", "5,3"],
+    "g3_word3": ["normal-order", "--n", "3", "K+[1,3] K+[1,2] K0[1,3] K0[1,2]"],
 }
 
 # Reports in the formats that render the singular vectors themselves; the

@@ -11,8 +11,8 @@ Commands::
                                 check the lowest-weight conditions
 
 Global flags: ``--format text|latex|json`` (default text), ``--short-names``
-(use the n = 2 short names in LaTeX output), ``--n`` where the dimension
-cannot be inferred from the input.
+(use the short names b, c, d, h in LaTeX output; they exist for n = 2 only),
+``--n`` where the dimension cannot be inferred from the input.
 
 Exit status: 0 on success (including "no singular vector", which is a valid
 answer), 2 on parse errors and invalid input (such as a branch budget below
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from typing import List, Optional
 
@@ -34,20 +33,18 @@ from .singular import BranchBudgetExceededError, display_factor_order, find_sing
 from .textio import (
     ParseError,
     constraints_to_json,
+    infer_dimension,
     parse_constraints,
     parse_generator,
     parse_vector,
     parse_weight,
     parse_word,
-    render_bracket,
     render_generator,
     render_monomial,
     render_solved_form,
-    render_uelement,
     render_vector,
     render_weight,
     report_to_json,
-    uelement_to_json,
     vector_to_json,
 )
 from .verma import (
@@ -58,83 +55,60 @@ from .verma import (
     is_singular,
     vector_weight,
 )
-from .pbw import monomial_weight, normal_order
+from .pbw import PbwMonomial, UElement, monomial_weight, normal_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _infer_n(*strings: str) -> int:
-    """Smallest dimension compatible with the indices mentioned in the input."""
-    n = 1
-    for s in strings:
-        for m in re.finditer(r"\[(\d+)(?:,(\d+))?\]", s):
-            n = max(n, int(m.group(1)), int(m.group(2) or 0))
-        for m in re.finditer(r"(?<![\[\d,])[abdh][+-]?(\d+)", s):
-            n = max(n, int(m.group(1)))
-        for m in re.finditer(r"L(\d+)", s):
-            n = max(n, int(m.group(1)))
-        if re.search(r"[cd][+-]|b[+-]\d|(?<![a-zA-Z\[])h\d", s):
-            n = max(n, 2)
-    return n
-
-
 def _dimension(args, *strings: str) -> int:
     """``--n`` when given, whatever its value, else the inferred dimension."""
-    return args.n if args.n is not None else _infer_n(*strings)
+    return args.n if args.n is not None else infer_dimension(*strings)
 
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _print_element(args, alg: JacobiAlgebra, value, to_json=vector_to_json) -> int:
+    """``to_json(alg, value)`` in JSON, else ``value`` rendered as text or LaTeX."""
+    if args.format == "json":
+        print(_json_dump(to_json(alg, value)))
+    elif args.format == "latex":
+        print(render_vector(alg, value, short=args.short_names, latex=True))
+    else:
+        print(render_vector(alg, value))
+    return EXIT_OK
+
+
 def _cmd_bracket(args) -> int:
     n = _dimension(args, args.x, args.y)
     alg = JacobiAlgebra(n)
-    x = parse_generator(args.x, n)
-    y = parse_generator(args.y, n)
-    br = alg.bracket(x, y)
-    if args.format == "json":
-        terms = [
-            {"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])}
-            for g in sorted(br.terms, key=lambda g: alg.index[g])
-        ]
-        print(_json_dump({"scalar": frac_text(br.scalar), "terms": terms}))
-    elif args.format == "latex":
-        print(render_bracket(alg, br, short=args.short_names, latex=True))
-    else:
-        print(render_bracket(alg, br))
-    return EXIT_OK
+    br = alg.bracket(parse_generator(args.x, n), parse_generator(args.y, n))
+    # the bracket as the element scalar + sum c g of U(g_n)
+    terms = {PbwMonomial.from_generators(alg, [g]): c for g, c in br.terms.items()}
+    value = UElement(n, {PbwMonomial.unit(alg): br.scalar, **terms})
+
+    def to_json(alg, _value):
+        gens = sorted(br.terms, key=alg.index.__getitem__)
+        terms = [{"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])} for g in gens]
+        return {"scalar": frac_text(br.scalar), "terms": terms}
+
+    return _print_element(args, alg, value, to_json)
 
 
 def _cmd_normal_order(args) -> int:
     n = _dimension(args, args.word)
     alg = JacobiAlgebra(n)
-    word = parse_word(args.word, n)
-    u = normal_order(alg, word)
-    if args.format == "json":
-        print(_json_dump(uelement_to_json(alg, u)))
-    elif args.format == "latex":
-        print(render_uelement(alg, u, short=args.short_names, latex=True))
-    else:
-        print(render_uelement(alg, u))
-    return EXIT_OK
+    return _print_element(args, alg, normal_order(alg, parse_word(args.word, n)))
 
 
 def _cmd_act(args) -> int:
     n = _dimension(args, args.x, args.vector)
     alg = JacobiAlgebra(n)
     x = parse_generator(args.x, n)
-    v = parse_vector(args.vector, alg)
-    result = act(alg, x, v)
-    if args.format == "json":
-        print(_json_dump(vector_to_json(alg, result)))
-    elif args.format == "latex":
-        print(render_vector(alg, result, short=args.short_names, latex=True))
-    else:
-        print(render_vector(alg, result))
-    return EXIT_OK
+    return _print_element(args, alg, act(alg, x, parse_vector(args.vector, alg)))
 
 
 def _cmd_singular(args) -> int:

@@ -3,7 +3,8 @@
 Text grammar (round-trips exactly):
 
 * generators: ``a+[i]``, ``a-[i]``, ``K+[i,j]``, ``K-[i,j]``, ``K0[i,j]``;
-  compact forms ``a+1``; for n = 2 also the short names ``b+1``, ``b+2``,
+  compact forms ``a+1``; ``K+[2,1]`` is ``K+[1,2]`` (K+ and K- are
+  symmetric, K0 is not); for n = 2 also the short names ``b+1``, ``b+2``,
   ``c+``, ``d+``, ``h1`` and their minus mirrors.
 * monomials/words: factors by juxtaposition with ``^`` powers,
   e.g. ``b+2 (d+)^2`` or ``(a+2)^2 (d+)^2``.
@@ -18,26 +19,18 @@ Text grammar (round-trips exactly):
 
 Rendering uses short names automatically when n = 2 (the notation of the
 worked cases); LaTeX output uses the K notation by default and short names
-on request.
+on request.  Every spelling and name of a generator is in one table per n
+(``_NameTable``); short names exist for n = 2 only.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .algebra import (
-    A_MINUS,
-    A_PLUS,
-    BracketResult,
-    Generator,
-    JacobiAlgebra,
-    K_MINUS,
-    K_PLUS,
-    K_ZERO,
-    Weight,
-)
+from .algebra import K_ZERO, Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial, UElement
 from .ring import PolyQ, frac_latex, frac_text
 from .singular import display_factor_order
@@ -81,8 +74,9 @@ class _Tokens:
         self.pos = 0
         self.src = s
 
-    def peek(self) -> Optional[Tuple[str, str]]:
-        return self.items[self.pos] if self.pos < len(self.items) else None
+    def peek(self, ahead: int = 0) -> Optional[Tuple[str, str]]:
+        k = self.pos + ahead
+        return self.items[k] if k < len(self.items) else None
 
     def next(self) -> Tuple[str, str]:
         tok = self.peek()
@@ -102,46 +96,78 @@ class _Tokens:
 
 # -- generators --------------------------------------------------------------
 
-_SHORT_FAMILIES = {"b+": K_PLUS, "b-": K_MINUS, "c+": K_PLUS, "c-": K_MINUS}
+# The short names of the worked cases, defined for n = 2 only: (text, LaTeX)
+# by long name.  a+ and a- keep their compact text and their LaTeX names.
+_SHORT_NAMES = {
+    "K+[1,1]": ("b+1", "b^+_1"),
+    "K+[2,2]": ("b+2", "b^+_2"),
+    "K+[1,2]": ("c+", "c^+"),
+    "K-[1,1]": ("b-1", "b^-_1"),
+    "K-[2,2]": ("b-2", "b^-_2"),
+    "K-[1,2]": ("c-", "c^-"),
+    "K0[1,2]": ("d+", "d^+"),
+    "K0[2,1]": ("d-", "d^-"),
+    "K0[1,1]": ("h1", "h_1"),
+    "K0[2,2]": ("h2", "h_2"),
+}
 
 
-def _generator_from_token(text: str, n: int) -> Generator:
-    m = re.fullmatch(r"(a[+-])\[(\d+)\]", text)
-    if m:
-        fam = A_PLUS if m.group(1) == "a+" else A_MINUS
-        return _check_gen(Generator(fam, int(m.group(2))), n, text)
-    m = re.fullmatch(r"(K[0+\-])\[(\d+),(\d+)\]", text)
-    if m:
-        fam = {"K+": K_PLUS, "K-": K_MINUS, "K0": K_ZERO}[m.group(1)]
-        return _check_gen(Generator(fam, int(m.group(2)), int(m.group(3))), n, text)
-    m = re.fullmatch(r"(a[+-])(\d+)", text)
-    if m:
-        fam = A_PLUS if m.group(1) == "a+" else A_MINUS
-        return _check_gen(Generator(fam, int(m.group(2))), n, text)
-    if n != 2:
-        raise ParseError(f"short name {text!r} is only defined for n = 2")
-    m = re.fullmatch(r"(b[+-])(\d+)", text)
-    if m:
-        i = int(m.group(2))
-        return _check_gen(Generator(_SHORT_FAMILIES[m.group(1)], i, i), n, text)
-    if text == "c+":
-        return Generator(K_PLUS, 1, 2)
-    if text == "c-":
-        return Generator(K_MINUS, 1, 2)
-    if text == "d+":
-        return Generator(K_ZERO, 1, 2)
-    if text == "d-":
-        return Generator(K_ZERO, 2, 1)
-    m = re.fullmatch(r"h(\d+)", text)
-    if m:
-        return _check_gen(Generator(K_ZERO, int(m.group(1)), int(m.group(1))), n, text)
-    raise ParseError(f"cannot read generator {text!r}")
+class _NameTable:
+    """The basis of g_n; ``index`` maps every accepted spelling (the long
+    name, ``a+i``, K+/K- with swapped indices, the short name) to a basis
+    index, and four lists in basis order hold each element's text, short
+    text, LaTeX and short LaTeX names, the short ones differing for n = 2
+    only."""
+
+    def __init__(self, n: int):
+        self.basis = JacobiAlgebra(n).generators
+        self.index = {}
+        self.text, self.short_text, self.latex, self.short_latex = [], [], [], []
+        for k, g in enumerate(self.basis):
+            text, sign = str(g), g.family[1]
+            if g.j:
+                latex = f"K^{sign}_{{{g.i}{g.j}}}"
+                alias = text if g.family == K_ZERO else f"{g.family}[{g.j},{g.i}]"
+            else:
+                latex = f"a^{sign}_{g.i}"
+                alias = f"{g.family}{g.i}"
+            # at n = 2 only a+ and a- miss _SHORT_NAMES
+            short, short_latex = _SHORT_NAMES.get(text, (alias, latex)) if n == 2 else (text, latex)
+            for spelling in (text, alias, short):
+                self.index[spelling] = k
+            self.text.append(text)
+            self.short_text.append(short)
+            self.latex.append(latex)
+            self.short_latex.append(short_latex)
+
+    def names(self, short: Optional[bool], latex: bool) -> List[str]:
+        """Text names are short unless ``short`` is False, LaTeX names only
+        when it is True."""
+        if latex:
+            return self.short_latex if short else self.latex
+        return self.text if short is False else self.short_text
+
+    def lookup(self, spelling: str) -> Optional[int]:
+        """The basis index of a spelling; indices may have leading zeros."""
+        k = self.index.get(spelling)
+        if k is None:
+            k = self.index.get(re.sub(r"\d+", lambda m: str(int(m.group())), spelling))
+        return k
 
 
-def _check_gen(g: Generator, n: int, text: str) -> Generator:
-    if g.max_index() > n or g.i < 1:
-        raise ParseError(f"generator {text!r} has an index out of range for n = {n}")
-    return g
+@functools.lru_cache(maxsize=None)
+def _name_table(n: int) -> _NameTable:
+    return _NameTable(n)
+
+
+def _generator(text: str, n: int) -> Generator:
+    table = _name_table(n)
+    k = table.lookup(text)
+    if k is None:
+        short = any(text == name for name, _ in _SHORT_NAMES.values())
+        hint = "; short names are for n = 2 only" if short else ""
+        raise ParseError(f"{text!r} is not a generator of g_{n}{hint}")
+    return table.basis[k]
 
 
 def parse_generator(s: str, n: int) -> Generator:
@@ -151,43 +177,28 @@ def parse_generator(s: str, n: int) -> Generator:
         raise ParseError(f"expected a generator, found {text!r}")
     if not toks.done():
         raise ParseError(f"trailing input after generator in {s!r}")
-    return _generator_from_token(text, n)
+    return _generator(text, n)
 
 
 def render_generator(g: Generator, n: int, short: Optional[bool] = None) -> str:
-    if short is None:
-        short = n == 2
-    if not short or n != 2:
-        return str(g)
-    if g.family == A_PLUS:
-        return f"a+{g.i}"
-    if g.family == A_MINUS:
-        return f"a-{g.i}"
-    if g.family == K_PLUS:
-        return f"b+{g.i}" if g.i == g.j else "c+"
-    if g.family == K_MINUS:
-        return f"b-{g.i}" if g.i == g.j else "c-"
-    if g.i == g.j:
-        return f"h{g.i}"
-    return "d+" if g.i < g.j else "d-"
+    """The text name of a basis element of g_n; short by default for n = 2."""
+    table = _name_table(n)
+    return table.names(short, False)[table.index[str(g)]]
 
 
-def render_generator_latex(g: Generator, short: bool = False) -> str:
-    if short:
-        if g.family == K_PLUS:
-            return f"b^+_{g.i}" if g.i == g.j else "c^+"
-        if g.family == K_MINUS:
-            return f"b^-_{g.i}" if g.i == g.j else "c^-"
-        if g.family == K_ZERO:
-            if g.i == g.j:
-                return f"h_{g.i}"
-            return "d^+" if g.i < g.j else "d^-"
-    if g.family == A_PLUS:
-        return f"a^+_{g.i}"
-    if g.family == A_MINUS:
-        return f"a^-_{g.i}"
-    sup = {K_PLUS: "+", K_MINUS: "-", K_ZERO: "0"}[g.family]
-    return f"K^{sup}_{{{g.i}{g.j}}}"
+def infer_dimension(*strings: str) -> int:
+    """The smallest n whose generators and L variables cover the strings:
+    the largest index mentioned, and at least 2 for a generator with no
+    spelling in g_1 (a short name).  Characters outside the grammar are
+    skipped, for the parser to report."""
+    n = 1
+    for s in strings:
+        for m in _TOKEN_RE.finditer(s):
+            if m.lastgroup in ("gen", "lvar"):
+                n = max([n, *map(int, re.findall(r"\d+", m.group()))])
+            if m.lastgroup == "gen" and n < 2 and _name_table(1).lookup(m.group()) is None:
+                n = 2
+    return n
 
 
 # -- monomials and words -------------------------------------------------------
@@ -204,31 +215,24 @@ def parse_word(s: str, n: int) -> List[Generator]:
     return word
 
 
+def _starts_word(toks: _Tokens) -> bool:
+    """Whether a generator, bare or parenthesized, comes next."""
+    tok = toks.peek()
+    if tok is not None and tok[1] == "(":
+        tok = toks.peek(1)
+    return tok is not None and tok[0] == "gen"
+
+
 def _parse_word_tokens(toks: _Tokens, n: int) -> List[Generator]:
     word: List[Generator] = []
-    while True:
-        tok = toks.peek()
-        if tok is None:
-            break
-        kind, text = tok
+    while _starts_word(toks):
+        kind, text = toks.next()
         if kind == "gen":
-            toks.next()
-            g = _generator_from_token(text, n)
-            word.extend([g] * _maybe_power(toks))
-        elif text == "(":
-            save = toks.pos
-            toks.next()
-            tok2 = toks.peek()
-            if tok2 is not None and tok2[0] == "gen":
-                toks.next()
-                g = _generator_from_token(tok2[1], n)
-                toks.expect(")")
-                word.extend([g] * _maybe_power(toks))
-            else:
-                toks.pos = save
-                break
+            g = _generator(text, n)
         else:
-            break
+            g = _generator(toks.next()[1], n)
+            toks.expect(")")
+        word.extend([g] * _maybe_power(toks))
     return word
 
 
@@ -259,23 +263,13 @@ def render_monomial(
     render many monomials so that it is built once."""
     if m.is_unit:
         return "1"
+    names = _name_table(alg.n).names(short, latex)
+    power = "({})^{{{}}}" if latex else "({})^{}"
     parts = []
     for idx in order or display_factor_order(alg):
         e = m.exps[idx]
-        if not e:
-            continue
-        g = alg.generators[idx]
-        name = (
-            render_generator_latex(g, short=bool(short))
-            if latex
-            else render_generator(g, alg.n, short)
-        )
-        if e == 1:
-            parts.append(name)
-        elif latex:
-            parts.append(f"({name})^{{{e}}}")
-        else:
-            parts.append(f"({name})^{e}")
+        if e:
+            parts.append(names[idx] if e == 1 else power.format(names[idx], e))
     return " ".join(parts)
 
 
@@ -340,35 +334,41 @@ def _parse_poly_expr(toks: _Tokens, nvars: int) -> PolyQ:
     if tok is not None and tok[1] in "+-":
         toks.next()
         sign = -1 if tok[1] == "-" else 1
-    acc = _parse_poly_term(toks, nvars) * sign
+    acc = _parse_product(toks, nvars) * sign
     while True:
         tok = toks.peek()
         if tok is None or tok[1] not in "+-":
             break
         toks.next()
-        term = _parse_poly_term(toks, nvars)
+        term = _parse_product(toks, nvars)
         acc = acc + (term if tok[1] == "+" else -term)
     return acc
 
 
-def _parse_poly_term(toks: _Tokens, nvars: int) -> PolyQ:
-    factors = [_parse_poly_factor(toks, nvars)]
+def _starts_factor(toks: _Tokens, before_word: bool) -> bool:
+    tok = toks.peek()
+    if tok is None:
+        return False
+    if tok[1] == "(":
+        return not (before_word and _starts_word(toks))
+    return tok[0] in ("num", "lvar")
+
+
+def _parse_product(toks: _Tokens, nvars: int, before_word: bool = False) -> PolyQ:
+    """One or more factors, juxtaposed or joined by ``*``, which needs a
+    factor on both sides.  With ``before_word`` the product is the
+    coefficient of a vector term: a generator, bare or parenthesized, ends
+    it and may follow a ``*``."""
+    out = _parse_poly_factor(toks, nvars)
     while True:
         tok = toks.peek()
-        if tok is None:
-            break
-        kind, text = tok
-        if text == "*":
+        star = tok is not None and tok[1] == "*"
+        if star:
             toks.next()
-            factors.append(_parse_poly_factor(toks, nvars))
-        elif kind in ("num", "lvar") or text == "(":
-            factors.append(_parse_poly_factor(toks, nvars))
+        if _starts_factor(toks, before_word) or star and not (before_word and _starts_word(toks)):
+            out = out * _parse_poly_factor(toks, nvars)
         else:
-            break
-    out = PolyQ.one(nvars)
-    for f in factors:
-        out = out * f
-    return out
+            return out
 
 
 def _parse_poly_factor(toks: _Tokens, nvars: int) -> PolyQ:
@@ -387,7 +387,7 @@ def _parse_poly_factor(toks: _Tokens, nvars: int) -> PolyQ:
         base = _parse_poly_expr(toks, nvars)
         toks.expect(")")
     else:
-        raise ParseError(f"unexpected token {text!r} in polynomial")
+        raise ParseError(f"expected a number, an L variable or '(', found {text!r}")
     e = _maybe_power(toks)
     return base if e == 1 else base ** e
 
@@ -396,53 +396,27 @@ def _parse_poly_factor(toks: _Tokens, nvars: int) -> PolyQ:
 
 
 def parse_vector(s: str, alg: JacobiAlgebra) -> VermaVector:
-    """Sum of (coefficient, word) terms applied to v0; words need not be ordered."""
+    """Sum of terms applied to v0, each a coefficient (the factors of
+    ``parse_poly``), a word (need not be ordered) or both."""
     toks = _Tokens(s)
+    if toks.done():
+        raise ParseError(f"empty vector expression {s!r}")
     total = VermaVector(alg.n)
-    first = True
     while not toks.done():
-        sign = Fraction(1)
-        tok = toks.peek()
+        sign, tok = 1, toks.peek()
         if tok[1] in "+-":
             toks.next()
-            sign = Fraction(-1) if tok[1] == "-" else Fraction(1)
-        elif not first:
+            sign = -1 if tok[1] == "-" else 1
+        elif toks.pos:
             raise ParseError(f"expected '+' or '-' before {tok[1]!r}")
-        coeff = _parse_vector_coeff(toks, alg.n)
+        has_coeff = _starts_factor(toks, before_word=True)
+        coeff = _parse_product(toks, alg.n, before_word=True) if has_coeff else PolyQ.one(alg.n)
         word = _parse_word_tokens(toks, alg.n)
-        term_coeff = coeff * PolyQ.const(alg.n, sign)
-        if word:
-            total = total + apply_word_to_v0(alg, word, term_coeff)
-        else:
-            total = total + VermaVector(alg.n, {PbwMonomial.unit(alg): term_coeff})
-        first = False
-    if first:
-        raise ParseError(f"empty vector expression {s!r}")
+        if not (has_coeff or word):
+            found = repr(toks.peek()[1]) if toks.peek() else "end of input"
+            raise ParseError(f"expected a coefficient or a word, found {found} in {s!r}")
+        total = total + apply_word_to_v0(alg, word, coeff * sign)
     return total
-
-
-def _parse_vector_coeff(toks: _Tokens, nvars: int) -> PolyQ:
-    """Optional coefficient: a product of the factors of ``parse_poly``
-    (rationals, L variables and parenthesized polynomials, each with an
-    optional integer power); a parenthesized generator belongs to the
-    monomial instead."""
-    coeff = PolyQ.one(nvars)
-    while True:
-        tok = toks.peek()
-        if tok is None:
-            break
-        kind, text = tok
-        if text == "*":
-            toks.next()
-            continue
-        if text == "(":
-            inner = toks.items[toks.pos + 1] if toks.pos + 1 < len(toks.items) else None
-            if inner is not None and inner[0] == "gen":
-                break
-        elif kind not in ("num", "lvar"):
-            break
-        coeff = coeff * _parse_poly_factor(toks, nvars)
-    return coeff
 
 
 def render_vector(
@@ -496,30 +470,6 @@ def _format_term(
 
 
 render_uelement = render_vector
-
-
-def render_bracket(alg: JacobiAlgebra, br, short: Optional[bool] = None, latex: bool = False) -> str:
-    assert isinstance(br, BracketResult)
-    if br.is_zero:
-        return "0"
-    frac = frac_latex if latex else frac_text
-    parts: List[str] = []
-    gens = sorted(br.terms, key=lambda g: alg.index[g])
-    for g in gens:
-        c = br.terms[g]
-        name = render_generator_latex(g, short=bool(short)) if latex else render_generator(g, alg.n, short)
-        body = name if abs(c) == 1 else f"{frac(abs(c))} {name}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    if br.scalar != 0:
-        body = frac(abs(br.scalar))
-        if not parts:
-            parts.append(body if br.scalar > 0 else "-" + body)
-        else:
-            parts.append(("+ " if br.scalar > 0 else "- ") + body)
-    return " ".join(parts)
 
 
 # -- constraints -------------------------------------------------------------

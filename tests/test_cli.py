@@ -23,6 +23,7 @@ from jacobiverma.textio import (
     render_generator,
     render_monomial,
     render_weight,
+    _name_table,
 )
 from jacobiverma.verma import VECTOR_JSON_SCHEMA, apply_word_to_v0
 
@@ -69,13 +70,27 @@ class TestParseWeight:
 
 class TestRoundTrips:
     def test_generators(self):
-        for n in (1, 2, 3):
-            alg = JacobiAlgebra(n)
+        for n in (1, 2, 3, 4):
+            alg, table = JacobiAlgebra(n), _name_table(n)
+            for spelling, k in table.index.items():
+                assert parse_generator(spelling, n) == alg.generators[k]
             for g in alg.generators:
-                text = render_generator(g, n)
-                assert parse_generator(text, n) == g
-                canonical = str(g)
-                assert parse_generator(canonical, n) == g
+                assert parse_generator(str(g), n) == g
+                for short in (None, True, False):
+                    assert parse_generator(render_generator(g, n, short), n) == g
+            if n >= 2:
+                assert parse_generator("K+[2,1]", n) == parse_generator("K+[1,2]", n)
+                assert parse_generator("K-[2,1]", n) == parse_generator("K-[1,2]", n)
+                assert parse_generator("K0[2,1]", n) != parse_generator("K0[1,2]", n)
+            for short in (False, True):
+                names = {
+                    render_monomial(alg, PbwMonomial.from_generators(alg, [g]), short=short, latex=True)
+                    for g in alg.generators
+                }
+                assert len(names) == len(alg.generators)
+            # short names exist for n = 2 only, in text and in LaTeX
+            assert (table.short_text != table.text) == (n == 2)
+            assert (table.short_latex != table.latex) == (n == 2)
 
     def test_monomials(self):
         words = [
@@ -128,6 +143,16 @@ class TestRoundTrips:
     def test_exponent_binds_to_its_own_factor(self, coeff):
         v = parse_vector(f"{coeff} a+1", ALG)
         assert v == apply_word_to_v0(ALG, parse_word("a+1", 2), parse_poly(coeff, 2))
+
+    @pytest.mark.parametrize("text", ["2 *", "L1 *", "* L1", "L1 + + L2", "()"])
+    def test_malformed_polynomials(self, text):
+        with pytest.raises(ParseError):
+            parse_poly(text, 2)
+
+    def test_polynomial_products(self):
+        L1, L2 = PolyQ.var(2, 0), PolyQ.var(2, 1)
+        assert parse_poly("2 * L1", 2) == 2 * L1
+        assert parse_poly("L1 (L2 - 1)^2", 2) == L1 * (L2 - PolyQ.one(2)) ** 2
 
     def test_unordered_word_is_normalized(self):
         # d+ a+2 = a+2 d+ + (1/2) a+1
@@ -312,6 +337,32 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert err == f"error: vector mixes weights: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["act", "a-1", "a+1 -"],
+            ["act", "a-1", "a+1 + + a+2"],
+            ["act", "a-1", "* a+1"],
+            ["act", "a-1", "2 * * a+1"],
+            ["verify", "(a+2)^2 - 2 b+2 +", "--constraints", "L2 = 1/4"],
+        ],
+    )
+    def test_term_without_coefficient_or_word_is_2(self, capsys, argv):
+        # a sign or a '*' with nothing to apply it to is not the constant 1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [("2 * a+1", "2"), ("L1 * a+1", "L1"), ("(L1) (a+1)^2", "2 L1 a+1"), ("2", "0")],
+    )
+    def test_coefficient_forms_are_0(self, capsys, vector, expected):
+        code, out, _ = run_cli(capsys, "act", "--n", "2", "a-1", vector)
+        assert code == 0
+        assert out.strip() == expected
 
     @pytest.mark.parametrize(
         "argv",

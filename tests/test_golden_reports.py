@@ -34,7 +34,7 @@ CASES = [pytest.param(p, None, id=p.stem) for p in GOLDEN] + [
 
 def test_corpus_present():
     assert len(GOLDEN) == 15
-    assert len(CLI_ARGV) == 53
+    assert len(CLI_ARGV) == 54
     assert sorted(p.name for p in CLI.iterdir() if p.name != "argv.json") == sorted(CLI_ARGV)
     assert len(SWEEP) == 183
 
