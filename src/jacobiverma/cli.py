@@ -91,8 +91,10 @@ def _cmd_bracket(args) -> int:
     value = UElement(n, {PbwMonomial.unit(alg): br.scalar, **terms})
 
     def to_json(alg, _value):
-        gens = sorted(br.terms, key=alg.index.__getitem__)
-        terms = [{"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])} for g in gens]
+        terms = [
+            {"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])}
+            for g in sorted(br.terms, key=alg.index.__getitem__)
+        ]
         return {"scalar": frac_text(br.scalar), "terms": terms}
 
     return _print_element(args, alg, value, to_json)

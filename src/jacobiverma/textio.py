@@ -365,7 +365,8 @@ def _parse_product(toks: _Tokens, nvars: int, before_word: bool = False) -> Poly
         star = tok is not None and tok[1] == "*"
         if star:
             toks.next()
-        if _starts_factor(toks, before_word) or star and not (before_word and _starts_word(toks)):
+        # a '*' with no factor after it makes _parse_poly_factor raise
+        if _starts_factor(toks, before_word) or (star and not (before_word and _starts_word(toks))):
             out = out * _parse_poly_factor(toks, nvars)
         else:
             return out

@@ -82,10 +82,11 @@ class TestRoundTrips:
                 assert parse_generator("K+[2,1]", n) == parse_generator("K+[1,2]", n)
                 assert parse_generator("K-[2,1]", n) == parse_generator("K-[1,2]", n)
                 assert parse_generator("K0[2,1]", n) != parse_generator("K0[1,2]", n)
+                assert parse_generator("K+[02,1]", n) == parse_generator("K+[1,2]", n)
             for short in (False, True):
                 names = {
-                    render_monomial(alg, PbwMonomial.from_generators(alg, [g]), short=short, latex=True)
-                    for g in alg.generators
+                    render_monomial(alg, PbwMonomial.from_word(alg, [k]), short=short, latex=True)
+                    for k in range(len(alg.generators))
                 }
                 assert len(names) == len(alg.generators)
             # short names exist for n = 2 only, in text and in LaTeX
