@@ -93,7 +93,7 @@ def _cmd_bracket(args) -> int:
     def to_json(alg, _value):
         terms = [
             {"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])}
-            for g in sorted(br.terms, key=alg.index.__getitem__)
+            for g in sorted(br.terms, key=lambda g: alg.index[g])
         ]
         return {"scalar": frac_text(br.scalar), "terms": terms}
 
