@@ -32,10 +32,11 @@ single run.  Times are in seconds, totals of the spans of each stage:
   non-constant pivot;
 * ``verify``: ``is_singular`` on every reported vector, which acts with
   every element of n- through the module kernel of ``verma``;
-* ``rewrite``: every call of the integer rewrite ``pbw._normal_sums``, with
-  its call count; ``assemble_system`` and ``is_singular`` read it through
-  the module kernel of ``verma``, and no stage calls ``act`` or
-  ``normal_order``;
+* ``rewrite``: every call of the module kernel's integer rewrite
+  ``verma._v0_sums``, once per word that ``assemble_system`` and
+  ``is_singular`` apply to v0, with the call count (``pbw._normal_sums``
+  is wrapped too, but no stage calls ``act`` or ``normal_order``, so no
+  stage reaches it);
 * ``render``: ``textio.report_to_json`` on the report, the JSON view that
   ``jv singular --format json`` prints; it runs after the search and is not
   part of ``total``.
@@ -71,7 +72,6 @@ STAGES = {
 }
 
 # (module, attribute, span name) wrapped on top of the benchmark's layers.
-# verma imports _normal_sums by name, so its attribute is wrapped as well.
 WRAPPED = [
     ("singular", "_lift_table", "singular.lift"),
     ("singular", "_lift_kernel_vector", "singular.lift"),
@@ -81,7 +81,7 @@ WRAPPED = [
     ("singular", "_reduce_poly", "singular.reduce"),
     ("singular", "_split_factors", "singular.factor"),
     ("pbw", "_normal_sums", "pbw.rewrite"),
-    ("verma", "_normal_sums", "pbw.rewrite"),
+    ("verma", "_v0_sums", "pbw.rewrite"),
 ]
 
 

@@ -24,9 +24,12 @@ coefficients, over powers of 2, of ``JacobiAlgebra.integer_bracket``
 (b = 1) or ``JacobiAlgebra.run_bracket`` (b >= 2), which read the integer
 kernel ``algebra.half_bracket``, and the words that reach normal form are
 summed into one (numerator, denominator) pair per sorted word.
-``normal_order`` is that rewrite plus one ``fractions.Fraction`` and one
-``PbwMonomial`` per word of the result; the module action (``verma``) reads
-the integer sums directly.  ``UElement`` coefficients are nonzero
+``normal_order`` (and so ``multiply``) is that rewrite plus one
+``fractions.Fraction`` and one ``PbwMonomial`` per word of the result:
+``_normal_sums`` serves U(g) normal forms, which can drop no word.  The
+module action (``verma``) has its own integer rewrite of a word applied to
+v0, which drops the words that kill v0 and is tested against this one.
+``UElement`` coefficients are nonzero
 ``Fraction``s.  Dependence on the weight enters only when the module
 evaluates Cartan factors (``verma``).
 """

@@ -305,9 +305,9 @@ def _try_affine_factor(p: PolyQ, x: int) -> Optional[PolyQ]:
 
     Any such divisor specializes to a rational root of p at every rational
     point of the other variables, so candidates are interpolated from roots
-    at a base point and unit bumps, then validated by exact division.  With
-    no other variables the candidates are x - r for the rational roots r of
-    p, and the first one is returned.
+    at a base point and unit bumps, then validated by exact division.
+    ``_split_factors`` calls it only when p has variables besides x; it
+    splits a univariate p by its rational roots itself.
     """
     others = [v for v in p.variables() if v != x]
     dx = p.degree_in(x)
@@ -353,8 +353,10 @@ def _split_factors(p: PolyQ) -> List[PolyQ]:
     """Vanishing-locus factors to branch on.
 
     Splits off content in its last variable (variable-disjoint products)
-    and affine factors, univariate rational roots among them; whatever
-    remains is kept whole as a single (non-affine) constraint.  The list is
+    and affine factors: the rational roots of a univariate factor all in
+    one pass, with ``rational_roots`` computed once, and the affine factors
+    of a multivariate one through ``_try_affine_factor``; whatever remains
+    is kept whole as a single (non-affine) constraint.  The list is
     sorted by ``poly_sort_key``, so it does not depend on the order in
     which the factors were split off."""
     factors: List[PolyQ] = []
@@ -366,7 +368,16 @@ def _split_factors(p: PolyQ) -> List[PolyQ]:
         if q.total_degree() <= 1:
             factors.append(q.monic())
             continue
-        x = max(q.variables())
+        variables = q.variables()
+        x = variables[-1]
+        if len(variables) == 1:
+            for r in rational_roots(q):
+                root = PolyQ.var(q.nvars, x) - PolyQ.const(q.nvars, r)
+                factors.append(root)
+                q = q // root
+            if not q.is_constant:
+                factors.append(q.monic())
+            continue
         content = content_in(q, x)
         if not content.is_constant:
             stack.append(content)
@@ -517,8 +528,10 @@ def _kernel_from_pivots(
     coordinates already set and p its pivot entry, both divided by the gcd
     of their contents.  The coordinates already set are multiplied by p and
     the pivot's own is set to -s, so every coordinate stays an integer
-    polynomial and the vector keeps its direction.  The vector becomes
-    ``PolyQ`` once, for ``_primitive``.
+    polynomial and the vector keeps its direction.  As in ``_eliminate``,
+    each product of a row entry and a coordinate is subtracted into the map
+    of -s term by term, with one degree check and no map of its own.  The
+    vector becomes ``PolyQ`` once, for ``_primitive``.
     """
     free = [c for c in range(ncols) if c not in used]
     one = {0: 1}
@@ -528,20 +541,27 @@ def _kernel_from_pivots(
         for c in free:
             v[c] = one if c == f else {}
         for prow, c in reversed(pivots):
-            s: IntTerms = {}
+            neg: IntTerms = {}
+            get = neg.get
             for j, t in enumerate(prow):
                 if j == c or not t:
                     continue
-                if v[j] is None:
+                x = v[j]
+                if x is None:
                     raise AssertionError("back-substitution order violated")
-                for e, a in _mul_int_terms(t, v[j], nvars).items():
-                    s[e] = s.get(e, 0) + a
+                if not x:
+                    continue
+                _check_degree(max(t) + max(x), nvars)
+                for e1, a1 in t.items():
+                    for e2, a2 in x.items():
+                        e = e1 + e2
+                        neg[e] = get(e, 0) - a1 * a2
             p = prow[c]
-            g = gcd(*p.values(), *s.values())
+            g = gcd(*p.values(), *neg.values())
             p = {e: a // g for e, a in p.items()}
             if p != one:
                 v = [_mul_int_terms(x, p, nvars) if x else x for x in v]
-            v[c] = {e: -a // g for e, a in s.items() if a}
+            v[c] = {e: a // g for e, a in neg.items() if a}
         vectors.append(_primitive([PolyQ.from_int_terms(nvars, t) for t in v]))
     return vectors
 

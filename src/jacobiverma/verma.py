@@ -12,14 +12,28 @@ One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
 (``singular.assemble_system``).  It takes (index word, coefficient) pairs,
 the coefficients integer polynomials over one common denominator, and the
 values of the Cartan generators on v0 (``_CartanValues``).  Each word is
-rewritten by the integer rewrite ``pbw._normal_sums``; a sorted word that
-ends in a lowering letter kills v0 and is skipped before anything is built
-for it.  In the others the Cartan letters are the sorted tail after the
-raising prefix, and the coefficient is multiplied by the product of the
-values over that tail, which ``_CartanValues`` keeps per tail as packed
-integer terms (``ring``) with its largest key: each monomial product is
-one addition of keys, and one comparison of the largest keys per
-surviving word guards the degree limit.  Every term adds integers, and no
+rewritten by ``_v0_sums``, the integer rewrite of ``pbw._normal_sums``
+(which serves U(g) normal forms) made for a word applied to v0 by three
+exact rules:
+
+* a word that ends in a lowering letter is dropped, sorted or not: it is
+  u l with l in n-, and l v0 = 0.  Its normal form lies in U(g) n-, which
+  by the PBW theorem is spanned by the sorted words that end in a
+  lowering letter, so no word of the result loses a term;
+* the letter x of the leftmost inversion is carried past every run it
+  would meet next in one step, while the leftmost inversion would be x
+  again: the moves, children and sums are those of one run at a time,
+  with fewer agenda entries;
+* in the kernel, a word with no Cartan tail adds c times its number with
+  no Cartan product, as its Cartan value is 1, and a word whose sum is
+  zero, which adds nothing, is skipped.
+
+In the words that are kept the Cartan letters are the sorted tail after
+the raising prefix, and the coefficient is multiplied by the product of
+the values over that tail, which ``_CartanValues`` keeps per tail as
+packed integer terms (``ring``) with its largest key: each monomial
+product is one addition of keys, and one comparison of the largest keys
+per product guards the degree limit.  Every term adds integers, and no
 ``Fraction``, ``PbwMonomial``, exponent tuple or enveloping-algebra
 element is formed per term.  At the formal weight the values are the
 variables L_i themselves, so h^e multiplies by L^e:
@@ -34,12 +48,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
 # ``normal_order`` is not called here any more; it stays importable from this
 # module, where perfbench/workloads.py wraps it.
-from .pbw import PbwMonomial, _index_word, _normal_sums, monomial_weight, normal_order  # noqa: F401
+from .pbw import PbwMonomial, _index_word, monomial_weight, normal_order  # noqa: F401
 from .ring import (
     IntTerms,
     PolyQ,
@@ -202,59 +217,153 @@ class _CartanValues:
         return out
 
 
+def _v0_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """The integer rewrite of ``pbw._normal_sums`` for a word applied to v0.
+
+    Returns the sorted words of the normal form with their coefficients as
+    an integer numerator and a power-of-2 denominator, except the words that
+    end in a lowering letter; a word whose sum is zero may be returned.  The
+    moves are those of ``_normal_sums``: the left letter x of the leftmost
+    inversion passes the run y^b after it, with the terms of
+    ``alg.run_bracket`` (``alg.integer_bracket`` when b = 1), and each
+    child resumes its search one letter before the position where x stood.
+    Two rules make it cheaper:
+
+    * a word whose last letter is lowering is dropped, whether it is sorted
+      or not, and the swap child in which a lowering x has passed the last
+      letter is never built.  Such a word is u l with l in n-, so it kills
+      v0; by the PBW theorem the normal form of an element of U(g) n- holds
+      only sorted words that end in a lowering letter, so nothing that is
+      dropped would have reached the words returned;
+    * x is carried on in the same step.  After x has passed y^b, the
+      leftmost inversion of the swap child is x again exactly when the
+      letters before x are still in order (the letter before y is at most
+      y, and each later run letter is larger than the one before) and the
+      next letter is smaller than x.  While that holds, x passes the next
+      run too, each run pushing its bracket terms with the position where
+      x stood before it, and the one swap child, with x past every run, is
+      pushed at the end.  The children and sums are those of one move at a
+      time, with one agenda entry per step instead of one per run.
+
+    The indices are not checked.
+    """
+    table, bracket, run_bracket = alg._integer_table, alg.integer_bracket, alg.run_bracket
+    low = alg.num_positive + alg.n
+    sums: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    agenda: List[Tuple[Tuple[int, ...], int, int, int]] = [(idx_word, 1, 1, 0)]
+    push, pop = agenda.append, agenda.pop
+    while agenda:
+        w, num, den, k = pop()
+        last = len(w) - 1
+        if last >= 0 and w[last] >= low:
+            continue
+        while k < last and w[k] <= w[k + 1]:
+            k += 1
+        if k >= last:
+            prev = sums.get(w)
+            if prev is None:
+                sums[w] = (num, den)
+            elif prev[1] == den:
+                sums[w] = (prev[0] + num, den)
+            else:
+                common = lcm(prev[1], den)
+                sums[w] = (prev[0] * (common // prev[1]) + num * (common // den), common)
+            continue
+        x = w[k]
+        prefix = w[:k]
+        before = w[k - 1] if k else -1
+        i = k + 1
+        while True:
+            y = w[i]
+            j = i + 1
+            while j <= last and w[j] == y:
+                j += 1
+            if j - i == 1:
+                terms = table.get((x, y))
+                if terms is None:
+                    terms = bracket(x, y)
+            else:
+                terms = run_bracket(x, y, j - i)
+            tail = w[j:]
+            resume = len(prefix) - 1 if prefix else 0
+            for replacement, p, q in terms:
+                push((prefix + replacement + tail, num * p, den * q, resume))
+            in_order = before <= y
+            prefix += w[i:j]
+            if not (in_order and j <= last and w[j] < x):
+                break
+            before = y
+            i = j
+        if tail or x < low:
+            push((prefix + (x,) + tail, num, den, resume))
+    return sums
+
+
 def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], IntTerms]],
                  weight: _CartanValues) -> Tuple[_Accumulator, int]:
     """The sum of c (w v0) over the pairs (index word w, integer polynomial
     c), fraction-free.
 
-    One ``pbw._normal_sums`` call per word, and one pass over the sorted
-    words it returns: a sorted word has its lowering letters last, so the
-    words that end in one kill v0 and are skipped; in the others the Cartan
-    letters are the tail after the raising prefix, and h^tail multiplies c
-    by ``weight.cartan(tail)``, each monomial product one addition of keys,
-    while the raising prefix is kept as the key.  The rewrite's
-    denominators are powers of 2, and the Cartan values' powers of
-    ``weight.den``; both are brought to their largest power in the call,
-    so every term adds integers.  Returns the sums and the denominator by
+    One ``_v0_sums`` call per word, and one pass over the sorted words it
+    returns, none of which ends in a lowering letter; a word whose sum is
+    zero is skipped.  In the others the Cartan letters are the tail after
+    the raising prefix, and h^tail multiplies c by ``weight.cartan(tail)``,
+    each monomial product one addition of keys, while the raising prefix is
+    kept as the key; a word with no Cartan tail adds c times its number.
+    The rewrite's denominators are powers of 2, and the Cartan values'
+    powers of ``weight.den``; both are brought to their largest power in
+    the call, so every term adds integers.  The degree limit is checked once
+    per call, on the largest sum of a coefficient's leading key and that of
+    a Cartan value of its own word.  Returns the sums and the denominator by
     which they are to be divided, besides that of the c.
     """
     npos = alg.num_positive
-    low = npos + alg.n
     cartan = weight.cartan
     leaves = []
     top = 1
     depth = 0
     reach = 0
     for word, coeff in products:
-        cmax = max(coeff, default=0)
-        for w, (num, den) in _normal_sums(alg, word).items():
-            if w and w[-1] >= low:
+        # the largest key of a Cartan value of this word's leaves, -1 if none
+        vmax = -1
+        for w, (num, den) in _v0_sums(alg, word).items():
+            if not num:
                 continue
             k = bisect_left(w, npos)
-            tail = w[k:]
-            value, vmax = cartan(tail)
-            leaves.append((w[:k], len(tail), value, num, den, coeff))
+            if k == len(w):
+                leaves.append((w, 0, None, num, den, coeff))
+                key = 0
+            else:
+                value, key = cartan(w[k:])
+                leaves.append((w[:k], len(w) - k, value, num, den, coeff))
+                if len(w) - k > depth:
+                    depth = len(w) - k
+            if key > vmax:
+                vmax = key
             if den > top:
                 top = den
-            if len(tail) > depth:
-                depth = len(tail)
-            if cmax + vmax > reach:
-                reach = cmax + vmax
+        if vmax >= 0:
+            reach = max(reach, max(coeff, default=0) + vmax)
     _check_degree(reach, alg.n)
     wden = weight.den
+    powers = [wden ** (depth - length) for length in range(depth + 1)]
     acc: _Accumulator = {}
     for raising, length, value, num, den, coeff in leaves:
         slot = acc.get(raising)
         if slot is None:
             slot = acc[raising] = {}
-        f = num * (top // den) * wden ** (depth - length)
+        f = num * (top // den) * powers[length]
         get = slot.get
+        if value is None:
+            for e, a in coeff.items():
+                slot[e] = get(e, 0) + a * f
+            continue
         for e1, a in coeff.items():
             a *= f
             for e2, b in value.items():
                 e = e1 + e2
                 slot[e] = get(e, 0) + a * b
-    return acc, top * wden ** depth
+    return acc, top * powers[0]
 
 
 def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
@@ -447,8 +556,8 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
     h_i takes the solved form's value of L_i (L_i itself when there are no
     constraints), and the integer numerators of x v are tested for zero
     with no ``Fraction`` formed and nothing substituted afterwards.  One
-    call of the integer rewrite ``pbw._normal_sums`` per term of v and per
-    x; ``act`` is not called.
+    call of the module rewrite ``_v0_sums`` per term of v and per x;
+    ``act`` is not called.
     """
     if constraints.equations and constraints.solved_form is None:
         return SingularityReport(

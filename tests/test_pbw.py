@@ -180,9 +180,9 @@ class TestRunRule:
 
 
 class TestIntegerRewrite:
-    """``_normal_sums`` is the integer rewrite behind ``normal_order``;
-    ``verma.is_singular`` reads it directly and keeps the words with no
-    lowering letter."""
+    """``_normal_sums`` is the integer rewrite behind ``normal_order``, and
+    the reference for the module kernel's ``verma._v0_sums``, which keeps
+    the words that do not end in a lowering letter."""
 
     @settings(max_examples=120, deadline=None)
     @given(_words())

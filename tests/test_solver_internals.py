@@ -61,7 +61,7 @@ class TestSplitFactors:
         }
 
     def test_univariate_roots_and_quadratic_exact_list(self):
-        # three rational roots split off one at a time as affine factors,
+        # three rational roots split off in one pass as affine factors,
         # the irreducible quadratic kept whole, in ``poly_sort_key`` order
         p = (
             const(3)

@@ -23,6 +23,7 @@ from jacobiverma.verma import (
     InconsistentConstraintsError,
     InhomogeneousVectorError,
     VermaVector,
+    _v0_sums,
     act,
     act_of_bracket,
     apply_word_to_v0,
@@ -460,3 +461,33 @@ class TestApplyWordToV0:
         got = apply_word_to_v0(ALG, [ALG.index[g] for g in word], coeff)
         assert not got.is_zero
         assert got == apply_word_to_v0(ALG, word, coeff)
+
+
+class TestModuleRewrite:
+    """``verma._v0_sums``, the module kernel's rewrite, against the U(g)
+    normal form of ``pbw._normal_sums``: the same sums, less the words that
+    end in a lowering letter and so kill v0."""
+
+    @staticmethod
+    def words(alg, rng, count):
+        size, npos = len(alg.generators), alg.num_positive
+        for _ in range(count):
+            # unsorted, with Cartan and lowering letters anywhere
+            yield tuple(rng.randrange(size) for _ in range(rng.randint(0, 7)))
+            # one generator on a raising monomial, as act and is_singular use
+            yield (rng.randrange(size),) + tuple(sorted(rng.randrange(npos) for _ in range(rng.randint(0, 6))))
+
+    @pytest.mark.parametrize("n, seed", [(1, 31), (2, 32), (3, 33)])
+    def test_equals_the_normal_form_less_lowering_ended_words(self, n, seed):
+        alg = ALG if n == 2 else JacobiAlgebra(n)
+        low = alg.num_positive + n
+        rng = random.Random(seed)
+        for word in self.words(alg, rng, 1500):
+            got = _v0_sums(alg, word)
+            assert not any(w and w[-1] >= low for w in got), word
+            expected = {
+                w: Fraction(num, den)
+                for w, (num, den) in _normal_sums(alg, word).items()
+                if not (w and w[-1] >= low)
+            }
+            assert {w: Fraction(num, den) for w, (num, den) in got.items() if num} == expected, word
