@@ -22,7 +22,7 @@ single run.  Times are in seconds, totals of the spans of each stage:
   on the integer pivot rows of every case with a kernel;
 * ``lift``: lifting the sp(n) kernel vectors into g_N: the closed-form
   table of the lifted columns (``_lift_table``, once per weight with a
-  branch) and the integer sums of every kernel vector over it;
+  branch) and the integer sums of each branch's kernel vector over it;
 * ``print``: making each lifted vector primitive (``_primitive``) and
   dividing it by its last nonzero coordinate for the printed kernel
   (``_ratios``);

@@ -80,9 +80,6 @@ class Generator:
             return f"{self.family}[{self.i}]"
         return f"{self.family}[{self.i},{self.j}]"
 
-    def max_index(self) -> int:
-        return max(self.i, self.j)
-
 
 class GenClass(enum.Enum):
     POSITIVE = "positive"
@@ -171,9 +168,6 @@ class BracketResult:
         for g, c in other.terms.items():
             terms[g] = terms.get(g, Fraction(0)) + c
         return BracketResult(self.scalar + other.scalar, terms)
-
-    def __sub__(self, other: "BracketResult") -> "BracketResult":
-        return self + (-other)
 
     def scale(self, k) -> "BracketResult":
         k = Fraction(k)

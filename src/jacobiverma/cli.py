@@ -27,7 +27,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .algebra import InvalidDimensionError, JacobiAlgebra
+from .algebra import JacobiAlgebra
 from .ring import frac_text
 from .singular import BranchBudgetExceededError, display_factor_order, find_singular_vectors
 from .textio import (
@@ -145,8 +145,7 @@ def _cmd_singular(args) -> int:
         solved = render_solved_form(br.constraints, latex=latex)
         if solved:
             print(f"  solved form: {', '.join(solved)}")
-        for v in br.vectors:
-            print(f"  singular vector: {render_vector(alg, v, short=short, latex=latex)}")
+        print(f"  singular vector: {render_vector(alg, br.vector, short=short, latex=latex)}")
         print(f"  verified: {'yes' if br.verified else 'no'}")
     return EXIT_OK
 
@@ -274,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidDimensionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BranchBudgetExceededError as exc:

@@ -50,9 +50,9 @@ pseudo-remainders made primitive at every step (a primitive PRS).
 constructor ``PolyQ(nvars, {exps: int | Fraction})`` and ``const`` read
 parsed input; ``terms`` is a dict with one reduced ``Fraction`` per term,
 built on each access, for readers outside the package; ``leading``,
-``rational_content``, ``eval_all`` (of ``PolyQ`` and ``RatFuncQ``) and
-``rational_roots`` return rationals; and the sort key of a polynomial with
-a denominator compares its coefficients as rationals.  Rendering forms each
+``eval_all`` (of ``PolyQ`` and ``RatFuncQ``) and ``rational_roots``
+return rationals; and the sort key of a polynomial with a denominator
+compares its coefficients as rationals.  Rendering forms each
 printed coefficient from its numerator and the denominator with one gcd.
 
 ``RatFuncQ`` is not a field of fractions: it is the reduced quotient num/den
@@ -370,9 +370,6 @@ class PolyQ:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -412,9 +409,6 @@ class PolyQ:
 
     def __hash__(self):
         return hash((self.nvars, self.den, frozenset(self.num.items())))
-
-    def __bool__(self):
-        return bool(self.num)
 
     def __repr__(self):
         return f"PolyQ({self.to_text()})"
@@ -499,13 +493,6 @@ class PolyQ:
         if lc == self.den:
             return self
         return _make(self.nvars, self.num, lc)
-
-    def rational_content(self) -> Fraction:
-        """gcd of the coefficients, signed like the leading coefficient."""
-        if self.is_zero:
-            return Fraction(0)
-        content = Fraction(_content(self.num), self.den)
-        return content if self.num[max(self.num)] > 0 else -content
 
     # -- division ----------------------------------------------------------
 
@@ -923,14 +910,6 @@ class RatFuncQ:
         self.num = num
         self.den = den
 
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def is_polynomial(self) -> bool:
         # den is monic, so a constant den is 1
         return self.den.is_constant
@@ -944,12 +923,6 @@ class RatFuncQ:
         if not isinstance(other, RatFuncQ):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         return f"RatFuncQ({self.to_text()})"

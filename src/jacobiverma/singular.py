@@ -23,11 +23,17 @@ target weight w:
    of least total degree after that; a non-constant pivot spawns one child
    per vanishing-locus factor, while the parent continues with the pivot
    asserted nonzero;
-4. each explored constraint set with a nontrivial kernel becomes a branch; the
-   kernel is back-substituted fraction-free on the integer pivot rows, so
-   each kernel vector is a polynomial vector, kept primitive (coprime
-   coordinates, the last nonzero one monic);
-5. each kernel vector is lifted through m -> m(K') v0 into the coordinates of
+4. each explored constraint set with a free column becomes a branch, and
+   it has only one: at a point of its locus off the pivots' zeros, the
+   kernel is the space of sp(n) singular vectors of weight w in one Verma
+   module, of dimension at most 1 (Verma, dim Hom(M(mu), M(lambda)) <= 1),
+   and such points are dense in an affine locus.  A second free column
+   raises ``KernelDimensionError``; only a matrix that is not an assembled
+   system, such as a synthetic one, can have it.  The kernel vector is
+   back-substituted fraction-free on the integer pivot rows, so it is a
+   polynomial vector, kept primitive (coprime coordinates, the last
+   nonzero one monic);
+5. the kernel vector is lifted through m -> m(K') v0 into the coordinates of
    the full ansatz and made primitive again.  The lift is closed-form, with
    no module action: for m = K+^beta K0^gamma, the a- part of each K'0
    factor kills the a+-free K0-monomial it meets, and the K'+ factors
@@ -36,9 +42,9 @@ target weight w:
    polynomial vector is the reported singular vector; the printed kernel
    divides it by its last nonzero coordinate (in the ansatz monomial
    order), so that one reads 1;
-6. every branch is re-checked against every basis element of n- before it
-   is reported; one with no affine solved form cannot be, and is reported
-   unverified.
+6. every branch's vector is re-checked against every basis element of n-
+   before it is reported; one with no affine solved form cannot be, and is
+   reported unverified.
 
 Branches are deduplicated by constraint set and pruned when they are mere
 specializations of another branch with the same kernel.
@@ -46,7 +52,7 @@ specializations of another branch with the same kernel.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
@@ -101,6 +107,8 @@ REPORT_JSON_SCHEMA = {
                     "vectors": {
                         "type": "array",
                         "items": {"type": "array", "items": {"type": "string"}},
+                        "minItems": 1,
+                        "maxItems": 1,
                     },
                     "verified": {"type": "boolean"},
                 },
@@ -123,6 +131,19 @@ class BranchBudgetExceededError(RuntimeError):
         super().__init__(
             f"branch budget exhausted with {len(unexplored)} unexplored case(s): "
             + "; ".join(unexplored)
+        )
+
+
+class KernelDimensionError(RuntimeError):
+    """A case whose kernel has more than one free column: a defect on an
+    assembled system (step 4 above), so not a ``ValueError``."""
+
+    def __init__(self, constraints: ConstraintSet, dimension: int):
+        self.constraints = constraints
+        self.dimension = dimension
+        super().__init__(
+            f"kernel of dimension {dimension} at {_constraints_text(constraints)}; "
+            "a case has at most one"
         )
 
 
@@ -259,9 +280,9 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
 @dataclass
 class SolutionBranch:
     """One consistent case with a nontrivial kernel: its constraints on L and
-    a kernel basis over the sp(n) columns.
+    a kernel basis over the sp(n) columns, a list of one vector (step 4).
 
-    Each kernel vector is the primitive polynomial vector on its line, from
+    The vector is the primitive polynomial vector on its line, from
     back-substitution through pruning: its coordinates over Q[L], reduced
     modulo the constraints, have no common factor and the last nonzero one
     is monic.
@@ -520,50 +541,47 @@ def _kernel_from_pivots(
     used: Set[int],
     ncols: int,
     nvars: int,
-) -> List[List[PolyQ]]:
-    """One primitive kernel vector per free column, by fraction-free
+) -> List[PolyQ]:
+    """The primitive kernel vector of the one free column, by fraction-free
     back-substitution on the integer pivot rows.
 
-    For each pivot row, the last first, s is the row's sum over the
-    coordinates already set and p its pivot entry, both divided by the gcd
-    of their contents.  The coordinates already set are multiplied by p and
-    the pivot's own is set to -s, so every coordinate stays an integer
-    polynomial and the vector keeps its direction.  As in ``_eliminate``,
-    each product of a row entry and a coordinate is subtracted into the map
-    of -s term by term, with one degree check and no map of its own.  The
-    vector becomes ``PolyQ`` once, for ``_primitive``.
+    The free column's coordinate starts at 1.  For each pivot row, the last
+    first, s is the row's sum over the coordinates already set and p its
+    pivot entry, both divided by the gcd of their contents.  The
+    coordinates already set are multiplied by p and the pivot's own is set
+    to -s, so every coordinate stays an integer polynomial and the vector
+    keeps its direction.  As in ``_eliminate``, each product of a row entry
+    and a coordinate is subtracted into the map of -s term by term, with one
+    degree check and no map of its own.  The vector becomes ``PolyQ`` once,
+    for ``_primitive``.
     """
-    free = [c for c in range(ncols) if c not in used]
+    (free,) = [c for c in range(ncols) if c not in used]
     one = {0: 1}
-    vectors: List[List[PolyQ]] = []
-    for f in free:
-        v: List[Optional[IntTerms]] = [None] * ncols
-        for c in free:
-            v[c] = one if c == f else {}
-        for prow, c in reversed(pivots):
-            neg: IntTerms = {}
-            get = neg.get
-            for j, t in enumerate(prow):
-                if j == c or not t:
-                    continue
-                x = v[j]
-                if x is None:
-                    raise AssertionError("back-substitution order violated")
-                if not x:
-                    continue
-                _check_degree(max(t) + max(x), nvars)
-                for e1, a1 in t.items():
-                    for e2, a2 in x.items():
-                        e = e1 + e2
-                        neg[e] = get(e, 0) - a1 * a2
-            p = prow[c]
-            g = gcd(*p.values(), *neg.values())
-            p = {e: a // g for e, a in p.items()}
-            if p != one:
-                v = [_mul_int_terms(x, p, nvars) if x else x for x in v]
-            v[c] = {e: a // g for e, a in neg.items() if a}
-        vectors.append(_primitive([PolyQ.from_int_terms(nvars, t) for t in v]))
-    return vectors
+    v: List[Optional[IntTerms]] = [None] * ncols
+    v[free] = one
+    for prow, c in reversed(pivots):
+        neg: IntTerms = {}
+        get = neg.get
+        for j, t in enumerate(prow):
+            if j == c or not t:
+                continue
+            x = v[j]
+            if x is None:
+                raise AssertionError("back-substitution order violated")
+            if not x:
+                continue
+            _check_degree(max(t) + max(x), nvars)
+            for e1, a1 in t.items():
+                for e2, a2 in x.items():
+                    e = e1 + e2
+                    neg[e] = get(e, 0) - a1 * a2
+        p = prow[c]
+        g = gcd(*p.values(), *neg.values())
+        p = {e: a // g for e, a in p.items()}
+        if p != one:
+            v = [_mul_int_terms(x, p, nvars) if x else x for x in v]
+        v[c] = {e: a // g for e, a in neg.items() if a}
+    return _primitive([PolyQ.from_int_terms(nvars, t) for t in v])
 
 
 def _primitive(vec: List[PolyQ]) -> List[PolyQ]:
@@ -612,9 +630,10 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
 
     Explores constraint sets breadth-first, asserting each chosen pivot
     nonzero on the current case and spawning one child case per vanishing
-    factor.  Emits a branch for every case with a nontrivial kernel, then
+    factor.  Emits a branch for every case with a free column, then
     prunes cases that are plain specializations of an emitted branch.
-    A budget below 1 is a ``ValueError``.
+    A case with more than one free column raises ``KernelDimensionError``,
+    and a budget below 1 is a ``ValueError``.
     """
     if branch_budget < 1:
         raise ValueError(f"branch budget must be at least 1, got {branch_budget}")
@@ -636,8 +655,11 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
         explored += 1
         matrix = [[_reduce_poly(e, cs) for e in row] for row in base_matrix]
         pivots, used, nonconstant = _eliminate(matrix, ncols, nvars)
-        if len(used) < ncols:
-            branches.append(SolutionBranch(cs, _kernel_from_pivots(pivots, used, ncols, nvars)))
+        free = ncols - len(used)
+        if free > 1:
+            raise KernelDimensionError(cs, free)
+        if free:
+            branches.append(SolutionBranch(cs, [_kernel_from_pivots(pivots, used, ncols, nvars)]))
         for p in nonconstant:
             for f in _split_factors(p):
                 try:
@@ -666,13 +688,13 @@ def _constraints_text(cs: ConstraintSet) -> str:
 
 def _prune_branches(branches: List[SolutionBranch]) -> List[SolutionBranch]:
     """Drop branch B when some branch A constrains less, B satisfies A's
-    equations, and A's kernel specializes exactly to B's.
+    equations, and A's kernel vector specializes exactly to B's.
 
-    Each of A's polynomial vectors is specialized by B's solved form, made
-    primitive again and compared with B's vectors.  A vector whose last
-    nonzero coordinate vanishes on B's locus does not specialize, and A then
-    does not subsume B: A's vector is primitive, so that happens exactly
-    when the reduced denominator of one of its printed ratios vanishes there.
+    A's polynomial vector is specialized by B's solved form, made primitive
+    again and compared with B's vector.  If its last nonzero coordinate
+    vanishes on B's locus it does not specialize, and A then does not
+    subsume B: A's vector is primitive, so that happens exactly when the
+    reduced denominator of one of its printed ratios vanishes there.
     """
     return [b for b in branches if not any(_specializes_to(a, b) for a in branches if a is not b)]
 
@@ -684,16 +706,12 @@ def _specializes_to(a: SolutionBranch, b: SolutionBranch) -> bool:
         return False
     if not all(cs.substitute(eq).is_zero for eq in a.constraints.equations):
         return False
-    if len(a.kernel) != len(b.kernel):
+    (vec,) = a.kernel
+    coords = [cs.substitute(p) for p in vec]
+    last = max(i for i, p in enumerate(vec) if not p.is_zero)
+    if coords[last].is_zero:
         return False
-    specialized = []
-    for vec in a.kernel:
-        coords = [cs.substitute(p) for p in vec]
-        last = max(i for i, p in enumerate(vec) if not p.is_zero)
-        if coords[last].is_zero:
-            return False
-        specialized.append(tuple(_primitive(coords)))
-    return Counter(specialized) == Counter(map(tuple, b.kernel))
+    return b.kernel == [_primitive(coords)]
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -701,9 +719,13 @@ def _specializes_to(a: SolutionBranch, b: SolutionBranch) -> bool:
 
 @dataclass
 class BranchReport:
+    """A reported branch: its constraints, its one singular vector (step 4
+    above), the printed kernel (the vector divided by its last nonzero
+    coordinate) and whether every element of n- kills the vector."""
+
     constraints: ConstraintSet
-    kernel: List[List[RatFuncQ]]
-    vectors: List[VermaVector]
+    kernel: List[RatFuncQ]
+    vector: VermaVector
     verified: bool
 
 
@@ -799,9 +821,9 @@ def find_singular_vectors(
 ) -> WeightReport:
     """enumerate -> assemble -> solve -> lift -> verify for one target weight.
 
-    Each lifted vector is made primitive once; the reported vector is that
-    polynomial vector, and the printed kernel is its coordinates divided by
-    the last nonzero one.
+    Each branch's lifted vector is made primitive once; the reported vector
+    is that polynomial vector, and the printed kernel is its coordinates
+    divided by the last nonzero one.
     """
     if w.is_zero:
         alg_mon = PbwMonomial.unit(alg)
@@ -811,12 +833,9 @@ def find_singular_vectors(
     lift = _lift_table(alg, system) if solution else None
     reports: List[BranchReport] = []
     for br in solution:
-        kernel: List[List[RatFuncQ]] = []
-        vectors: List[VermaVector] = []
-        for vec in br.kernel:
-            coords, ratios = _printed(_lift_kernel_vector(system, lift, vec, br.constraints))
-            kernel.append(ratios)
-            vectors.append(VermaVector(alg.n, dict(zip(system.ansatz, coords))))
-        ok = all(is_singular(alg, v, br.constraints).singular for v in vectors)
-        reports.append(BranchReport(br.constraints, kernel, vectors, ok))
+        (vec,) = br.kernel
+        coords, kernel = _printed(_lift_kernel_vector(system, lift, vec, br.constraints))
+        vector = VermaVector(alg.n, dict(zip(system.ansatz, coords)))
+        ok = is_singular(alg, vector, br.constraints).singular
+        reports.append(BranchReport(br.constraints, kernel, vector, ok))
     return WeightReport(w, system.ansatz, reports)

@@ -535,7 +535,7 @@ def report_to_json(alg: JacobiAlgebra, report) -> dict:
             {
                 "constraints": [p.to_text() for p in br.constraints.equations],
                 "solved_form": render_solved_form(br.constraints),
-                "vectors": [[x.to_text() for x in vec] for vec in br.kernel],
+                "vectors": [[x.to_text() for x in br.kernel]],
                 "verified": bool(br.verified),
             }
         )

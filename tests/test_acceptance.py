@@ -57,12 +57,11 @@ def reports(alg):
 
 
 def kernel_coeffs(alg, report):
-    """monomial name -> kernel coefficient (PolyQ) for a single-vector branch."""
+    """monomial name -> kernel coefficient (PolyQ) for a single-branch report."""
     (branch,) = report.branches
-    (vec,) = branch.kernel
     return {
         render_monomial(alg, m): x.as_poly()
-        for m, x in zip(report.monomials, vec)
+        for m, x in zip(report.monomials, branch.kernel)
     }
 
 
@@ -95,7 +94,7 @@ def test_criterion_2_weight_2d1(alg, reports):
     (eq,) = branch.constraints.equations
     assert eq.total_degree() == 1 and eq.variables() == (0,)
     assert eq == L(1) - const(Fraction(3, 4))
-    assert len(branch.kernel) == 1
+    assert len(branch.kernel) == len(rep.monomials)
     co = kernel_coeffs(alg, rep)
     assert co["b+2 (d+)^2"] == const(-2) * co["(a+2)^2 (d+)^2"]
     assert co["c+ d+"] == const(-2) * co["a+1 a+2 d+"]
@@ -156,11 +155,10 @@ def test_criterion_7_verification_closure(alg, reports):
     for name in ("2d1", "2d2", "d1+d2", "d1-d2"):
         for branch in reports[name].branches:
             assert branch.verified, name
-            for v in branch.vectors:
-                detail = is_singular(alg, v, branch.constraints)
-                assert detail.singular
-                assert len(detail.by_generator) == 6
-                checked += 1
+            detail = is_singular(alg, branch.vector, branch.constraints)
+            assert detail.singular
+            assert len(detail.by_generator) == 6
+            checked += 1
     assert checked >= 4
     print("criterion 7: every emitted branch annihilated by all 6 lowering generators")
 
@@ -199,10 +197,7 @@ def test_criterion_8_oracle_equivalence(alg, reports):
             satisfied = [b for b in branches if b.constraints.satisfied_at(pt)]
             assert bool(ker) == bool(satisfied), (name, pt)
             if satisfied:
-                sym = []
-                for b in satisfied:
-                    for vec in b.kernel:
-                        sym.append([x.eval_all(pt) for x in vec])
+                sym = [[x.eval_all(pt) for x in b.kernel] for b in satisfied]
                 assert same_span(sym, ker, ncols), (name, pt)
     print("criterion 8: numeric kernel oracle agrees at and off every branch locus")
 

@@ -203,6 +203,10 @@ class TestCommands:
         assert br["constraints"] == ["L2 - L1"]
         assert br["vectors"] == [["1"]]
         assert br["verified"] is True
+        # a branch has exactly one vector
+        for vectors in ([], [["1"], ["1"]]):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**payload, "branches": [{**br, "vectors": vectors}]}, REPORT_JSON_SCHEMA)
 
     @pytest.mark.parametrize("weight", ["-1,3", "-d1+d2"])
     def test_singular_weight_with_leading_minus(self, capsys, weight):

@@ -293,7 +293,7 @@ class TestSolve:
         assert br.kernel == [[const(1)]]
         (rb,) = find_singular_vectors(ALG, Weight.of(0, 2)).branches
         assert rb.constraints == br.constraints
-        assert rb.kernel == [[RatFuncQ(const(-2)), RatFuncQ(const(1))]]
+        assert rb.kernel == [RatFuncQ(const(-2)), RatFuncQ(const(1))]
 
     def test_weight_d1_minus_d2(self):
         _, br = one_branch((1, -1))
@@ -355,8 +355,7 @@ class TestFindSingularVectors:
         assert len(rep.branches) == 1
         br = rep.branches[0]
         assert br.constraints.equations == (L(1) - const(Fraction(3, 4)),)
-        assert len(br.kernel) == 1
-        got = [x.as_poly() for x in br.kernel[0]]
+        got = [x.as_poly() for x in br.kernel]
         assert got == EXPECTED_2D1
         assert br.verified
 
@@ -365,7 +364,7 @@ class TestFindSingularVectors:
         assert len(rep.branches) == 1
         br = rep.branches[0]
         assert br.constraints.equations == (L(2) + L(1) - const(Fraction(3, 2)),)
-        got = [x.as_poly() for x in br.kernel[0]]
+        got = [x.as_poly() for x in br.kernel]
         assert got == EXPECTED_D1D2
         assert br.verified
 
@@ -387,10 +386,9 @@ class TestFindSingularVectors:
             rep = find_singular_vectors(ALG, Weight.of(*coords))
             for br in rep.branches:
                 assert br.verified
-                for v in br.vectors:
-                    report = is_singular(ALG, v, br.constraints)
-                    assert report.singular
-                    assert len(report.by_generator) == 6
+                report = is_singular(ALG, br.vector, br.constraints)
+                assert report.singular
+                assert len(report.by_generator) == 6
 
 
 def branch_point(rng, nvars, constraints):
@@ -456,7 +454,7 @@ class TestCompletenessOracle:
                     pt = branch_point(rng, 2, br.constraints)
                     ker = fraction_kernel(evaluate_rows(full, pt), ncols)
                     assert ker
-                    sym = [[x.eval_all(pt) for x in vec] for vec in br.kernel]
+                    sym = [[x.eval_all(pt) for x in br.kernel]]
                     assert same_span(sym, ker, ncols)
 
 
