@@ -34,9 +34,7 @@ single run.  Times are in seconds, totals of the spans of each stage:
   every element of n- through the module kernel of ``verma``;
 * ``rewrite``: every call of the module kernel's integer rewrite
   ``verma._v0_sums``, once per word that ``assemble_system`` and
-  ``is_singular`` apply to v0, with the call count (``pbw._normal_sums``
-  is wrapped too, but no stage calls ``act`` or ``normal_order``, so no
-  stage reaches it);
+  ``is_singular`` apply to v0, with the call count;
 * ``render``: ``textio.report_to_json`` on the report, the JSON view that
   ``jv singular --format json`` prints; it runs after the search and is not
   part of ``total``.
@@ -80,7 +78,6 @@ WRAPPED = [
     ("singular", "_kernel_from_pivots", "singular.kernel"),
     ("singular", "_reduce_poly", "singular.reduce"),
     ("singular", "_split_factors", "singular.factor"),
-    ("pbw", "_normal_sums", "pbw.rewrite"),
     ("verma", "_v0_sums", "pbw.rewrite"),
 ]
 

@@ -16,7 +16,8 @@ Global flags: ``--format text|latex|json`` (default text), ``--short-names``
 
 Exit status: 0 on success (including "no singular vector", which is a valid
 answer), 2 on parse errors and invalid input (such as a branch budget below
-1), 3 when the solver branch budget is exhausted.
+1, or a vector to verify that is zero or vanishes on its constraints), 3
+when the solver branch budget is exhausted.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import JacobiAlgebra
-from .ring import frac_text
+from .ring import PolyQ, frac_text
 from .singular import BranchBudgetExceededError, display_factor_order, find_singular_vectors
 from .textio import (
     ParseError,
@@ -87,8 +88,8 @@ def _cmd_bracket(args) -> int:
     alg = JacobiAlgebra(n)
     br = alg.bracket(parse_generator(args.x, n), parse_generator(args.y, n))
     # the bracket as the element scalar + sum c g of U(g_n)
-    terms = {PbwMonomial.from_generators(alg, [g]): c for g, c in br.terms.items()}
-    value = UElement(n, {PbwMonomial.unit(alg): br.scalar, **terms})
+    terms = {PbwMonomial.from_generators(alg, [g]): PolyQ.const(n, c) for g, c in br.terms.items()}
+    value = UElement(n, {PbwMonomial.unit(alg): PolyQ.const(n, br.scalar), **terms})
 
     def to_json(alg, _value):
         terms = [
@@ -168,6 +169,10 @@ def _cmd_verify(args) -> int:
         cs = ConstraintSet.from_equations(n, eqs)
     except InconsistentConstraintsError:
         print("constraints are inconsistent", file=sys.stderr)
+        return EXIT_PARSE
+    # a singular vector is nonzero, on the constraints too
+    if cs.solved_form and all(cs.substitute(c).is_zero for c in v.terms.values()):
+        print("error: vector vanishes on the constraints", file=sys.stderr)
         return EXIT_PARSE
     report = is_singular(alg, v, cs)
     if args.format == "json":

@@ -24,24 +24,30 @@ coefficients, over powers of 2, of ``JacobiAlgebra.integer_bracket``
 (b = 1) or ``JacobiAlgebra.run_bracket`` (b >= 2), which read the integer
 kernel ``algebra.half_bracket``, and the words that reach normal form are
 summed into one (numerator, denominator) pair per sorted word.
-``normal_order`` (and so ``multiply``) is that rewrite plus one
-``fractions.Fraction`` and one ``PbwMonomial`` per word of the result:
-``_normal_sums`` serves U(g) normal forms, which can drop no word.  The
-module action (``verma``) has its own integer rewrite of a word applied to
-v0, which drops the words that kill v0 and is tested against this one.
-``UElement`` coefficients are nonzero
-``Fraction``s.  Dependence on the weight enters only when the module
-evaluates Cartan factors (``verma``).
+``normal_order`` (and so ``multiply``) is that rewrite plus one constant
+``PolyQ``, made canonical with one integer gcd, and one ``PbwMonomial`` per
+word of the result: ``_normal_sums`` serves U(g) normal forms, which can
+drop no word.  The module action (``verma``) has its own integer rewrite of
+a word applied to v0, which drops the words that kill v0 and is tested
+against this one.
+
+``UElement`` is the one combination of PBW monomials in the package: a map
+to nonzero ``PolyQ`` coefficients in L1..Ln.  An element of U(g_n) has
+constant coefficients; a module vector of U(n+) v0 is the same data over
+raising monomials, with coefficients polynomial in the formal weight, and
+``verma.VermaVector`` is another name for this class.  Dependence on the
+weight enters only when the module evaluates Cartan factors (``verma``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Generator, JacobiAlgebra, Weight
+from .ring import PolyQ, _poly
 
 
 @dataclass(frozen=True)
@@ -90,30 +96,31 @@ def monomial_weight(alg: JacobiAlgebra, m: PbwMonomial) -> Weight:
 
 
 class UElement:
-    """Finite combination of PBW monomials with nonzero rational coefficients."""
+    """Finite combination of PBW monomials with nonzero ``PolyQ``
+    coefficients: an element of U(g_n) (constant coefficients) or, over
+    raising monomials applied to v0, a module vector (``verma.VermaVector``
+    is this class)."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[Dict[PbwMonomial, Fraction]] = None):
+    def __init__(self, nvars: int, terms: Optional[Dict[PbwMonomial, PolyQ]] = None):
         self.nvars = nvars
-        self.terms: Dict[PbwMonomial, Fraction] = {}
+        self.terms: Dict[PbwMonomial, PolyQ] = {}
         if terms:
             for m, c in terms.items():
-                if c != 0:
+                if not c.is_zero:
                     self.terms[m] = c
 
     @classmethod
-    def zero(cls, alg: JacobiAlgebra) -> "UElement":
-        return cls(alg.n)
-
-    @classmethod
     def unit(cls, alg: JacobiAlgebra) -> "UElement":
-        return cls(alg.n, {PbwMonomial.unit(alg): Fraction(1)})
+        """The unit of U(g_n); applied to v0, the vector v0."""
+        return cls(alg.n, {PbwMonomial.unit(alg): PolyQ.one(alg.n)})
 
     @classmethod
-    def of_generator(cls, alg: JacobiAlgebra, g: Generator) -> "UElement":
-        m = PbwMonomial.from_generators(alg, [g])
-        return cls(alg.n, {m: Fraction(1)})
+    def monomial(cls, alg: JacobiAlgebra, m: PbwMonomial, coeff: Optional[PolyQ] = None) -> "UElement":
+        if coeff is None:
+            coeff = PolyQ.one(alg.n)
+        return cls(alg.n, {m: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -122,9 +129,10 @@ class UElement:
     def __add__(self, other: "UElement") -> "UElement":
         res = dict(self.terms)
         for m, c in other.terms.items():
-            v = res.get(m, 0) + c
-            if v == 0:
-                res.pop(m, None)
+            prev = res.get(m)
+            v = c if prev is None else prev + c
+            if v.is_zero:
+                del res[m]
             else:
                 res[m] = v
         return UElement(self.nvars, res)
@@ -135,7 +143,9 @@ class UElement:
     def __sub__(self, other: "UElement") -> "UElement":
         return self + (-other)
 
-    def scale(self, c: Union[int, Fraction]) -> "UElement":
+    def scale(self, c: Union[int, Fraction, PolyQ]) -> "UElement":
+        if not isinstance(c, PolyQ):
+            c = PolyQ.const(self.nvars, c)
         return UElement(self.nvars, {m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -148,7 +158,7 @@ class UElement:
     def __repr__(self):
         if self.is_zero:
             return "UElement(0)"
-        return "UElement(" + ", ".join(f"{m.exps}: {c}" for m, c in self.terms.items()) + ")"
+        return "UElement(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
 
 
 def _normal_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[int, ...], Tuple[int, int]]:
@@ -222,19 +232,20 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
     """PBW normal form of a word of generators (or of their indices).
 
     The integer rewrite ``_normal_sums`` does the work; each word it returns
-    becomes one ``PbwMonomial`` with one reduced ``Fraction``.  The result
-    is supported on ordered monomials only.
+    becomes one ``PbwMonomial`` with one constant ``PolyQ``, reduced by one
+    integer gcd.  The result is supported on ordered monomials only.
     """
-    result = {
-        PbwMonomial.from_word(alg, w): Fraction(num, den)
-        for w, (num, den) in _normal_sums(alg, _index_word(alg, word)).items()
-    }
-    return UElement(alg.n, result)
+    n = alg.n
+    result = {}
+    for w, (num, den) in _normal_sums(alg, _index_word(alg, word)).items():
+        g = gcd(num, den)
+        result[PbwMonomial.from_word(alg, w)] = _poly(n, {0: num // g}, den // g)
+    return UElement(n, result)
 
 
 def multiply(alg: JacobiAlgebra, a: UElement, b: UElement) -> UElement:
     """Product in the enveloping algebra, returned in normal form."""
-    out = UElement.zero(alg)
+    out = UElement(alg.n)
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             out = out + normal_order(alg, m1.word() + m2.word()).scale(c1 * c2)

@@ -580,12 +580,6 @@ def frac_text(q: Fraction) -> str:
     return _ratio_text(q.numerator, q.denominator)
 
 
-def frac_latex(q: Fraction) -> str:
-    if q < 0 and q.denominator != 1:
-        return "-" + _ratio_latex(-q.numerator, q.denominator)
-    return _ratio_latex(q.numerator, q.denominator)
-
-
 # -- gcd and squarefree machinery -------------------------------------------
 #
 # These work on nonzero integer term maps and give results up to a nonzero

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
 from operator import itemgetter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .algebra import Generator, JacobiAlgebra, Weight
 from .pbw import PbwMonomial
@@ -156,14 +156,17 @@ def _ansatz_signature(alg: JacobiAlgebra) -> List[int]:
     return [*alg.kplus, *alg.aplus, *alg.kzero_raising]
 
 
-def ansatz_sort_key(alg: JacobiAlgebra, m: PbwMonomial) -> tuple:
-    """Sort key for same-weight monomials: descending lex with the K+ block most
-    significant, then a+, then raising K0 (callers sort with reverse=True).
+def ansatz_sort_key(alg: JacobiAlgebra) -> Callable[[PbwMonomial], tuple]:
+    """The sort key of same-weight monomials of ``alg``: descending lex with
+    the K+ block most significant, then a+, then raising K0 (callers sort
+    with reverse=True).  Build it once per sort; it reads the exponents with
+    one ``itemgetter``.
 
     This reproduces the presentation order of the worked g_2 cases and puts
     the conventional free-scale monomial last.
     """
-    return tuple(m.exps[i] for i in _ansatz_signature(alg))
+    get = itemgetter(*_ansatz_signature(alg))
+    return lambda m: get(m.exps)
 
 
 def display_factor_order(alg: JacobiAlgebra) -> List[int]:
@@ -213,8 +216,7 @@ def enumerate_ansatz(alg: JacobiAlgebra, w: Weight) -> List[PbwMonomial]:
         exps[sp[d]] = 0
 
     dfs(0, list(accumulate(int(c) for c in w.coords)))
-    key = itemgetter(*_ansatz_signature(alg))
-    found.sort(key=lambda m: key(m.exps), reverse=True)
+    found.sort(key=ansatz_sort_key(alg), reverse=True)
     return found
 
 
@@ -263,13 +265,13 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     shifted = _CartanValues(alg, [{_unit(n, i): 4, 0: -1} for i in range(n)], 4)
     zero = PolyQ.zero(n)
     words = [m.word() for m in columns]
-    order = itemgetter(*_ansatz_signature(alg))
+    key = ansatz_sort_key(alg)
     rows: List[SystemRow] = []
     for x in alg.sp_lowering_generators:
         ix = alg.index[x]
         images = [_to_vector(alg, *_apply_on_v0(alg, [((ix,) + word, one)], shifted)).terms for word in words]
         support = {b for img in images for b in img}
-        for b in sorted(support, key=lambda m: order(m.exps), reverse=True):
+        for b in sorted(support, key=key, reverse=True):
             rows.append(SystemRow(x, b, tuple(img.get(b, zero) for img in images)))
     return AnsatzSystem(w, n, columns, rows, ansatz)
 

@@ -20,7 +20,9 @@ Text grammar (round-trips exactly):
 Rendering uses short names automatically when n = 2 (the notation of the
 worked cases); LaTeX output uses the K notation by default and short names
 on request.  Every spelling and name of a generator is in one table per n
-(``_NameTable``); short names exist for n = 2 only.
+(``_NameTable``); short names exist for n = 2 only.  Module vectors and
+enveloping-algebra elements are one class, ``pbw.UElement`` with ``PolyQ``
+coefficients, so one renderer and one coefficient path serve both.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .algebra import K_ZERO, Generator, JacobiAlgebra, Weight
-from .pbw import PbwMonomial, UElement
-from .ring import PolyQ, frac_latex, frac_text
+from .pbw import PbwMonomial
+from .ring import PolyQ, frac_text
 from .singular import display_factor_order
 from .verma import ConstraintSet, VermaVector, apply_word_to_v0
 
@@ -422,12 +424,12 @@ def parse_vector(s: str, alg: JacobiAlgebra) -> VermaVector:
 
 def render_vector(
     alg: JacobiAlgebra,
-    v: Union[VermaVector, UElement],
+    v: VermaVector,
     short: Optional[bool] = None,
     latex: bool = False,
 ) -> str:
-    """A module vector (PolyQ coefficients) or an enveloping-algebra element
-    (Fraction coefficients) as a signed sum of terms."""
+    """A module vector or an enveloping-algebra element as a signed sum of
+    terms."""
     if v.is_zero:
         return "0"
     order = display_factor_order(alg)
@@ -438,25 +440,18 @@ def render_vector(
     return " ".join(parts)
 
 
-def _display_sorted(v: Union[VermaVector, UElement], order: List[int]) -> list:
+def _display_sorted(v: VermaVector, order: List[int]) -> list:
     """The terms of v, in descending display order of their monomials."""
     return sorted(v.terms.items(), key=lambda t: [t[0].exps[i] for i in order], reverse=True)
 
 
-def _format_term(
-    mono: str, coeff: Union[Fraction, PolyQ], is_unit: bool, latex: bool, first: bool
-) -> str:
+def _format_term(mono: str, coeff: PolyQ, is_unit: bool, latex: bool, first: bool) -> str:
     """One rendered summand with its sign prefix: coefficient then monomial."""
-    if isinstance(coeff, PolyQ):
-        negative = len(coeff.num) == 1 and next(iter(coeff.num.values())) < 0
-        if negative:
-            coeff = -coeff
-        body = coeff.to_latex() if latex else coeff.to_text()
-        need_parens = len(coeff.num) > 1
-    else:
-        negative = coeff < 0
-        body = (frac_latex if latex else frac_text)(abs(coeff))
-        need_parens = False
+    negative = len(coeff.num) == 1 and next(iter(coeff.num.values())) < 0
+    if negative:
+        coeff = -coeff
+    body = coeff.to_latex() if latex else coeff.to_text()
+    need_parens = len(coeff.num) > 1
     if is_unit:
         out = f"({body})" if need_parens else body
     elif body == "1":
@@ -468,9 +463,6 @@ def _format_term(
     if first:
         return "-" + out if negative else out
     return ("- " if negative else "+ ") + out
-
-
-render_uelement = render_vector
 
 
 # -- constraints -------------------------------------------------------------
@@ -505,18 +497,16 @@ def render_solved_form(cs: ConstraintSet, latex: bool = False) -> List[str]:
 # -- JSON views ---------------------------------------------------------------
 
 
-def vector_to_json(alg: JacobiAlgebra, v: Union[VermaVector, UElement]) -> list:
+def vector_to_json(alg: JacobiAlgebra, v: VermaVector) -> list:
     """Terms of a module vector or an enveloping-algebra element, in display order."""
     order = display_factor_order(alg)
     return [
-        {
-            "monomial": render_monomial(alg, m, order=order),
-            "coeff": c.to_text() if isinstance(c, PolyQ) else frac_text(c),
-        }
+        {"monomial": render_monomial(alg, m, order=order), "coeff": c.to_text()}
         for m, c in _display_sorted(v, order)
     ]
 
 
+# the name under which the benchmark renders normal forms
 uelement_to_json = vector_to_json
 
 

@@ -5,7 +5,9 @@ weight vector v0, with coefficients polynomial in the formal weight values
 L1..Ln (Li = value of the weight functional on h_i).  Acting with a basis
 generator normal-orders the product, after which trailing lowering factors
 annihilate v0 and Cartan factors h_i evaluate to Li, so that h^e multiplies a
-coefficient by L^e.
+coefficient by L^e.  A vector is the package's one combination of PBW
+monomials, ``pbw.UElement``, over raising monomials: ``VermaVector`` is
+another name for that class, and ``VermaVector.unit`` is v0.
 
 One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
 ``apply_word_to_v0``, ``is_singular`` and the solver's condition assembly
@@ -54,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
 # ``normal_order`` is not called here any more; it stays importable from this
 # module, where perfbench/workloads.py wraps it.
-from .pbw import PbwMonomial, _index_word, monomial_weight, normal_order  # noqa: F401
+from .pbw import PbwMonomial, UElement, _index_word, monomial_weight, normal_order  # noqa: F401
 from .ring import (
     IntTerms,
     PolyQ,
@@ -98,67 +100,8 @@ class InhomogeneousVectorError(ValueError):
         super().__init__(f"vector mixes weights: monomials {m1.exps} and {m2.exps}")
 
 
-class VermaVector:
-    """Map from raising-only PBW monomials to PolyQ coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[Dict[PbwMonomial, PolyQ]] = None):
-        self.nvars = nvars
-        self.terms: Dict[PbwMonomial, PolyQ] = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero:
-                    self.terms[m] = c
-
-    @classmethod
-    def v0(cls, alg: JacobiAlgebra) -> "VermaVector":
-        return cls(alg.n, {PbwMonomial.unit(alg): PolyQ.one(alg.n)})
-
-    @classmethod
-    def monomial(cls, alg: JacobiAlgebra, m: PbwMonomial, coeff: Optional[PolyQ] = None) -> "VermaVector":
-        if coeff is None:
-            coeff = PolyQ.one(alg.n)
-        return cls(alg.n, {m: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = res.get(m, PolyQ.zero(self.nvars)) + c
-            if v.is_zero:
-                res.pop(m, None)
-            else:
-                res[m] = v
-        return VermaVector(self.nvars, res)
-
-    def __neg__(self) -> "VermaVector":
-        return VermaVector(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def scale(self, c) -> "VermaVector":
-        if not isinstance(c, PolyQ):
-            c = PolyQ.const(self.nvars, c)
-        if c.is_zero:
-            return VermaVector(self.nvars)
-        return VermaVector(self.nvars, {m: v * c for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VermaVector)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if self.is_zero:
-            return "VermaVector(0)"
-        return "VermaVector(" + ", ".join(f"{m.exps}: {c.to_text()}" for m, c in self.terms.items()) + ")"
+# A module vector is a combination of raising monomials applied to v0.
+VermaVector = UElement
 
 
 # Module vector under construction: raising word -> packed L-monomial ->

@@ -217,7 +217,7 @@ def oracle_lift(alg: JacobiAlgebra, m: PbwMonomial) -> VermaVector:
     """m(K') v0 for a monomial m in the raising generators of sp(n), where each
     factor K acts as K minus its oscillator realization ``realize(n, K)``."""
     n = alg.n
-    v = VermaVector.v0(alg)
+    v = VermaVector.unit(alg)
     for idx in reversed(m.word()):
         g = alg.generators[idx]
         out = oracle_act(alg, g, v)

@@ -343,6 +343,21 @@ class TestExitCodes:
             assert out == ""
             assert err == f"error: vector mixes weights: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_vector_vanishing_on_the_constraints_is_2(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "verify", "(L1 - 1/4) a+1", "--constraints", "L1 = 1/4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: vector vanishes on the constraints\n"
+        # one coefficient that vanishes there is not enough
+        code, out, _ = run_cli(
+            capsys, "--format", fmt, "verify", "(L1 - 1/4) (a+1)^2 + L2 b+1", "--constraints", "L1 = 1/4"
+        )
+        assert code == 0
+        assert out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 from jacobiverma.algebra import A_MINUS, A_PLUS, Generator, JacobiAlgebra
-from jacobiverma.pbw import UElement, multiply, normal_order
+from jacobiverma.pbw import PbwMonomial, UElement, multiply, normal_order
 
 from oracles import realize
 
 
 def shifted(alg, g):
     """K' = K - realize(n, K) as an element of U(g_n)."""
-    out = UElement.of_generator(alg, g)
+    out = UElement.monomial(alg, PbwMonomial.from_generators(alg, [g]))
     for (creation, annihilation), c in realize(alg.n, g).terms.items():
         word = [
             Generator(family, i + 1)
@@ -42,7 +42,11 @@ def sp_generators(alg):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shifted_generators_commute_with_heisenberg(n):
     alg = JacobiAlgebra(n)
-    heisenberg = [UElement.of_generator(alg, g) for g in alg.generators if g.family in (A_PLUS, A_MINUS)]
+    heisenberg = [
+        UElement.monomial(alg, PbwMonomial.from_generators(alg, [g]))
+        for g in alg.generators
+        if g.family in (A_PLUS, A_MINUS)
+    ]
     for g in sp_generators(alg):
         k = shifted(alg, g)
         for a in heisenberg:
@@ -68,7 +72,7 @@ def test_shifted_cartan_values():
     alg = JacobiAlgebra(2)
     for h in alg.cartan:
         want = (
-            UElement.of_generator(alg, h)
+            UElement.monomial(alg, PbwMonomial.from_generators(alg, [h]))
             - normal_order(alg, [Generator(A_PLUS, h.i), Generator(A_MINUS, h.i)]).scale(Fraction(1, 2))
             - UElement.unit(alg).scale(Fraction(1, 4))
         )

@@ -26,7 +26,9 @@ from jacobiverma.pbw import (
     normal_order,
 )
 
+from jacobiverma.ring import PolyQ
 from jacobiverma.singular import enumerate_ansatz
+from jacobiverma.textio import parse_poly, render_monomial, vector_to_json
 
 from oracles import insert_normal_order
 
@@ -42,13 +44,15 @@ def mono(*gens):
 
 
 def uelt(pairs):
-    return UElement(ALG.n, {m: Fraction(c) for m, c in pairs})
+    return UElement(ALG.n, {m: PolyQ.const(ALG.n, c) for m, c in pairs})
 
 
 def as_rational_dict(u):
+    """The coefficients of an element of U(g), each a nonzero constant, as
+    rationals."""
     for c in u.terms.values():
-        assert type(c) is Fraction and c != 0
-    return {m.exps: c for m, c in u.terms.items()}
+        assert c.is_constant and not c.is_zero
+    return {m.exps: c.leading()[1] for m, c in u.terms.items()}
 
 
 class TestNormalOrderGolden:
@@ -125,9 +129,7 @@ def _words(draw):
 
 
 def _oracle_agrees(alg, word):
-    assert {m.exps: c for m, c in normal_order(alg, word).terms.items()} == insert_normal_order(
-        alg, word
-    ), word
+    assert as_rational_dict(normal_order(alg, word)) == insert_normal_order(alg, word), word
 
 
 class TestRunRule:
@@ -179,6 +181,28 @@ class TestRunRule:
             assert all(q & (q - 1) == 0 and (p % 2 or q == 1) for _, p, q in terms)
 
 
+class TestNormalFormJson:
+    """The JSON view of a normal form, read back with the polynomial parser,
+    carries the oracle's rationals: the constant coefficients take the one
+    rendering path of module vectors."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coefficient_strings_are_the_oracle(self, n):
+        alg = _ALGEBRAS[n]
+        rng = random.Random(3300 + n)
+        for _ in range(80):
+            word = tuple(rng.randrange(len(alg.generators)) for _ in range(rng.randint(2, 6)))
+            terms = vector_to_json(alg, normal_order(alg, word))
+            got = {}
+            for t in terms:
+                c = parse_poly(t["coeff"], n)
+                assert c.is_constant and not c.is_zero, t
+                got[t["monomial"]] = c.leading()[1]
+            assert len(got) == len(terms)
+            want = {render_monomial(alg, PbwMonomial(e)): c for e, c in insert_normal_order(alg, word).items()}
+            assert got == want, word
+
+
 class TestIntegerRewrite:
     """``_normal_sums`` is the integer rewrite behind ``normal_order``, and
     the reference for the module kernel's ``verma._v0_sums``, which keeps
@@ -193,7 +217,8 @@ class TestIntegerRewrite:
             assert list(w) == sorted(w)
             assert num != 0 and den > 0 and den & (den - 1) == 0
         as_element = UElement(
-            alg.n, {PbwMonomial.from_word(alg, w): Fraction(num, den) for w, (num, den) in sums.items()}
+            alg.n,
+            {PbwMonomial.from_word(alg, w): PolyQ.const(alg.n, Fraction(num, den)) for w, (num, den) in sums.items()},
         )
         assert as_element == normal_order(alg, word)
         low = alg.num_positive + alg.n
@@ -220,7 +245,7 @@ class TestTermination:
         for _ in range(40):
             word = tuple(rng.randrange(len(ALG.generators)) for _ in range(5))
             u = normal_order(ALG, word)
-            again = UElement.zero(ALG)
+            again = UElement(ALG.n)
             for m, c in u.terms.items():
                 again = again + normal_order(ALG, m.word()).scale(c)
             assert again == u
@@ -228,20 +253,20 @@ class TestTermination:
 
 class TestMultiply:
     def test_unit(self):
-        x = UElement.of_generator(ALG, G(K_PLUS, 1, 2))
+        x = UElement.monomial(ALG, mono(G(K_PLUS, 1, 2)))
         assert multiply(ALG, UElement.unit(ALG), x) == x
         assert multiply(ALG, x, UElement.unit(ALG)) == x
 
     def test_ccr_through_multiply(self):
-        am = UElement.of_generator(ALG, G(A_MINUS, 1))
-        ap = UElement.of_generator(ALG, G(A_PLUS, 1))
+        am = UElement.monomial(ALG, mono(G(A_MINUS, 1)))
+        ap = UElement.monomial(ALG, mono(G(A_PLUS, 1)))
         comm = multiply(ALG, am, ap) - multiply(ALG, ap, am)
         assert comm == UElement.unit(ALG)
 
     def test_dplus_dminus_commutator(self):
         # [d+, d-] = (1/2)(h1 - h2)
-        dp = UElement.of_generator(ALG, G(K_ZERO, 1, 2))
-        dm = UElement.of_generator(ALG, G(K_ZERO, 2, 1))
+        dp = UElement.monomial(ALG, mono(G(K_ZERO, 1, 2)))
+        dm = UElement.monomial(ALG, mono(G(K_ZERO, 2, 1)))
         comm = multiply(ALG, dp, dm) - multiply(ALG, dm, dp)
         expected = uelt(
             [
@@ -253,27 +278,26 @@ class TestMultiply:
 
     def test_commutator_lift_all_pairs(self):
         for x, y in itertools.product(ALG.generators, repeat=2):
-            lift = multiply(
-                ALG, UElement.of_generator(ALG, x), UElement.of_generator(ALG, y)
-            ) - multiply(ALG, UElement.of_generator(ALG, y), UElement.of_generator(ALG, x))
+            ex, ey = UElement.monomial(ALG, mono(x)), UElement.monomial(ALG, mono(y))
+            lift = multiply(ALG, ex, ey) - multiply(ALG, ey, ex)
             br = ALG.bracket(x, y)
-            expected = UElement.zero(ALG)
+            expected = UElement(ALG.n)
             if br.scalar != 0:
                 expected = expected + UElement.unit(ALG).scale(br.scalar)
             for g, c in br.terms.items():
-                expected = expected + UElement.of_generator(ALG, g).scale(c)
+                expected = expected + UElement.monomial(ALG, mono(g)).scale(c)
             assert lift == expected, (x, y)
 
     def test_associativity_random_triples(self):
         rng = random.Random(4242)
         gens = ALG.generators
         for _ in range(60):
-            x, y, z = (UElement.of_generator(ALG, rng.choice(gens)) for _ in range(3))
+            x, y, z = (UElement.monomial(ALG, mono(rng.choice(gens))) for _ in range(3))
             assert multiply(ALG, multiply(ALG, x, y), z) == multiply(ALG, x, multiply(ALG, y, z))
 
     def test_associativity_all_basis_triples(self):
         gens = ALG.generators
-        singles = [UElement.of_generator(ALG, g) for g in gens]
+        singles = [UElement.monomial(ALG, mono(g)) for g in gens]
         for i, j, k in itertools.product(range(len(gens)), repeat=3):
             lhs = multiply(ALG, multiply(ALG, singles[i], singles[j]), singles[k])
             rhs = multiply(ALG, singles[i], multiply(ALG, singles[j], singles[k]))

@@ -149,7 +149,7 @@ def test_enumeration_matches_brute_force(alg, coords):
     mons = enumerate_ansatz(alg, w)
     assert len(set(mons)) == len(mons)
     assert set(mons) == brute_force_ansatz(alg, w)
-    assert mons == sorted(mons, key=lambda m: ansatz_sort_key(alg, m), reverse=True)
+    assert mons == sorted(mons, key=ansatz_sort_key(alg), reverse=True)
 
 
 def test_enumeration_g4_2d1_plus_2d2():
@@ -160,7 +160,7 @@ def test_enumeration_g4_2d1_plus_2d2():
     mons = enumerate_ansatz(alg, w)
     assert len(mons) == len(set(mons)) == 1007
     assert all(monomial_weight(alg, m) == w for m in mons)
-    assert mons == sorted(mons, key=lambda m: ansatz_sort_key(alg, m), reverse=True)
+    assert mons == sorted(mons, key=ansatz_sort_key(alg), reverse=True)
 
 
 def conditions(ansatz, x, label):
@@ -523,7 +523,7 @@ def act_then_shift_rows(alg, sys_):
     for x in alg.sp_lowering_generators:
         images = [act(alg, x, VermaVector.monomial(alg, m)) for m in sys_.columns]
         support = {b for img in images for b in img.terms}
-        for b in sorted(support, key=lambda m: ansatz_sort_key(alg, m), reverse=True):
+        for b in sorted(support, key=ansatz_sort_key(alg), reverse=True):
             entries = tuple(img.terms.get(b, PolyQ.zero(n)).subs(shift) for img in images)
             if any(not e.is_zero for e in entries):
                 rows.append((x, b, entries))

@@ -56,7 +56,7 @@ def vec(*pairs):
     return VermaVector(2, {m: c for m, c in pairs})
 
 
-V0 = VermaVector.v0(ALG)
+V0 = VermaVector.unit(ALG)
 
 
 class TestActGolden:
@@ -442,7 +442,7 @@ class TestApplyWordToV0:
                 })
                 got = apply_word_to_v0(alg, word, coeff)
                 assert_clean(got)
-                expected = VermaVector.v0(alg)
+                expected = VermaVector.unit(alg)
                 for x in reversed(word):
                     expected = oracle_act(alg, x, expected)
                 assert got == expected.scale(coeff), word
