@@ -349,9 +349,6 @@ class JacobiAlgebra:
         self._key_index: Dict[Key, int] = {key: k for k, key in enumerate(self._keys)}
         self._integer_table: Dict[Tuple[int, int], IntegerBracket] = {}
         self._run_table: Dict[Tuple[int, int, int], IntegerBracket] = {}
-        # the module's formal Cartan values (``verma._CartanValues.formal``),
-        # built there on first use
-        self._formal_cartan = None
         raising = [_raising_weight(g, n) for g in self.positive]
         self._weights: List[Weight] = raising + [Weight.zero(n)] * n + [-w for w in raising]
         # a^-_n, K^-_{nn} and the K^0_{i+1,i}, in ``negative`` order: n- has

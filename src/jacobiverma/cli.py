@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from .algebra import JacobiAlgebra
 from .ring import PolyQ, frac_text
-from .singular import BranchBudgetExceededError, display_factor_order, find_singular_vectors
+from .singular import BranchBudgetExceededError, _reduce_poly, display_factor_order, find_singular_vectors
 from .textio import (
     ParseError,
     constraints_to_json,
@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
         print("constraints are inconsistent", file=sys.stderr)
         return EXIT_PARSE
     # a singular vector is nonzero, on the constraints too
-    if cs.solved_form and all(cs.substitute(c).is_zero for c in v.terms.values()):
+    if all(_reduce_poly(c, cs).is_zero for c in v.terms.values()):
         print("error: vector vanishes on the constraints", file=sys.stderr)
         return EXIT_PARSE
     report = is_singular(alg, v, cs)

@@ -25,11 +25,11 @@ coefficients, over powers of 2, of ``JacobiAlgebra.integer_bracket``
 kernel ``algebra.half_bracket``, and the words that reach normal form are
 summed into one (numerator, denominator) pair per sorted word.
 ``normal_order`` (and so ``multiply``) is that rewrite plus one constant
-``PolyQ``, made canonical with one integer gcd, and one ``PbwMonomial`` per
-word of the result: ``_normal_sums`` serves U(g) normal forms, which can
-drop no word.  The module action (``verma``) has its own integer rewrite of
-a word applied to v0, which drops the words that kill v0 and is tested
-against this one.
+``PolyQ`` per distinct value, made canonical with one integer gcd, and one
+``PbwMonomial`` per word of the result: ``_normal_sums`` serves U(g)
+normal forms, which can drop no word.  The module action (``verma``) has
+its own integer rewrite of a word applied to v0, which drops the words
+that kill v0 and is tested against this one.
 
 ``UElement`` is the one combination of PBW monomials in the package: a map
 to nonzero ``PolyQ`` coefficients in L1..Ln.  An element of U(g_n) has
@@ -232,14 +232,21 @@ def normal_order(alg: JacobiAlgebra, word: Sequence[Union[int, Generator]]) -> U
     """PBW normal form of a word of generators (or of their indices).
 
     The integer rewrite ``_normal_sums`` does the work; each word it returns
-    becomes one ``PbwMonomial`` with one constant ``PolyQ``, reduced by one
-    integer gcd.  The result is supported on ordered monomials only.
+    becomes one ``PbwMonomial`` with a constant ``PolyQ``, reduced by one
+    integer gcd, and the terms with equal coefficients share one ``PolyQ``,
+    which is never mutated.  The result is supported on ordered monomials
+    only.
     """
     n = alg.n
     result = {}
+    constants: Dict[Tuple[int, int], PolyQ] = {}
     for w, (num, den) in _normal_sums(alg, _index_word(alg, word)).items():
         g = gcd(num, den)
-        result[PbwMonomial.from_word(alg, w)] = _poly(n, {0: num // g}, den // g)
+        value = (num // g, den // g)
+        c = constants.get(value)
+        if c is None:
+            c = constants[value] = _poly(n, {0: value[0]}, value[1])
+        result[PbwMonomial.from_word(alg, w)] = c
     return UElement(n, result)
 
 

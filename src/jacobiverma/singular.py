@@ -85,7 +85,6 @@ from .verma import (  # noqa: F401
     InconsistentConstraintsError,
     VermaVector,
     _apply_on_v0,
-    _CartanValues,
     _to_vector,
     act,
     is_singular,
@@ -262,14 +261,14 @@ def assemble_system(alg: JacobiAlgebra, w: Weight) -> AnsatzSystem:
     n = alg.n
     one = {0: 1}
     # L_i - 1/4 = (4 L_i - 1) / 4
-    shifted = _CartanValues(alg, [{_unit(n, i): 4, 0: -1} for i in range(n)], 4)
+    shifted = [{_unit(n, i): 4, 0: -1} for i in range(n)]
     zero = PolyQ.zero(n)
     words = [m.word() for m in columns]
     key = ansatz_sort_key(alg)
     rows: List[SystemRow] = []
     for x in alg.sp_lowering_generators:
         ix = alg.index[x]
-        images = [_to_vector(alg, *_apply_on_v0(alg, [((ix,) + word, one)], shifted)).terms for word in words]
+        images = [_to_vector(alg, *_apply_on_v0(alg, [((ix,) + word, one)], shifted, 4)).terms for word in words]
         support = {b for img in images for b in img}
         for b in sorted(support, key=key, reverse=True):
             rows.append(SystemRow(x, b, tuple(img.get(b, zero) for img in images)))

@@ -10,13 +10,21 @@ monomials, ``pbw.UElement``, over raising monomials: ``VermaVector`` is
 another name for that class, and ``VermaVector.unit`` is v0.
 
 One fraction-free kernel (``_apply_on_v0``) does this for ``act``,
-``apply_word_to_v0``, ``is_singular`` and the solver's condition assembly
-(``singular.assemble_system``).  It takes (index word, coefficient) pairs,
-the coefficients integer polynomials over one common denominator, and the
-values of the Cartan generators on v0 (``_CartanValues``).  Each word is
-rewritten by ``_v0_sums``, the integer rewrite of ``pbw._normal_sums``
-(which serves U(g) normal forms) made for a word applied to v0 by three
-exact rules:
+``is_singular`` and the solver's condition assembly
+(``singular.assemble_system``), and its one contract is one generator x
+on a sorted raising word m.  For a raising x every word of x m is
+raising.  Otherwise x m v0 = [x, m] v0 + m x v0, where m x v0 is zero for a
+lowering x and m (L_i v0) for x = h_i, and each term of [x, m] holds one
+letter of [x, n+] among raising letters, so at most one letter outside
+n+.  Normal ordering keeps it so: that letter passes a raising y as
+itself plus its bracket with y, again one letter, and raising letters
+bracket to raising ones.  So every word of the normal form has at most
+one letter outside n+, and it is the last.  The kernel takes (index word,
+coefficient) pairs, the coefficients integer polynomials over one common
+denominator, and the n values of the Cartan generators on v0 as integer
+maps over one denominator of their own.  Each word is rewritten by
+``_v0_sums``, the integer rewrite of ``pbw._normal_sums`` (which serves
+U(g) normal forms) made for a word applied to v0 by two exact rules:
 
 * a word that ends in a lowering letter is dropped, sorted or not: it is
   u l with l in n-, and l v0 = 0.  Its normal form lies in U(g) n-, which
@@ -25,22 +33,18 @@ exact rules:
 * the letter x of the leftmost inversion is carried past every run it
   would meet next in one step, while the leftmost inversion would be x
   again: the moves, children and sums are those of one run at a time,
-  with fewer agenda entries;
-* in the kernel, a word with no Cartan tail adds c times its number with
-  no Cartan product, as its Cartan value is 1, and a word whose sum is
-  zero, which adds nothing, is skipped.
+  with fewer agenda entries.
 
-In the words that are kept the Cartan letters are the sorted tail after
-the raising prefix, and the coefficient is multiplied by the product of
-the values over that tail, which ``_CartanValues`` keeps per tail as
-packed integer terms (``ring``) with its largest key: each monomial
-product is one addition of keys, and one comparison of the largest keys
-per product guards the degree limit.  Every term adds integers, and no
+A word whose sum is zero adds nothing and is skipped.  In the others, a
+last letter h_i multiplies the coefficient by the value of h_i, each
+monomial product one addition of packed keys (``ring``), and the raising
+prefix is kept as the key; a word with no letter outside n+ multiplies it
+by the values' denominator alone.  Every term adds integers, and no
 ``Fraction``, ``PbwMonomial``, exponent tuple or enveloping-algebra
 element is formed per term.  At the formal weight the values are the
-variables L_i themselves, so h^e multiplies by L^e:
-``act`` and ``apply_word_to_v0`` run the kernel there and make each
-coordinate of the result one canonical ``PolyQ`` of its integer sums.
+variables L_i themselves: ``act`` runs the kernel there and makes each
+coordinate of the result one canonical ``PolyQ`` of its integer sums, and
+``apply_word_to_v0`` is ``act`` letter by letter, last letter first.
 ``is_singular`` runs it at a branch's weight, the values of the branch's
 solved form, and tests the integer sums for zero; the assembly runs it at
 the shifted values L_i - 1/4.
@@ -48,8 +52,8 @@ the shifted values L_i - 1/4.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +66,6 @@ from .ring import (
     PolyQ,
     _check_degree,
     _exponent,
-    _mul_int_terms,
     _numerators,
     _unit,
     poly_sort_key,
@@ -109,55 +112,11 @@ VermaVector = UElement
 _Accumulator = Dict[Tuple[int, ...], IntTerms]
 
 
-class _CartanValues:
-    """Values of the Cartan generators on v0: h_i acts as ``values[i]``, a
-    polynomial in L1..Ln given as integer terms over one denominator
-    ``den`` (``_numerators`` makes them from ``PolyQ``s).  ``formal`` gives
-    the variables L_i themselves, for ``act`` and ``apply_word_to_v0``;
-    ``is_singular`` gives a branch's solved-form values of the L_i, and
-    ``singular.assemble_system`` the shifted values L_i - 1/4 of the copy
-    of sp(n) that commutes with the Heisenberg part.
-
-    The products are kept per Cartan tail, the sorted run of Cartan
-    indices that ends a word of the normal form, each with its largest
-    key, for the life of the object.  A tail's product is that of its
-    longest kept prefix times the values of the remaining letters, one at a
-    time; only the tails asked for are kept, so a long tail costs its own
-    length in memory, not that of all its prefixes.  The formal values are
-    one object per algebra.
-    """
-
-    def __init__(self, alg: JacobiAlgebra, values: Sequence[IntTerms], den: int):
-        self.values = values
-        self.den = den
-        self.first = alg.num_positive
-        self.nvars = alg.n
-        self._products: Dict[Tuple[int, ...], Tuple[IntTerms, int]] = {(): ({0: 1}, 0)}
-
-    @classmethod
-    def formal(cls, alg: JacobiAlgebra) -> "_CartanValues":
-        """The values L_i themselves.  Built on first use and kept on the
-        algebra, so the products L^e are computed once per algebra."""
-        values = alg._formal_cartan
-        if values is None:
-            values = cls(alg, [{_unit(alg.n, i): 1} for i in range(alg.n)], 1)
-            alg._formal_cartan = values
-        return values
-
-    def cartan(self, tail: Tuple[int, ...]) -> Tuple[IntTerms, int]:
-        """h^tail v0 as an integer polynomial over den ** len(tail), and its
-        largest key (0 when it is zero)."""
-        products = self._products
-        out = products.get(tail)
-        if out is None:
-            k = len(tail) - 1
-            while tail[:k] not in products:
-                k -= 1
-            terms = products[tail[:k]][0]
-            for i in tail[k:]:
-                terms = _mul_int_terms(terms, self.values[i - self.first], self.nvars)
-            out = products[tail] = (terms, max(terms, default=0))
-        return out
+@lru_cache(maxsize=None)
+def _formal_values(n: int) -> Tuple[IntTerms, ...]:
+    """The values L_i of the h_i at the formal weight, over the denominator
+    1.  One tuple per n; the maps are shared and never mutated."""
+    return tuple({_unit(n, i): 1} for i in range(n))
 
 
 def _v0_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[int, ...], Tuple[int, int]]:
@@ -243,28 +202,28 @@ def _v0_sums(alg: JacobiAlgebra, idx_word: Tuple[int, ...]) -> Dict[Tuple[int, .
 
 
 def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], IntTerms]],
-                 weight: _CartanValues) -> Tuple[_Accumulator, int]:
-    """The sum of c (w v0) over the pairs (index word w, integer polynomial
-    c), fraction-free.
+                 values: Sequence[IntTerms], vden: int) -> Tuple[_Accumulator, int]:
+    """The sum of c (x m v0) over the pairs ((x,) + m, c) of a generator
+    index x, a sorted raising word m and an integer polynomial c,
+    fraction-free; h_i acts on v0 as ``values[i]`` over ``vden``.
 
     One ``_v0_sums`` call per word, and one pass over the sorted words it
     returns, none of which ends in a lowering letter; a word whose sum is
-    zero is skipped.  In the others the Cartan letters are the tail after
-    the raising prefix, and h^tail multiplies c by ``weight.cartan(tail)``,
-    each monomial product one addition of keys, while the raising prefix is
-    kept as the key; a word with no Cartan tail adds c times its number.
-    The rewrite's denominators are powers of 2, and the Cartan values'
-    powers of ``weight.den``; both are brought to their largest power in
-    the call, so every term adds integers.  The degree limit is checked once
-    per call, on the largest sum of a coefficient's leading key and that of
-    a Cartan value of its own word.  Returns the sums and the denominator by
-    which they are to be divided, besides that of the c.
+    zero is skipped.  By the contract of the module docstring each other
+    word has at most one letter outside n+, its last: a last letter h_i
+    multiplies c by ``values[i]``, each monomial product one addition of
+    keys, and the raising prefix is kept as the key; a word with no such
+    letter multiplies c by ``vden``.  The rewrite's denominators are powers
+    of 2 and are brought to the largest in the call, so every term adds
+    integers.  The degree limit is checked once per call, on the largest
+    sum of a coefficient's leading key and that of a value its word
+    multiplies it by.  Returns the sums and the denominator by which they
+    are to be divided, besides that of the c.
     """
     npos = alg.num_positive
-    cartan = weight.cartan
+    keys = [max(value, default=0) for value in values]
     leaves = []
     top = 1
-    depth = 0
     reach = 0
     for word, coeff in products:
         # the largest key of a Cartan value of this word's leaves, -1 if none
@@ -272,30 +231,24 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
         for w, (num, den) in _v0_sums(alg, word).items():
             if not num:
                 continue
-            k = bisect_left(w, npos)
-            if k == len(w):
-                leaves.append((w, 0, None, num, den, coeff))
-                key = 0
+            i = w[-1] - npos if w else -1
+            if i < 0:
+                leaves.append((w, None, num * vden, den, coeff))
             else:
-                value, key = cartan(w[k:])
-                leaves.append((w[:k], len(w) - k, value, num, den, coeff))
-                if len(w) - k > depth:
-                    depth = len(w) - k
-            if key > vmax:
-                vmax = key
+                leaves.append((w[:-1], values[i], num, den, coeff))
+                if keys[i] > vmax:
+                    vmax = keys[i]
             if den > top:
                 top = den
         if vmax >= 0:
             reach = max(reach, max(coeff, default=0) + vmax)
     _check_degree(reach, alg.n)
-    wden = weight.den
-    powers = [wden ** (depth - length) for length in range(depth + 1)]
     acc: _Accumulator = {}
-    for raising, length, value, num, den, coeff in leaves:
+    for raising, value, num, den, coeff in leaves:
         slot = acc.get(raising)
         if slot is None:
             slot = acc[raising] = {}
-        f = num * (top // den) * powers[length]
+        f = num * (top // den)
         get = slot.get
         if value is None:
             for e, a in coeff.items():
@@ -306,7 +259,7 @@ def _apply_on_v0(alg: JacobiAlgebra, products: Sequence[Tuple[Tuple[int, ...], I
             for e2, b in value.items():
                 e = e1 + e2
                 slot[e] = get(e, 0) + a * b
-    return acc, top * powers[0]
+    return acc, top * vden
 
 
 def _to_vector(alg: JacobiAlgebra, acc: _Accumulator, den: int) -> VermaVector:
@@ -327,18 +280,21 @@ def act(alg: JacobiAlgebra, x: Generator, v: VermaVector) -> VermaVector:
     ix = alg.index[alg._check(x)]
     coeffs, den = _numerators(list(v.terms.values()))
     products = [((ix,) + m.word(), c) for m, c in zip(v.terms, coeffs)]
-    acc, scale = _apply_on_v0(alg, products, _CartanValues.formal(alg))
+    acc, scale = _apply_on_v0(alg, products, _formal_values(alg.n), 1)
     return _to_vector(alg, acc, den * scale)
 
 
 def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] = None) -> VermaVector:
-    """The vector (product of the word's generators) v0, any input order;
-    the word holds generators or their indices."""
-    if coeff is None:
-        coeff = PolyQ.one(alg.n)
-    (ints,), den = _numerators([coeff])
-    acc, scale = _apply_on_v0(alg, [(_index_word(alg, word), ints)], _CartanValues.formal(alg))
-    return _to_vector(alg, acc, den * scale)
+    """The vector coeff (product of the word's generators) v0, any input
+    order; the word holds generators or their indices.
+
+    ``act`` letter by letter, last letter first, so that the module kernel
+    only ever sees one generator on a sorted raising word.
+    """
+    v = VermaVector.monomial(alg, PbwMonomial.unit(alg), coeff)
+    for i in reversed(_index_word(alg, word)):
+        v = act(alg, alg.generators[i], v)
+    return v
 
 
 def act_of_bracket(alg: JacobiAlgebra, br: BracketResult, v: VermaVector) -> VermaVector:
@@ -508,13 +464,13 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
             message="constraints have no affine solved form; cannot verify",
         )
     nvars = constraints.nvars
-    weight = _CartanValues(alg, *_numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)]))
+    values, vden = _numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)])
     coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
     words = [m.word() for m in v.terms]
     report = SingularityReport()
     for x in alg.negative:
         ix = alg.index[x]
-        acc, _ = _apply_on_v0(alg, [((ix,) + w, c) for w, c in zip(words, coeffs)], weight)
+        acc, _ = _apply_on_v0(alg, [((ix,) + w, c) for w, c in zip(words, coeffs)], values, vden)
         ok = not any(c for slot in acc.values() for c in slot.values())
         report.by_generator.append((x, ok))
     return report

@@ -358,6 +358,25 @@ class TestExitCodes:
         assert code == 0
         assert out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_vector_vanishing_on_nonaffine_constraints_is_2(self, capsys, fmt):
+        # no solved form: the coefficient is a multiple of the constraint
+        code, out, err = run_cli(
+            capsys, "verify", "(L1^2 - 1) a+1", "--constraints", "L1^2 = 1", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: vector vanishes on the constraints\n"
+        # a remainder that is not zero leaves the vector unverifiable
+        code, out, _ = run_cli(
+            capsys, "verify", "(L1^2 + L1 - 1) a+1", "--constraints", "L1^2 = 1", "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["unverifiable"] is True
+        else:
+            assert out.startswith("unverifiable: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

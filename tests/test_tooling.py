@@ -1,5 +1,5 @@
 """The names that the benchmark and the stage timer wrap exist in the package,
-and ``scripts/ab_rungs.py`` compares two checkouts.
+and ``scripts/ab_rungs.py`` and ``scripts/ab_ops.py`` compare two checkouts.
 
 ``perfbench/run.py --trace 1`` wraps every ``(module, attr)`` of
 ``perfbench/workloads.TRACED`` with ``getattr``, and
@@ -80,6 +80,33 @@ def test_ab_rungs_stops_when_the_outputs_differ(tmp_path):
     assert 'f"{num}/{den}"' in text
     ring.write_text(text.replace('f"{num}/{den}"', 'f"{num} / {den}"'), encoding="utf-8")
     run = _ab_rungs(ROOT, tmp_path, 2, "2d1")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "outputs differ" in run.stderr
+
+
+def _ab_ops(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_ab_ops_reports_each_kind():
+    run = _ab_ops(ROOT, ROOT)
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [line["kind"] for line in lines] == ["normal_order", "act", "is_singular"]
+    assert all(line["parent_wins"] + line["change_wins"] == line["passes"] for line in lines)
+
+
+def test_ab_ops_stops_when_the_outputs_differ(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    ring = tmp_path / "src" / "jacobiverma" / "ring.py"
+    text = ring.read_text(encoding="utf-8")
+    assert 'f"{num}/{den}"' in text
+    ring.write_text(text.replace('f"{num}/{den}"', 'f"{num} / {den}"'), encoding="utf-8")
+    run = _ab_ops(ROOT, tmp_path)
     assert run.returncode == 1
     assert run.stdout == ""
     assert "outputs differ" in run.stderr

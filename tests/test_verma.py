@@ -430,12 +430,29 @@ class TestIsSingularAgainstOracle:
 
 
 class TestApplyWordToV0:
+    @staticmethod
+    def words(alg, rng):
+        for _ in range(15):
+            yield [rng.choice(alg.generators) for _ in range(rng.randint(1, 4))]
+        for _ in range(6):
+            # raising letters on both sides of a Cartan run and lowering
+            # letters, so that they act on vectors other than v0
+            middle = [rng.choice(alg.cartan) for _ in range(rng.randint(2, 3))]
+            for _ in range(rng.randint(1, 2)):
+                middle.insert(rng.choice([0, len(middle)]), rng.choice(alg.negative))
+            size = max(2, rng.randint(6, 8) - len(middle))
+            left = rng.randint(1, size - 1)
+            yield (
+                [rng.choice(alg.positive) for _ in range(left)]
+                + middle
+                + [rng.choice(alg.positive) for _ in range(size - left)]
+            )
+
     def test_clean_and_equal_to_the_oracle(self):
         rng = random.Random(14)
         for n in (2, 3):
             alg = ALG if n == 2 else JacobiAlgebra(n)
-            for _ in range(15):
-                word = [rng.choice(alg.generators) for _ in range(rng.randint(1, 4))]
+            for word in self.words(alg, rng):
                 coeff = PolyQ(n, {
                     tuple(rng.randint(0, 1) for _ in range(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                     for _ in range(2)
@@ -491,3 +508,17 @@ class TestModuleRewrite:
                 if not (w and w[-1] >= low)
             }
             assert {w: Fraction(num, den) for w, (num, den) in got.items() if num} == expected, word
+
+    @pytest.mark.parametrize("n, seed", [(1, 34), (2, 35), (3, 36), (4, 37)])
+    def test_one_generator_on_a_raising_word_leaves_one_letter_outside_n_plus(self, n, seed):
+        # the module kernel's contract: x m v0 for a sorted raising m has at
+        # most one letter outside n+ per word, and that letter is the last
+        alg = ALG if n == 2 else JacobiAlgebra(n)
+        size, npos = len(alg.generators), alg.num_positive
+        rng = random.Random(seed)
+        for _ in range(600):
+            m = tuple(sorted(rng.randrange(npos) for _ in range(rng.randint(0, 6))))
+            word = (rng.randrange(size),) + m
+            for w in _v0_sums(alg, word):
+                outside = [k for k, i in enumerate(w) if i >= npos]
+                assert outside in ([], [len(w) - 1]), (word, w)
