@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Emit the full g_2 bracket table as JSON (frozen under tests/golden/)."""
+"""Emit the full g_2 bracket table as JSON (frozen under tests/golden/).
+
+Usage: PYTHONPATH=src python scripts/emit_bracket_table.py [OUT]
+
+Prints the table, or writes it to OUT.
+"""
 
 import json
 import sys
 from pathlib import Path
 
-from jacobiverma import JacobiAlgebra
+from jacobiverma import JacobiAlgebra, PbwMonomial, PolyQ
 from jacobiverma.textio import render_generator
-
-
-def frac(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def main() -> int:
     alg = JacobiAlgebra(2)
+    unit = PbwMonomial.unit(alg)
     table = []
     for x in alg.generators:
         for y in alg.generators:
@@ -25,10 +27,11 @@ def main() -> int:
                 {
                     "x": render_generator(x, 2),
                     "y": render_generator(y, 2),
-                    "scalar": frac(br.scalar),
+                    "scalar": br.terms.get(unit, PolyQ.zero(2)).to_text(),
                     "terms": {
-                        render_generator(g, 2): frac(c)
-                        for g, c in sorted(br.terms.items(), key=lambda t: alg.index[t[0]])
+                        render_generator(alg.generators[m.word()[0]], 2): c.to_text()
+                        for m, c in br.terms.items()
+                        if m != unit
                     },
                 }
             )

@@ -1,16 +1,6 @@
 """Exact lowest-weight Verma modules and singular vectors over the Jacobi algebra."""
 
-from .algebra import (
-    BracketResult,
-    GenClass,
-    Generator,
-    JacobiAlgebra,
-    Weight,
-    bracket,
-    classify,
-    generators,
-    mirror,
-)
+from .algebra import Generator, JacobiAlgebra, Weight, mirror
 from .pbw import PbwMonomial, UElement, monomial_weight, multiply, normal_order
 from .ring import PolyQ, RatFuncQ, poly_gcd, rational_roots, squarefree_part
 from .singular import (
@@ -39,10 +29,8 @@ from .verma import (
 
 __all__ = [
     "AnsatzSystem",
-    "BracketResult",
     "BranchBudgetExceededError",
     "ConstraintSet",
-    "GenClass",
     "Generator",
     "InconsistentConstraintsError",
     "InhomogeneousVectorError",
@@ -61,11 +49,8 @@ __all__ = [
     "act_of_bracket",
     "apply_word_to_v0",
     "assemble_system",
-    "bracket",
-    "classify",
     "enumerate_ansatz",
     "find_singular_vectors",
-    "generators",
     "is_singular",
     "mirror",
     "monomial_weight",

@@ -14,8 +14,8 @@ Kronecker-delta formulas uniform in n (Heisenberg x Heisenberg, Heisenberg x
 sp crossing, sp x sp).  They are written once, as the integer kernel
 ``half_bracket`` on (family, i, j) keys; ``JacobiAlgebra`` tabulates its
 integer form lazily, pair by pair and run by run, for normal ordering,
-and ``bracket``, ``JacobiAlgebra.bracket`` and ``bracket_by_index`` turn a
-kernel value into a ``BracketResult`` of ``Fraction``s.
+and ``JacobiAlgebra.bracket`` reads that form as an element of U(g_n), a
+``pbw.UElement`` with constant coefficients.
 
 Weights are recorded in the delta-basis normalized by delta_i(h_j) =
 (1/2) delta_ij; equivalently, the j-th weight coordinate of a generator g is
@@ -29,10 +29,14 @@ both to ``half_bracket``.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
+
+from .ring import _poly
+
+if TYPE_CHECKING:
+    from .pbw import UElement
 
 A_PLUS = "a+"
 A_MINUS = "a-"
@@ -79,22 +83,6 @@ class Generator:
         if self.family in (A_PLUS, A_MINUS):
             return f"{self.family}[{self.i}]"
         return f"{self.family}[{self.i},{self.j}]"
-
-
-class GenClass(enum.Enum):
-    POSITIVE = "positive"
-    CARTAN = "cartan"
-    NEGATIVE = "negative"
-
-
-def classify(g: Generator) -> GenClass:
-    if g.family in (A_PLUS, K_PLUS):
-        return GenClass.POSITIVE
-    if g.family in (A_MINUS, K_MINUS):
-        return GenClass.NEGATIVE
-    if g.i == g.j:
-        return GenClass.CARTAN
-    return GenClass.POSITIVE if g.i < g.j else GenClass.NEGATIVE
 
 
 def mirror(g: Generator) -> Generator:
@@ -145,44 +133,6 @@ class Weight:
         return ",".join(str(c) for c in self.coords)
 
 
-@dataclass
-class BracketResult:
-    """A bracket value: rational multiple of the identity plus a generator combination."""
-
-    scalar: Fraction = Fraction(0)
-    terms: Dict[Generator, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.scalar = Fraction(self.scalar)
-        self.terms = {g: Fraction(c) for g, c in self.terms.items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return self.scalar == 0 and not self.terms
-
-    def __neg__(self) -> "BracketResult":
-        return BracketResult(-self.scalar, {g: -c for g, c in self.terms.items()})
-
-    def __add__(self, other: "BracketResult") -> "BracketResult":
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, Fraction(0)) + c
-        return BracketResult(self.scalar + other.scalar, terms)
-
-    def scale(self, k) -> "BracketResult":
-        k = Fraction(k)
-        if k == 0:
-            return BracketResult()
-        return BracketResult(k * self.scalar, {g: k * c for g, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BracketResult)
-            and self.scalar == other.scalar
-            and self.terms == other.terms
-        )
-
-
 # Integer form of a bracket, for fraction-free normal ordering: each triple
 # (replacement word, numerator, denominator) is one term of [x, y].
 IntegerBracket = Tuple[Tuple[Tuple[int, ...], int, int], ...]
@@ -191,10 +141,6 @@ IntegerBracket = Tuple[Tuple[Tuple[int, ...], int, int], ...]
 Key = Tuple[str, int, int]
 # [x, y] in units of 1/2: (2 * scalar, ((key, 2 * coefficient), ...)).
 HalfBracket = Tuple[int, Tuple[Tuple[Key, int], ...]]
-
-
-def _key(g: Generator) -> Key:
-    return (g.family, g.i, g.j)
 
 
 def _delta(a: int, b: int) -> int:
@@ -263,8 +209,8 @@ def half_bracket(x: Key, y: Key) -> HalfBracket:
     """[x, y] of two basis keys in units of 1/2, with plain ints only.
 
     The single source of the structure constants: every bracket of the
-    package, ``Fraction`` or integer, is read from here.  K+/K- keys in the
-    result are canonical (i <= j), and a key occurs at most once.
+    package is read from here.  K+/K- keys in the result are canonical
+    (i <= j), and a key occurs at most once.
     """
     formula = _HALF_FORMULAS.get((x[0], y[0]))
     if formula is not None:
@@ -274,18 +220,6 @@ def half_bracket(x: Key, y: Key) -> HalfBracket:
         return 0, ()
     scalar, terms = formula(y[1], y[2], x[1], x[2])
     return -scalar, tuple((key, -c) for key, c in terms)
-
-
-def _bracket_result(half: HalfBracket, generator: Callable[[Key], Generator]) -> BracketResult:
-    scalar, terms = half
-    return BracketResult(
-        Fraction(scalar, 2), {generator(key): Fraction(c, 2) for key, c in terms}
-    )
-
-
-def bracket(x: Generator, y: Generator) -> BracketResult:
-    """[x, y] as scalar + linear combination of basis generators, for any n."""
-    return _bracket_result(half_bracket(_key(x), _key(y)), lambda key: Generator(*key))
 
 
 def _halved(word: Tuple[int, ...], num: int, t: int) -> Tuple[Tuple[int, ...], int, int]:
@@ -345,7 +279,7 @@ class JacobiAlgebra:
         self.positive = self.generators[: self.num_positive]
         self.cartan = self.generators[self.num_positive : self.num_positive + n]
         self.negative = self.generators[self.num_positive + n :]
-        self._keys: List[Key] = [_key(g) for g in self.generators]
+        self._keys: List[Key] = [(g.family, g.i, g.j) for g in self.generators]
         self._key_index: Dict[Key, int] = {key: k for k, key in enumerate(self._keys)}
         self._integer_table: Dict[Tuple[int, int], IntegerBracket] = {}
         self._run_table: Dict[Tuple[int, int, int], IntegerBracket] = {}
@@ -371,24 +305,25 @@ class JacobiAlgebra:
 
     # -- operations --------------------------------------------------------
 
-    def bracket(self, x: Generator, y: Generator) -> BracketResult:
-        ix, iy = self.index.get(x), self.index.get(y)
-        if ix is None or iy is None:
-            bad = x if ix is None else y
-            raise DimensionMismatchError(f"{bad} is not a basis element of g_{self.n}")
-        return self.bracket_by_index(ix, iy)
+    def bracket(self, x: Generator, y: Generator) -> UElement:
+        """[x, y] as an element of U(g_n): a constant on the unit monomial
+        plus one-generator monomials, each with a constant ``PolyQ`` read
+        from ``integer_bracket``, whose triples are in lowest terms."""
+        # pbw imports this module, so its classes are imported on call
+        from .pbw import PbwMonomial, UElement
 
-    def bracket_by_index(self, ix: int, iy: int) -> BracketResult:
-        generators, index = self.generators, self._key_index
-        return _bracket_result(
-            half_bracket(self._keys[ix], self._keys[iy]), lambda key: generators[index[key]]
-        )
+        ix, iy = self.index[self._check(x)], self.index[self._check(y)]
+        return UElement(self.n, {
+            PbwMonomial.from_word(self, word): _poly(self.n, {0: p}, q)
+            for word, p, q in self.integer_bracket(ix, iy)
+        })
 
     def integer_bracket(self, ix: int, iy: int) -> IntegerBracket:
-        """``bracket_by_index(ix, iy)`` as (replacement, numerator, denominator)
-        triples in lowest terms: the scalar part replaces the pair x y by the
-        empty word, a generator term by that generator's index alone.  Filled
-        lazily from ``half_bracket``, one pair at a time."""
+        """[x, y] of the generators of indices ix, iy as (replacement,
+        numerator, denominator) triples in lowest terms: the scalar part
+        replaces the pair x y by the empty word, a generator term by that
+        generator's index alone.  Filled lazily from ``half_bracket``, one
+        pair at a time."""
         key = (ix, iy)
         cached = self._integer_table.get(key)
         if cached is None:
@@ -437,10 +372,6 @@ class JacobiAlgebra:
         cached = self._run_table[key] = tuple(out)
         return cached
 
-    def classify(self, g: Generator) -> GenClass:
-        self._check(g)
-        return classify(g)
-
     def weight(self, g: Generator) -> Weight:
         return self._weights[self.index[self._check(g)]]
 
@@ -449,15 +380,3 @@ class JacobiAlgebra:
         """``lowering_generators`` without a^-_n: K^-_{nn} and the K^0_{i+1,i},
         which generate the lowering part of sp(n)."""
         return [g for g in self.lowering_generators if g.family != A_MINUS]
-
-    def bracket_linear(self, x: Generator, br: BracketResult) -> BracketResult:
-        """[x, -] extended linearly over a BracketResult (scalars bracket to zero)."""
-        out = BracketResult()
-        for g, c in br.terms.items():
-            out = out + self.bracket(x, g).scale(c)
-        return out
-
-
-def generators(n: int) -> List[Generator]:
-    """The ordered basis of g_n: 2n Heisenberg, n(n+1) K+/K-, n^2 K0 elements."""
-    return JacobiAlgebra(n).generators

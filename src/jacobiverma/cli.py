@@ -10,9 +10,11 @@ Commands::
     jv verify VECTOR --constraints C
                                 check the lowest-weight conditions
 
-Global flags: ``--format text|latex|json`` (default text), ``--short-names``
-(use the short names b, c, d, h in LaTeX output; they exist for n = 2 only),
-``--n`` where the dimension cannot be inferred from the input.
+Global flags: ``--format text|latex|json`` (default text) and
+``--short-names`` (use the short names b, c, d, h in LaTeX output; they
+exist for n = 2 only), before or after the sub-command; given in both
+places, the later one wins.  ``--n``, after the sub-command, where the
+dimension cannot be inferred from the input.
 
 Exit status: 0 on success (including "no singular vector", which is a valid
 answer), 2 on parse errors and invalid input (such as a branch budget below
@@ -29,7 +31,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import JacobiAlgebra
-from .ring import PolyQ, frac_text
+from .ring import PolyQ
 from .singular import BranchBudgetExceededError, _reduce_poly, display_factor_order, find_singular_vectors
 from .textio import (
     ParseError,
@@ -56,7 +58,7 @@ from .verma import (
     is_singular,
     vector_weight,
 )
-from .pbw import PbwMonomial, UElement, monomial_weight, normal_order
+from .pbw import PbwMonomial, monomial_weight, normal_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -86,17 +88,19 @@ def _print_element(args, alg: JacobiAlgebra, value, to_json=vector_to_json) -> i
 def _cmd_bracket(args) -> int:
     n = _dimension(args, args.x, args.y)
     alg = JacobiAlgebra(n)
-    br = alg.bracket(parse_generator(args.x, n), parse_generator(args.y, n))
-    # the bracket as the element scalar + sum c g of U(g_n)
-    terms = {PbwMonomial.from_generators(alg, [g]): PolyQ.const(n, c) for g, c in br.terms.items()}
-    value = UElement(n, {PbwMonomial.unit(alg): PolyQ.const(n, br.scalar), **terms})
+    value = alg.bracket(parse_generator(args.x, n), parse_generator(args.y, n))
 
-    def to_json(alg, _value):
-        terms = [
-            {"generator": render_generator(g, n), "coeff": frac_text(br.terms[g])}
-            for g in sorted(br.terms, key=lambda g: alg.index[g])
-        ]
-        return {"scalar": frac_text(br.scalar), "terms": terms}
+    def to_json(alg, value):
+        unit = PbwMonomial.unit(alg)
+        scalar = value.terms.get(unit, PolyQ.zero(n))
+        terms = sorted((m.word()[0], c) for m, c in value.terms.items() if m != unit)
+        return {
+            "scalar": scalar.to_text(),
+            "terms": [
+                {"generator": render_generator(alg.generators[i], n), "coeff": c.to_text()}
+                for i, c in terms
+            ],
+        }
 
     return _print_element(args, alg, value, to_json)
 
@@ -207,23 +211,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The ``jv`` parser, built on the first call and shared by later ones."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "latex", "json"), default="text", help="output format"
-    )
-    common.add_argument(
+def _output_flags(argument_default=None) -> argparse.ArgumentParser:
+    """``--format`` and ``--short-names`` as a parent parser.  ``parents``
+    shares the flag objects, so the root and the sub-commands take one
+    each: the sub-commands' copy, built with ``argparse.SUPPRESS``, sets a
+    flag only when it comes after the sub-command, over the root's value."""
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argument_default)
+    flags.add_argument("--format", choices=("text", "latex", "json"), help="output format")
+    flags.add_argument(
         "--short-names",
         action="store_true",
         help="use the n=2 short names (b,c,d,h) in LaTeX output",
     )
+    return flags
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``jv`` parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="jv",
         description="Exact Verma-module computations over the Jacobi algebra",
-        parents=[common],
+        parents=[_output_flags()],
     )
+    parser.set_defaults(format="text")
+    common = _output_flags(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket", help="commutator of two basis generators", parents=[common])

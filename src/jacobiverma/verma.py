@@ -44,7 +44,8 @@ by the values' denominator alone.  Every term adds integers, and no
 element is formed per term.  At the formal weight the values are the
 variables L_i themselves: ``act`` runs the kernel there and makes each
 coordinate of the result one canonical ``PolyQ`` of its integer sums, and
-``apply_word_to_v0`` is ``act`` letter by letter, last letter first.
+``apply_word_to_v0`` runs it letter by letter, last letter first, keeping
+the integer sums between letters.
 ``is_singular`` runs it at a branch's weight, the values of the branch's
 solved form, and tests the integer sums for zero; the assembly runs it at
 the shifted values L_i - 1/4.
@@ -57,7 +58,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import BracketResult, Generator, JacobiAlgebra, Weight
+from .algebra import Generator, JacobiAlgebra, Weight
 # ``normal_order`` is not called here any more; it stays importable from this
 # module, where perfbench/workloads.py wraps it.
 from .pbw import PbwMonomial, UElement, _index_word, monomial_weight, normal_order  # noqa: F401
@@ -288,20 +289,39 @@ def apply_word_to_v0(alg: JacobiAlgebra, word: Sequence, coeff: Optional[PolyQ] 
     """The vector coeff (product of the word's generators) v0, any input
     order; the word holds generators or their indices.
 
-    ``act`` letter by letter, last letter first, so that the module kernel
-    only ever sees one generator on a sorted raising word.
+    The letters act one at a time, last letter first, as ``act`` would, so
+    that the module kernel only ever sees one generator on a sorted raising
+    word.  The kernel's integer sums are kept between letters: each letter
+    acts on them directly and multiplies their one denominator by its
+    scale, and the vector is made once, at the end.
     """
-    v = VermaVector.monomial(alg, PbwMonomial.unit(alg), coeff)
-    for i in reversed(_index_word(alg, word)):
-        v = act(alg, alg.generators[i], v)
-    return v
+    if coeff is None:
+        coeff = PolyQ.one(alg.n)
+    acc: _Accumulator = {(): coeff.num}
+    den = coeff.den
+    values = _formal_values(alg.n)
+    for ix in reversed(_index_word(alg, word)):
+        products = []
+        for w, slot in acc.items():
+            # cancelled terms are dropped, so the degree check sees real ones
+            c = slot if all(slot.values()) else {e: a for e, a in slot.items() if a}
+            if c:
+                products.append(((ix,) + w, c))
+        acc, scale = _apply_on_v0(alg, products, values, 1)
+        den *= scale
+    return _to_vector(alg, acc, den)
 
 
-def act_of_bracket(alg: JacobiAlgebra, br: BracketResult, v: VermaVector) -> VermaVector:
-    """Extend act linearly over a bracket value; the scalar part multiplies."""
-    out = v.scale(br.scalar) if br.scalar != 0 else VermaVector(alg.n)
-    for g, c in br.terms.items():
-        out = out + act(alg, g, v).scale(c)
+def act_of_bracket(alg: JacobiAlgebra, br: UElement, v: VermaVector) -> VermaVector:
+    """The action on v of an element of U(g_n), such as the bracket
+    ``alg.bracket(x, y)``: each term c m acts as c times the letters of m,
+    last letter first, so the unit term multiplies v by c."""
+    out = VermaVector(alg.n)
+    for m, c in br.terms.items():
+        u = v
+        for i in reversed(m.word()):
+            u = act(alg, alg.generators[i], u)
+        out = out + u.scale(c)
     return out
 
 

@@ -5,10 +5,13 @@ Nothing here shares an algorithm with the package code it checks:
 * ``WeylElement`` realizes the algebra inside the boson Weyl algebra
   (a+_i, a-_i with [a-_i, a+_j] = delta_ij) using the closed-form Wick
   product for normally ordered bilinears; commutators of realized
-  generators certify the structure-constant table.
+  generators certify the structure-constant table, read from a bracket by
+  ``linear_parts`` (scalar and ``Fraction`` coefficients of generators);
+  ``ad`` extends the bracket linearly over g_n + C.
 * ``insert_normal_order`` normal-orders words by right-to-left insertion
   (insertion sort with bracket remainders), a different strategy from the
-  package's leftmost-swap agenda.
+  package's leftmost-swap agenda; it reads the structure constants from
+  ``half_bracket``, not from the bracket of ``JacobiAlgebra`` under test.
 * ``oracle_act`` evaluates the module action through the insertion reducer;
   ``all_negative_rows`` builds from it the condition matrix of the full
   ansatz under every basis element of n-, not only under the sp(n)
@@ -35,8 +38,9 @@ from jacobiverma.algebra import (
     JacobiAlgebra,
     K_MINUS,
     K_PLUS,
+    half_bracket,
 )
-from jacobiverma.pbw import PbwMonomial
+from jacobiverma.pbw import PbwMonomial, UElement
 from jacobiverma.ring import PolyQ
 from jacobiverma.verma import VermaVector
 
@@ -135,11 +139,35 @@ def realize(n: int, g: Generator) -> WeylElement:
     return WeylElement(n, terms)
 
 
-def realize_bracket_result(n: int, br) -> WeylElement:
-    out = WeylElement(n)
-    if br.scalar != 0:
-        out = out + WeylElement(n, {((0,) * n, (0,) * n): br.scalar})
-    for g, c in br.terms.items():
+def linear_parts(alg: JacobiAlgebra, u: UElement) -> Tuple[Fraction, Dict[Generator, Fraction]]:
+    """(scalar, {generator: coefficient}) of an element of g_n + C in U(g_n),
+    such as a bracket; fails on a longer monomial or a coefficient that is
+    not constant."""
+    scalar, terms = Fraction(0), {}
+    for m, c in u.terms.items():
+        assert c.is_constant and len(m.word()) <= 1, u
+        value = c.eval_all([0] * alg.n)
+        if m.is_unit:
+            scalar = value
+        else:
+            terms[alg.generators[m.word()[0]]] = value
+    return scalar, terms
+
+
+def ad(alg: JacobiAlgebra, x: Generator, u: UElement) -> UElement:
+    """[x, u] for an element u of g_n + C, linear in u; scalars bracket to 0."""
+    out = UElement(alg.n)
+    for g, c in linear_parts(alg, u)[1].items():
+        out = out + alg.bracket(x, g).scale(c)
+    return out
+
+
+def realize_element(alg: JacobiAlgebra, u: UElement) -> WeylElement:
+    """An element of g_n + C, such as a bracket, in the Weyl algebra."""
+    n = alg.n
+    scalar, terms = linear_parts(alg, u)
+    out = WeylElement(n, {((0,) * n, (0,) * n): scalar})
+    for g, c in terms.items():
         out = out + realize(n, g).scale(c)
     return out
 
@@ -162,12 +190,13 @@ def insert_normal_order(alg: JacobiAlgebra, word: Sequence[int]) -> Dict[tuple, 
         out: Dict[tuple, Fraction] = {}
         for w, c in insert(idx, rest).items():
             out[(head,) + w] = out.get((head,) + w, Fraction(0)) + c
-        br = alg.bracket_by_index(idx, head)
-        if br.scalar != 0:
-            out[rest] = out.get(rest, Fraction(0)) + br.scalar
-        for g, c in br.terms.items():
-            for w, cc in insert(alg.index[g], rest).items():
-                out[w] = out.get(w, Fraction(0)) + c * cc
+        x, y = alg.generators[idx], alg.generators[head]
+        scalar, terms = half_bracket((x.family, x.i, x.j), (y.family, y.i, y.j))
+        if scalar:
+            out[rest] = out.get(rest, Fraction(0)) + Fraction(scalar, 2)
+        for key, c in terms:
+            for w, cc in insert(alg.index[Generator(*key)], rest).items():
+                out[w] = out.get(w, Fraction(0)) + Fraction(c, 2) * cc
         return out
 
     words: Dict[tuple, Fraction] = {(): Fraction(1)}

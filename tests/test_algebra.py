@@ -9,8 +9,6 @@ from jacobiverma import algebra
 from jacobiverma.algebra import (
     A_MINUS,
     A_PLUS,
-    BracketResult,
-    GenClass,
     Generator,
     InvalidDimensionError,
     DimensionMismatchError,
@@ -19,14 +17,14 @@ from jacobiverma.algebra import (
     K_PLUS,
     K_ZERO,
     Weight,
-    bracket,
-    generators,
     half_bracket,
     mirror,
 )
+from jacobiverma.pbw import PbwMonomial, UElement
+from jacobiverma.ring import PolyQ
 from jacobiverma.textio import render_generator
 
-from oracles import fraction_kernel_transpose_rank, in_span, realize, realize_bracket_result
+from oracles import ad, fraction_kernel_transpose_rank, in_span, linear_parts, realize, realize_element
 
 GOLDEN = Path(__file__).parent / "golden" / "bracket_table_n2.json"
 
@@ -38,7 +36,7 @@ def G(family, i, j=0):
 class TestBasis:
     @pytest.mark.parametrize("n,count", [(1, 5), (2, 14), (3, 27)])
     def test_counts_match_formula(self, n, count):
-        gens = generators(n)
+        gens = JacobiAlgebra(n).generators
         assert len(gens) == 2 * n + n * (n + 1) + n * n == count
         assert len(set(gens)) == len(gens)
 
@@ -51,7 +49,7 @@ class TestBasis:
             assert all(alg.generators[k].family == family for k in block)
 
     def test_n1_names(self):
-        names = {str(g) for g in generators(1)}
+        names = {str(g) for g in JacobiAlgebra(1).generators}
         assert names == {"a+[1]", "a-[1]", "K+[1,1]", "K-[1,1]", "K0[1,1]"}
 
     def test_n2_short_names_cover_basis(self):
@@ -60,13 +58,11 @@ class TestBasis:
             "b+1", "b+2", "b-1", "b-2",
             "c+", "c-", "d+", "d-", "h1", "h2",
         }
-        assert {render_generator(g, 2) for g in generators(2)} == expected
+        assert {render_generator(g, 2) for g in JacobiAlgebra(2).generators} == expected
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             JacobiAlgebra(0)
-        with pytest.raises(InvalidDimensionError):
-            generators(0)
 
     def test_kpm_canonicalized(self):
         assert G(K_PLUS, 2, 1) == G(K_PLUS, 1, 2)
@@ -87,63 +83,55 @@ class TestBasis:
 
 
 class TestClassify:
-    def test_k0_upper_positive(self):
-        alg = JacobiAlgebra(2)
-        assert alg.classify(G(K_ZERO, 1, 2)) is GenClass.POSITIVE
-
-    def test_k0_lower_negative(self):
-        alg = JacobiAlgebra(2)
-        assert alg.classify(G(K_ZERO, 2, 1)) is GenClass.NEGATIVE
-
-    def test_k0_diagonal_cartan(self):
-        alg = JacobiAlgebra(2)
-        assert alg.classify(G(K_ZERO, 1, 1)) is GenClass.CARTAN
-
     def test_partition(self):
+        # a+, K+ and K0_ij with i < j are positive, K0_ii is Cartan, the rest
+        # (a-, K-, K0_ij with i > j) negative, and mirror pairs the two sides
         for n in (1, 2, 3):
             alg = JacobiAlgebra(n)
-            pos = [g for g in alg.generators if alg.classify(g) is GenClass.POSITIVE]
-            car = [g for g in alg.generators if alg.classify(g) is GenClass.CARTAN]
-            neg = [g for g in alg.generators if alg.classify(g) is GenClass.NEGATIVE]
-            assert pos == alg.positive
-            assert car == alg.cartan
-            assert neg == alg.negative
-            assert len(pos) == len(neg)
-            assert len(car) == n
-            assert {mirror(g) for g in pos} == set(neg)
+            positive = {
+                g for g in alg.generators
+                if g.family in (A_PLUS, K_PLUS) or (g.family == K_ZERO and g.i < g.j)
+            }
+            cartan = {g for g in alg.generators if g.family == K_ZERO and g.i == g.j}
+            negative = set(alg.generators) - positive - cartan
+            assert all(g.family in (A_MINUS, K_MINUS) or g.i > g.j for g in negative)
+            assert set(alg.positive) == positive and len(alg.positive) == len(positive)
+            assert alg.cartan == [G(K_ZERO, i, i) for i in range(1, n + 1)]
+            assert alg.negative == [mirror(g) for g in alg.positive]
+            assert set(alg.negative) == negative
 
 
 class TestBracketGolden:
     def test_ccr(self):
         alg = JacobiAlgebra(1)
-        assert alg.bracket(G(A_MINUS, 1), G(A_PLUS, 1)) == BracketResult(1)
+        assert linear_parts(alg, alg.bracket(G(A_MINUS, 1), G(A_PLUS, 1))) == (1, {})
 
     def test_h1_raises_b1(self):
         alg = JacobiAlgebra(2)
         br = alg.bracket(G(K_ZERO, 1, 1), G(K_PLUS, 1, 1))
-        assert br == BracketResult(0, {G(K_PLUS, 1, 1): Fraction(1)})
+        assert linear_parts(alg, br) == (0, {G(K_PLUS, 1, 1): Fraction(1)})
 
     def test_annihilator_with_cplus(self):
         alg = JacobiAlgebra(2)
         br = alg.bracket(G(A_MINUS, 1), G(K_PLUS, 1, 2))
-        assert br == BracketResult(0, {G(A_PLUS, 2): Fraction(1, 2)})
+        assert linear_parts(alg, br) == (0, {G(A_PLUS, 2): Fraction(1, 2)})
 
     def test_bminus_bplus(self):
         alg = JacobiAlgebra(2)
         br = alg.bracket(G(K_MINUS, 2, 2), G(K_PLUS, 2, 2))
-        assert br == BracketResult(0, {G(K_ZERO, 2, 2): Fraction(2)})
+        assert linear_parts(alg, br) == (0, {G(K_ZERO, 2, 2): Fraction(2)})
 
     def test_dminus_dplus(self):
         alg = JacobiAlgebra(2)
         br = alg.bracket(G(K_ZERO, 2, 1), G(K_ZERO, 1, 2))
-        assert br == BracketResult(
+        assert linear_parts(alg, br) == (
             0, {G(K_ZERO, 2, 2): Fraction(1, 2), G(K_ZERO, 1, 1): Fraction(-1, 2)}
         )
 
     def test_h2_lowers_dplus(self):
         alg = JacobiAlgebra(2)
         br = alg.bracket(G(K_ZERO, 2, 2), G(K_ZERO, 1, 2))
-        assert br == BracketResult(0, {G(K_ZERO, 1, 2): Fraction(-1, 2)})
+        assert linear_parts(alg, br) == (0, {G(K_ZERO, 1, 2): Fraction(-1, 2)})
 
     def test_frozen_table(self):
         alg = JacobiAlgebra(2)
@@ -153,14 +141,15 @@ class TestBracketGolden:
                 br = alg.bracket(x, y)
                 if br.is_zero:
                     continue
+                scalar, terms = linear_parts(alg, br)
                 table.append(
                     {
                         "x": render_generator(x, 2),
                         "y": render_generator(y, 2),
-                        "scalar": _frac(br.scalar),
+                        "scalar": _frac(scalar),
                         "terms": {
                             render_generator(g, 2): _frac(c)
-                            for g, c in sorted(br.terms.items(), key=lambda t: alg.index[t[0]])
+                            for g, c in sorted(terms.items(), key=lambda t: alg.index[t[0]])
                         },
                     }
                 )
@@ -172,35 +161,44 @@ class TestBracketGolden:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_integer_bracket_matches_table(self, n):
-        # the integer form normal_order reads reproduces every bracket
+        # the integer form normal_order reads is the kernel's, in lowest terms
         alg = JacobiAlgebra(n)
-        for ix, iy in itertools.product(range(len(alg.generators)), repeat=2):
+        for (ix, x), (iy, y) in itertools.product(enumerate(alg.generators), repeat=2):
             parts = alg.integer_bracket(ix, iy)
             assert len({word for word, _, _ in parts}) == len(parts)
             scalar, terms = Fraction(0), {}
             for word, p, q in parts:
                 assert type(p) is int and type(q) is int and p != 0 and q > 0
+                assert Fraction(p, q).denominator == q
                 if word == ():
                     scalar = Fraction(p, q)
                 else:
                     (g,) = word
                     terms[alg.generators[g]] = Fraction(p, q)
-            assert BracketResult(scalar, terms) == alg.bracket_by_index(ix, iy), (ix, iy)
+            assert (scalar, terms) == _halves(x, y), (x, y)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_adapters_agree_with_the_kernel(self, n):
-        # every bracket entry point reads the one integer kernel, term for term
+        # the bracket element reads the one integer kernel, term for term,
+        # with canonical constant coefficients
         alg = JacobiAlgebra(n)
-        for (ix, x), (iy, y) in itertools.product(enumerate(alg.generators), repeat=2):
-            scalar, terms = half_bracket((x.family, x.i, x.j), (y.family, y.i, y.j))
-            assert type(scalar) is int and all(type(c) is int and c for _, c in terms)
-            half = BracketResult(
-                Fraction(scalar, 2), {Generator(*key): Fraction(c, 2) for key, c in terms}
-            )
-            assert len(half.terms) == len(terms) and set(half.terms) <= set(alg.generators)
-            for br in (bracket(x, y), alg.bracket(x, y), alg.bracket_by_index(ix, iy)):
-                assert br == half, (x, y)
-                assert list(br.terms) == list(half.terms), (x, y)
+        unit = PbwMonomial.unit(alg)
+        for x, y in itertools.product(alg.generators, repeat=2):
+            br = alg.bracket(x, y)
+            assert isinstance(br, UElement) and br.nvars == n
+            assert all(c == PolyQ.const(n, c.eval_all([0] * n)) for c in br.terms.values())
+            scalar, terms = _halves(x, y)
+            assert linear_parts(alg, br) == (scalar, terms), (x, y)
+            assert list(br.terms) == [unit] * bool(scalar) + [
+                PbwMonomial.from_generators(alg, [g]) for g in terms
+            ], (x, y)
+
+
+def _halves(x, y):
+    """(scalar, {generator: coefficient}) of [x, y] from ``half_bracket``."""
+    scalar, terms = half_bracket((x.family, x.i, x.j), (y.family, y.i, y.j))
+    assert type(scalar) is int and all(type(c) is int and c for _, c in terms)
+    return Fraction(scalar, 2), {Generator(*key): Fraction(c, 2) for key, c in terms}
 
 
 def _frac(q):
@@ -238,15 +236,16 @@ class TestLoweringGenerators:
         assert len(gens) == n + 1
 
         def coords(br):
-            assert br.scalar == 0
-            return [br.terms.get(g, Fraction(0)) for g in alg.negative]
+            scalar, terms = linear_parts(alg, br)
+            assert scalar == 0
+            return [terms.get(g, Fraction(0)) for g in alg.negative]
 
         # iterated brackets [g1, [g2, ... [gk-1, gk]]]; each layer keeps only
         # vectors outside the span so far, and n- is nilpotent, so this ends
-        span = [BracketResult(terms={g: 1}) for g in gens]
+        span = [UElement.monomial(alg, PbwMonomial.from_generators(alg, [g])) for g in gens]
         layer = list(span)
         while layer:
-            layer = [alg.bracket_linear(g, b) for g in gens for b in layer]
+            layer = [ad(alg, g, b) for g in gens for b in layer]
             fresh = []
             for b in layer:
                 if not in_span(coords(b), [coords(c) for c in span + fresh]):
@@ -283,8 +282,8 @@ class TestWeights:
         for name, evs in eigen.items():
             g = next(g for g in alg.generators if render_generator(g, 2) == name)
             for hj, ev in zip(h, evs):
-                br = alg.bracket(hj, g)
-                assert br.terms.get(g, Fraction(0)) == ev
+                _, terms = linear_parts(alg, alg.bracket(hj, g))
+                assert terms.get(g, Fraction(0)) == ev
             assert alg.weight(g).coords == tuple(2 * Fraction(e) for e in evs)
 
     def test_aminus2_weight(self):
@@ -351,9 +350,9 @@ class TestStructureProperties:
         gens = alg.generators
         for x, y, z in itertools.product(gens, repeat=3):
             s = (
-                alg.bracket_linear(x, alg.bracket(y, z))
-                + alg.bracket_linear(y, alg.bracket(z, x))
-                + alg.bracket_linear(z, alg.bracket(x, y))
+                ad(alg, x, alg.bracket(y, z))
+                + ad(alg, y, alg.bracket(z, x))
+                + ad(alg, z, alg.bracket(x, y))
             )
             assert s.is_zero, (x, y, z)
 
@@ -363,18 +362,18 @@ class TestStructureProperties:
         heis = {g for g in alg.generators if g.family in (A_PLUS, A_MINUS)}
         for x in heis:
             for y in alg.generators:
-                br = alg.bracket(x, y)
-                assert all(g in heis for g in br.terms), (x, y)
+                _, terms = linear_parts(alg, alg.bracket(x, y))
+                assert all(g in heis for g in terms), (x, y)
 
     @small_n
     def test_weight_additivity(self, n):
         alg = JacobiAlgebra(n)
         for x, y in itertools.product(alg.generators, repeat=2):
-            br = alg.bracket(x, y)
+            scalar, terms = linear_parts(alg, alg.bracket(x, y))
             wsum = alg.weight(x) + alg.weight(y)
-            for g in br.terms:
+            for g in terms:
                 assert alg.weight(g) == wsum
-            if br.scalar != 0:
+            if scalar != 0:
                 assert wsum.is_zero
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -384,10 +383,10 @@ class TestStructureProperties:
         alg = JacobiAlgebra(n)
         for j, h in enumerate(alg.cartan):
             for g in alg.generators:
-                br = alg.bracket(h, g)
-                assert br.scalar == 0, (h, g)
-                assert set(br.terms) <= {g}, (h, g)
-                assert br.terms.get(g, 0) == alg.weight(g).coords[j] / 2, (h, g)
+                scalar, terms = linear_parts(alg, alg.bracket(h, g))
+                assert scalar == 0, (h, g)
+                assert set(terms) <= {g}, (h, g)
+                assert terms.get(g, 0) == alg.weight(g).coords[j] / 2, (h, g)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bracket_table_against_weyl_realization(self, n):
@@ -395,5 +394,5 @@ class TestStructureProperties:
         alg = JacobiAlgebra(n)
         for x, y in itertools.product(alg.generators, repeat=2):
             lhs = realize(n, x).commutator(realize(n, y))
-            rhs = realize_bracket_result(n, alg.bracket(x, y))
+            rhs = realize_element(alg, alg.bracket(x, y))
             assert lhs == rhs, (x, y)

@@ -356,7 +356,10 @@ class TestExitCodes:
             capsys, "--format", fmt, "verify", "(L1 - 1/4) (a+1)^2 + L2 b+1", "--constraints", "L1 = 1/4"
         )
         assert code == 0
-        assert out
+        if fmt == "json":
+            assert json.loads(out)["singular"] is False
+        else:
+            assert out.endswith("singular: no\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_verify_vector_vanishing_on_nonaffine_constraints_is_2(self, capsys, fmt):

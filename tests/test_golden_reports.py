@@ -58,6 +58,27 @@ def test_sweep_matches_digests():
     assert not changed, f"{len(changed)} sweep outputs differ: " + ", ".join(changed)
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--format", "json", "bracket", "a-1", "a+1"], "g2_bracket_aa.json"),
+        (["--format", "latex", "--short-names", "normal-order", "d- d+ c+"], "g2_word2.short.latex"),
+    ],
+    ids=["bracket-json", "normal-order-short-latex"],
+)
+def test_flags_before_the_subcommand(argv, name):
+    assert _stdout(argv) == (CLI / name).read_bytes()
+
+
+def test_later_format_flag_wins():
+    # each golden argument list gives --format after the sub-command, so a
+    # different --format before it is overridden
+    for name, argv in sorted(CLI_ARGV.items()):
+        fmt = argv[argv.index("--format") + 1]
+        other = "text" if fmt == "json" else "json"
+        assert _stdout(["--format", other, *argv]) == (CLI / name).read_bytes(), name
+
+
 def _stdout(argv) -> bytes:
     out = StringIO()
     with redirect_stdout(out):

@@ -279,14 +279,7 @@ class TestMultiply:
     def test_commutator_lift_all_pairs(self):
         for x, y in itertools.product(ALG.generators, repeat=2):
             ex, ey = UElement.monomial(ALG, mono(x)), UElement.monomial(ALG, mono(y))
-            lift = multiply(ALG, ex, ey) - multiply(ALG, ey, ex)
-            br = ALG.bracket(x, y)
-            expected = UElement(ALG.n)
-            if br.scalar != 0:
-                expected = expected + UElement.unit(ALG).scale(br.scalar)
-            for g, c in br.terms.items():
-                expected = expected + UElement.monomial(ALG, mono(g)).scale(c)
-            assert lift == expected, (x, y)
+            assert multiply(ALG, ex, ey) - multiply(ALG, ey, ex) == ALG.bracket(x, y), (x, y)
 
     def test_associativity_random_triples(self):
         rng = random.Random(4242)

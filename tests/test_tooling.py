@@ -1,5 +1,6 @@
 """The names that the benchmark and the stage timer wrap exist in the package,
-and ``scripts/ab_rungs.py`` and ``scripts/ab_ops.py`` compare two checkouts.
+``scripts/ab_rungs.py`` and ``scripts/ab_ops.py`` compare two checkouts, and
+``scripts/emit_bracket_table.py`` prints the frozen g_2 bracket table.
 
 ``perfbench/run.py --trace 1`` wraps every ``(module, attr)`` of
 ``perfbench/workloads.TRACED`` with ``getattr``, and
@@ -14,6 +15,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -110,3 +112,12 @@ def test_ab_ops_stops_when_the_outputs_differ(tmp_path):
     assert run.returncode == 1
     assert run.stdout == ""
     assert "outputs differ" in run.stderr
+
+
+def test_emit_bracket_table_prints_the_frozen_table():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "emit_bracket_table.py")],
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (ROOT / "tests" / "golden" / "bracket_table_n2.json").read_bytes()
