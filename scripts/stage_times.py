@@ -26,8 +26,10 @@ single run.  Times are in seconds, totals of the spans of each stage:
 * ``print``: making each lifted vector primitive (``_primitive``) and
   dividing it by its last nonzero coordinate for the printed kernel
   (``_ratios``);
-* ``reduce``: ``_reduce_poly``, the reduction of every matrix entry of each
-  explored case and of every lifted coordinate modulo the constraints;
+* ``reduce``: ``ConstraintSet.reduce``, the normal form modulo the
+  constraints of every matrix entry of each explored case, of every lifted
+  coordinate, of the coefficients and Cartan values in ``is_singular`` (so
+  also inside ``verify``) and of the vectors that pruning compares;
 * ``factor``: ``_split_factors``, the vanishing-locus factors of every
   non-constant pivot;
 * ``verify``: ``is_singular`` on every reported vector, which acts with
@@ -45,6 +47,7 @@ The program is imported from this checkout's ``src/``.
 import json
 import statistics
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -69,14 +72,15 @@ STAGES = {
     "render": "textio.report_to_json",
 }
 
-# (module, attribute, span name) wrapped on top of the benchmark's layers.
+# (module, attribute, span name) wrapped on top of the benchmark's layers; a
+# dotted attribute is a method, wrapped on its class.
 WRAPPED = [
     ("singular", "_lift_table", "singular.lift"),
     ("singular", "_lift_kernel_vector", "singular.lift"),
     ("singular", "_printed", "singular.print"),
     ("singular", "_eliminate", "singular.eliminate"),
     ("singular", "_kernel_from_pivots", "singular.kernel"),
-    ("singular", "_reduce_poly", "singular.reduce"),
+    ("verma", "ConstraintSet.reduce", "singular.reduce"),
     ("singular", "_split_factors", "singular.factor"),
     ("verma", "_v0_sums", "pbw.rewrite"),
 ]
@@ -87,7 +91,8 @@ def stage_times(prog, n: int, weight: str) -> dict:
     tracer = Tracer()
     install_tracing(tracer, prog)
     for module, attr, name in WRAPPED:
-        tracer.wrap(getattr(prog, module), attr, name)
+        owner, _, leaf = f"{module}.{attr}".rpartition(".")
+        tracer.wrap(attrgetter(owner)(prog), leaf, name)
     try:
         alg = prog.cli.JacobiAlgebra(n)
         report = prog.cli.find_singular_vectors(alg, w)

@@ -68,7 +68,6 @@ from .ring import (
     _check_degree,
     _degree,
     _div_int_terms,
-    _guard,
     _mul_int_terms,
     _numerators,
     _unit,
@@ -291,32 +290,6 @@ class SolutionBranch:
 
     constraints: ConstraintSet
     kernel: List[List[PolyQ]]
-
-
-def _reduce_poly(p: PolyQ, constraints: ConstraintSet) -> PolyQ:
-    """Reduce modulo the constraints: substitution when solved, division
-    remainder against the canonical equations otherwise (sound either way)."""
-    if constraints.solved_form is not None:
-        return constraints.substitute(p)
-    if not constraints.equations:
-        return p
-    guard = _guard(p.nvars)
-    changed = True
-    while changed and not p.is_zero:
-        changed = False
-        for eq in constraints.equations:
-            d_key = max(eq.num)
-            for key in sorted(p.num, reverse=True):
-                q_key = key - d_key
-                if not q_key & guard:
-                    # the term of p over the leading term of eq
-                    quotient = PolyQ.from_int_terms(p.nvars, {q_key: p.num[key] * eq.den}, p.den * eq.num[d_key])
-                    p = p - quotient * eq
-                    changed = True
-                    break
-            if changed:
-                break
-    return p
 
 
 _PROBE_BASES = [2, 3, 5, 7, 11, 13, 17, 19]
@@ -654,7 +627,7 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
             raise BranchBudgetExceededError(unexplored)
         cs = queue.popleft()
         explored += 1
-        matrix = [[_reduce_poly(e, cs) for e in row] for row in base_matrix]
+        matrix = [[cs.reduce(e) for e in row] for row in base_matrix]
         pivots, used, nonconstant = _eliminate(matrix, ncols, nvars)
         free = ncols - len(used)
         if free > 1:
@@ -668,7 +641,7 @@ def solve_parametric(system: AnsatzSystem, branch_budget: int = 64) -> List[Solu
                 except InconsistentConstraintsError:
                     continue
                 key = _constraints_key(child)
-                if key in visited or len(child.equations) == len(cs.equations):
+                if key in visited:
                     continue
                 visited.add(key)
                 queue.append(child)
@@ -705,10 +678,10 @@ def _specializes_to(a: SolutionBranch, b: SolutionBranch) -> bool:
     cs = b.constraints
     if len(a.constraints.equations) >= len(cs.equations) or cs.solved_form is None:
         return False
-    if not all(cs.substitute(eq).is_zero for eq in a.constraints.equations):
+    if not all(cs.reduce(eq).is_zero for eq in a.constraints.equations):
         return False
     (vec,) = a.kernel
-    coords = [cs.substitute(p) for p in vec]
+    coords = [cs.reduce(p) for p in vec]
     last = max(i for i, p in enumerate(vec) if not p.is_zero)
     if coords[last].is_zero:
         return False
@@ -814,7 +787,7 @@ def _lift_kernel_vector(
             slot = acc[k]
             for e, a in p.items():
                 slot[e] = slot.get(e, 0) + c * a
-    return [_reduce_poly(PolyQ.from_int_terms(system.nvars, slot, den << top), constraints) for slot in acc]
+    return [constraints.reduce(PolyQ.from_int_terms(system.nvars, slot, den << top)) for slot in acc]
 
 
 def find_singular_vectors(

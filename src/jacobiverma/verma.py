@@ -67,6 +67,7 @@ from .ring import (
     PolyQ,
     _check_degree,
     _exponent,
+    _guard,
     _numerators,
     _unit,
     poly_sort_key,
@@ -363,10 +364,13 @@ class ConstraintSet:
     def from_equations(cls, nvars: int, eqs: Sequence[PolyQ]) -> "ConstraintSet":
         """Canonicalize equations and attempt an affine triangular solve.
 
-        The affine subset is solved first and substituted into the remaining
-        equations until a fixpoint: that detects contradictions hidden in
-        mixed affine/nonlinear sets and keeps the stored nonlinear equations
-        reduced modulo the affine part.
+        Each round solves the affine equations and substitutes the solution
+        into the nonlinear ones, until none turns affine: that detects
+        contradictions hidden in mixed sets and keeps the nonlinear equations
+        reduced modulo the affine part.  The solve is the reduced echelon
+        form, unique for their span, so the last round's is the solved form.
+        A nonlinear equation whose division remainder by the others is a
+        nonzero constant makes the set inconsistent (sound, not complete).
         """
 
         def canon(p: PolyQ) -> Optional[PolyQ]:
@@ -380,61 +384,63 @@ class ConstraintSet:
         nonlinear: List[PolyQ] = []
         for p in eqs:
             q = canon(p)
-            if q is None:
-                continue
-            (affine if q.total_degree() <= 1 else nonlinear).append(q)
+            if q is not None:
+                (affine if q.total_degree() <= 1 else nonlinear).append(q)
         while True:
             solved = _affine_solve(nvars, affine)
-            changed = False
-            remaining: List[PolyQ] = []
-            for q in nonlinear:
-                q = canon(q.subs(dict(solved or ())))
-                if q is None:
-                    changed = True
-                elif q.total_degree() <= 1:
-                    affine.append(q)
-                    changed = True
-                else:
-                    remaining.append(q)
-            nonlinear = remaining
-            if not changed:
+            reduced = [q for q in (canon(p.subs(dict(solved))) for p in nonlinear) if q is not None]
+            nonlinear = [q for q in reduced if q.total_degree() > 1]
+            if len(nonlinear) == len(reduced):
                 break
-        equations = affine + nonlinear
-        seen = set()
-        unique = []
-        for p in sorted(equations, key=poly_sort_key):
-            k = poly_sort_key(p)
-            if k not in seen:
-                seen.add(k)
-                unique.append(p)
-        solved = _affine_solve(nvars, unique)
-        return cls(nvars, tuple(unique), solved)
+            affine += [q for q in reduced if q.total_degree() <= 1]
+        keyed = {poly_sort_key(p): p for p in affine + nonlinear}
+        equations = tuple(keyed[k] for k in sorted(keyed))
+        for q in nonlinear:
+            r = cls(nvars, tuple(p for p in equations if p is not q)).reduce(q)
+            if r.is_constant and not r.is_zero:
+                raise InconsistentConstraintsError("constraints are inconsistent")
+        return cls(nvars, equations, None if nonlinear else solved)
 
-    def substitute(self, p: PolyQ) -> PolyQ:
-        """Reduce a polynomial modulo the solved form (identity if unsolved).
-
-        No solved expression mentions a solved variable, so one simultaneous
-        substitution does it."""
-        if not self.solved_form:
+    def reduce(self, p: PolyQ) -> PolyQ:
+        """The normal form of p modulo the constraints: p itself for none, one
+        simultaneous substitution of the solved form (no solved expression
+        mentions a solved variable), else the division remainder by the
+        equations, which differs from p by an element of their ideal."""
+        if not self.equations:
             return p
-        return p.subs(dict(self.solved_form))
+        if self.solved_form is not None:
+            return p.subs(dict(self.solved_form))
+        guard = _guard(p.nvars)
+        changed = True
+        while changed and not p.is_zero:
+            changed = False
+            for eq in self.equations:
+                d_key = max(eq.num)
+                for key in sorted(p.num, reverse=True):
+                    q_key = key - d_key
+                    if not q_key & guard:
+                        # the term of p over the leading term of eq
+                        quotient = PolyQ.from_int_terms(p.nvars, {q_key: p.num[key] * eq.den}, p.den * eq.num[d_key])
+                        p = p - quotient * eq
+                        changed = True
+                        break
+                if changed:
+                    break
+        return p
 
     def satisfied_at(self, point: Sequence) -> bool:
         return all(eq.eval_all(point) == 0 for eq in self.equations)
 
 
-def _affine_solve(nvars: int, eqs: Sequence[PolyQ]) -> Optional[Tuple[Tuple[int, PolyQ], ...]]:
-    """Triangular solve of affine equations: returns ((var, expr), ...) ordered so
-    substituting left to right eliminates all solved variables, or None when a
-    non-affine equation is present.  Raises on inconsistency."""
-    pending = [p for p in eqs]
-    if any(p.total_degree() > 1 for p in pending):
-        return None
+def _affine_solve(nvars: int, eqs: Sequence[PolyQ]) -> Tuple[Tuple[int, PolyQ], ...]:
+    """Triangular solve of affine equations: returns ((var, expr), ...), each
+    solved variable the last one of its equation once the earlier ones are
+    substituted, and no expr mentioning a solved variable.  Raises on
+    inconsistency."""
+    pending = list(eqs)
     solved: List[Tuple[int, PolyQ]] = []
     while pending:
         p = pending.pop(0)
-        for var, expr in solved:
-            p = p.subs({var: expr})
         if p.is_zero:
             continue
         if p.is_constant:
@@ -471,7 +477,8 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
     ``unverifiable`` report instead of a verdict.
 
     Each x v is built by the module kernel at the branch's weight: the
-    coefficients of v are reduced by the solved form once, a Cartan factor
+    coefficients of v are reduced once by ``ConstraintSet.reduce``, the
+    normal form that the solver and ``jv verify`` use, a Cartan factor
     h_i takes the solved form's value of L_i (L_i itself when there are no
     constraints), and the integer numerators of x v are tested for zero
     with no ``Fraction`` formed and nothing substituted afterwards.  One
@@ -484,8 +491,8 @@ def is_singular(alg: JacobiAlgebra, v: VermaVector, constraints: ConstraintSet) 
             message="constraints have no affine solved form; cannot verify",
         )
     nvars = constraints.nvars
-    values, vden = _numerators([constraints.substitute(PolyQ.var(nvars, i)) for i in range(nvars)])
-    coeffs, _ = _numerators([constraints.substitute(c) for c in v.terms.values()])
+    values, vden = _numerators([constraints.reduce(PolyQ.var(nvars, i)) for i in range(nvars)])
+    coeffs, _ = _numerators([constraints.reduce(c) for c in v.terms.values()])
     words = [m.word() for m in v.terms]
     report = SingularityReport()
     for x in alg.negative:

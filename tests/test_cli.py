@@ -380,6 +380,25 @@ class TestExitCodes:
         else:
             assert out.startswith("unverifiable: ")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_contradictory_nonaffine_constraints_is_2(self, capsys, fmt):
+        # the two equations differ by the constant 3, so no weight has both
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "verify", "a+1", "--constraints", "L1^2 = 1; L1^2 = 4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "constraints are inconsistent\n"
+        # one equation in each variable is consistent and stays unverifiable
+        code, out, _ = run_cli(
+            capsys, "--format", fmt, "verify", "a+1", "--constraints", "L1^2 = 1; L2^2 = 4"
+        )
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["unverifiable"] is True
+        else:
+            assert out.startswith("unverifiable: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

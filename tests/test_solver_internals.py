@@ -24,7 +24,6 @@ from jacobiverma.singular import (
     _eliminate,
     _kernel_from_pivots,
     _primitive,
-    _reduce_poly,
     _split_factors,
     find_singular_vectors,
     solve_parametric,
@@ -113,22 +112,22 @@ class TestReducePoly:
     def test_substitution_path(self):
         cs = ConstraintSet.from_equations(2, [L(2) + L(1) - const(Fraction(3, 2))])
         p = L(2) ** 2 + L(1)
-        reduced = _reduce_poly(p, cs)
+        reduced = cs.reduce(p)
         assert reduced == (const(Fraction(3, 2)) - L(1)) ** 2 + L(1)
 
     def test_remainder_path_nonlinear(self):
         cs = ConstraintSet.from_equations(2, [L(2) ** 2 - const(2)])
         assert cs.solved_form is None
         p = L(2) ** 3 + L(2) ** 2 + L(2) + const(1)
-        reduced = _reduce_poly(p, cs)
+        reduced = cs.reduce(p)
         # L2^2 -> 2, so L2^3 + L2^2 + L2 + 1 -> 3 L2 + 3
         assert reduced == 3 * L(2) + const(3)
 
     def test_remainder_fixpoint_is_irreducible(self):
         cs = ConstraintSet.from_equations(2, [L(1) * L(2) - const(1)])
         p = L(1) ** 2 * L(2) ** 2 + L(1)
-        reduced = _reduce_poly(p, cs)
-        assert _reduce_poly(reduced, cs) == reduced
+        reduced = cs.reduce(p)
+        assert cs.reduce(reduced) == reduced
 
 
 _coeff = st.integers(-3, 3)

@@ -4,7 +4,8 @@
 
 ``perfbench/run.py --trace 1`` wraps every ``(module, attr)`` of
 ``perfbench/workloads.TRACED`` with ``getattr``, and
-``scripts/stage_times.py`` wraps its ``WRAPPED`` names on top; a renamed or
+``scripts/stage_times.py`` wraps its ``WRAPPED`` names on top, a dotted one
+(a method) resolved with ``attrgetter``; a renamed or
 deleted function would break them only when they run.  Neither file is
 imported as the tools import it: ``workloads.py`` is loaded under a private
 name without its ``load_program`` reload, and ``WRAPPED`` is read from the
@@ -19,6 +20,7 @@ import os
 import shutil
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -57,7 +59,7 @@ def test_traced_modules_are_the_package_modules():
 
 @pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
 def test_wrapped_name_resolves(module, attr):
-    assert callable(getattr(importlib.import_module(f"jacobiverma.{module}"), attr))
+    assert callable(attrgetter(attr)(importlib.import_module(f"jacobiverma.{module}")))
 
 
 def _ab_rungs(*args):

@@ -245,12 +245,12 @@ class TestConstraintSet:
         cs = ConstraintSet.from_equations(2, [L(1) + L(2) - const(Fraction(3, 2))])
         assert cs.solved_form is not None
         for eq in cs.equations:
-            assert cs.substitute(eq).is_zero
+            assert cs.reduce(eq).is_zero
 
     def test_triangular_two_equations(self):
         cs = ConstraintSet.from_equations(2, [L(2) - L(1), L(1) - const(Fraction(3, 4))])
         assert cs.solved_form is not None
-        assert cs.substitute(L(2)) == const(Fraction(3, 4))
+        assert cs.reduce(L(2)) == const(Fraction(3, 4))
 
     def test_substitute_matches_sequential_solved_form(self):
         rng = random.Random(2718)
@@ -268,13 +268,59 @@ class TestConstraintSet:
             sequential = p
             for var, expr in cs.solved_form:
                 sequential = sequential.subs({var: expr})
-            assert cs.substitute(p) == sequential
+            assert cs.reduce(p) == sequential
             for eq in cs.equations:
-                assert cs.substitute(eq).is_zero
+                assert cs.reduce(eq).is_zero
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_from_equations_is_order_free_and_idempotent(self, n):
+        rng = random.Random(1000 + n)
+
+        def system():
+            # most affine forms vanish at one point, so most systems are consistent
+            point = [rng.randint(-2, 2) for _ in range(n)]
+
+            def affine():
+                coeffs = [rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
+                shift = rng.choice([0, 0, 0, Fraction(rng.randint(-3, 3), rng.randint(1, 2))])
+                value = sum(c * x for c, x in zip(coeffs, point)) - shift
+                return sum((PolyQ.var(n, v) * c for v, c in enumerate(coeffs)), PolyQ.const(n, -value))
+
+            linear = [affine() for _ in range(rng.randint(0, 2))]
+            eqs = linear + [affine() * affine() for _ in range(rng.randint(0, 2))]
+            # a multiple of an affine equation of the system plus an affine
+            # remainder turns affine once the system is solved
+            eqs += [rng.choice(linear) * affine() + affine() for _ in range(rng.randint(0, 2)) if linear]
+            return eqs
+
+        def build(eqs):
+            try:
+                return ConstraintSet.from_equations(n, eqs)
+            except InconsistentConstraintsError:
+                return None
+
+        for _ in range(60):
+            eqs = system()
+            cs = build(eqs)
+            shuffled = eqs[:]
+            rng.shuffle(shuffled)
+            assert build(shuffled) == cs
+            if cs is None:
+                continue
+            assert ConstraintSet.from_equations(n, cs.equations) == cs
+            if cs.solved_form is not None:
+                assert all(cs.reduce(eq).is_zero for eq in cs.equations)
 
     def test_inconsistent(self):
         with pytest.raises(InconsistentConstraintsError):
             ConstraintSet.from_equations(2, [L(1) - const(1), L(1) - const(2)])
+
+    def test_inconsistent_nonlinear(self):
+        # L1^2 - 1 and L1^2 - 4 differ by a constant: no affine part shows it
+        with pytest.raises(InconsistentConstraintsError):
+            ConstraintSet.from_equations(2, [L(1) ** 2 - const(1), L(1) ** 2 - const(4)])
+        cs = ConstraintSet.from_equations(2, [L(1) ** 2 - const(1), L(2) ** 2 - const(4)])
+        assert cs.solved_form is None and len(cs.equations) == 2
 
     def test_nonlinear_unsolved(self):
         cs = ConstraintSet.from_equations(2, [L(1) * L(2) - const(1)])
@@ -323,9 +369,9 @@ class TestIsSingular:
 
 
 def oracle_verdicts(alg, v, cs):
-    """Per element of n-: does ``oracle_act`` followed by ``substitute`` give 0?"""
+    """Per element of n-: does ``oracle_act`` followed by ``ConstraintSet.reduce`` give 0?"""
     return [
-        (x, all(cs.substitute(c).is_zero for c in oracle_act(alg, x, v).terms.values()))
+        (x, all(cs.reduce(c).is_zero for c in oracle_act(alg, x, v).terms.values()))
         for x in alg.negative
     ]
 
